@@ -1,9 +1,16 @@
-"""Dense spectral computations: eigenvalues, resolvent norms, grid ladders.
+"""Spectral computations: eigenvalues, resolvent norms, grid ladders.
 
 Norms are the continuum L2 norms realized through Clenshaw-Curtis quadrature:
 a matrix M acting between node-value spaces is measured as
 ``diag(sqrt(w_out)) M diag(1/sqrt(w_in))`` in the spectral norm, so reported
 operator norms converge to their integral counterparts as the grid grows.
+
+Resolvent norms take one LU factorization per rung.  From the measured
+crossover degree ``_LANCZOS_MIN_DEGREE`` on, both norms are top singular
+values found by Lanczos (``svds``) on the LU solves and their adjoints, from
+a fixed start vector so that repeated runs agree bit for bit.  Below it, the
+explicit solution operator is formed from the same LU and its singular
+values are taken densely.
 
 Every quantity of interest is wrapped in a ladder that doubles the grid
 degree until the value settles, so callers receive a converged number plus
@@ -18,7 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals, inv, svdvals
+from scipy.linalg import eigvals, get_lapack_funcs, lu_solve, svdvals
+from scipy.sparse.linalg import LinearOperator, svds
 
 from .chebdiff import build_grid
 from .operators import (
@@ -44,9 +52,14 @@ __all__ = [
     "thread_count",
 ]
 
-# sigma_min below this multiple of sigma_max means the shift sits on the
+# a reciprocal condition number below this means the shift sits on the
 # discrete spectrum and the resolvent number is noise
 _SINGULAR_RTOL = 1e3 * np.finfo(float).eps
+# Rungs of at least this degree take their norms from Lanczos on the LU
+# solves; below it two dense SVDs of the explicit solution operator are
+# faster.  Measured crossover (see CHANGES.md): it sits where OpenBLAS starts
+# threading the O(n^3) calls of the dense route.
+_LANCZOS_MIN_DEGREE = 80
 # solve norms beyond this are treated as a resonance hit (clamped systems)
 _SOLVE_NORM_CAP = 1e12
 
@@ -104,6 +117,8 @@ class ResolventSample:
 
     norm_inv is the L2 -> L2 norm of the solve; norm_d_inv additionally
     differentiates the solution, measuring data -> d(solution)/dx.
+    sigma_min is 1 / norm_inv, or 0 where the shift was judged singular
+    before any norm was taken.
     """
 
     kind: str
@@ -123,28 +138,116 @@ class ResolventSample:
         return self.norm_inv + self.norm_d_inv
 
 
+def _factor(mat: np.ndarray, overwrite: bool = False):
+    """LU of a finite matrix: ``((lu, piv), exactly_singular)``.
+
+    Non-finite entries raise ValueError, as every dense LAPACK driver here
+    does.  An exactly zero pivot is reported through the flag rather than as
+    the LinAlgWarning ``lu_factor`` would emit.
+    """
+    mat = np.asarray_chkfinite(mat)
+    (getrf,) = get_lapack_funcs(("getrf",), (mat,))
+    lu, piv, info = getrf(mat, overwrite_a=overwrite)
+    return (lu, piv), info > 0
+
+
+def _real_matmul(d: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """d @ z for a real matrix d, without forming a complex copy of d."""
+    if not np.iscomplexobj(z):
+        return d @ z
+    z = np.ascontiguousarray(z)
+    out = d @ z.view(np.float64).reshape(z.shape[0], -1)
+    return out.view(np.complex128).reshape((d.shape[0],) + z.shape[1:])
+
+
+def _solution_norms(
+    grid, factors, size: int, data_rows, data_scale: np.ndarray, sol_rows
+) -> tuple[float, float]:
+    """Weighted norms of a solution map and of its derivative.
+
+    Weighted data x (k values) become the right-hand side ``data_scale * x``
+    on ``data_rows`` of a system of order ``size``, zero elsewhere; its LU
+    ``factors`` give u on ``sol_rows`` of the grid, zero on the other nodes.
+    Returns (||W u||, ||W D1 u||) over unit ||x||, W the square-root
+    quadrature weights.  Below ``_LANCZOS_MIN_DEGREE`` both norms come from
+    SVDs of the explicit solution operator; from there on, from Lanczos on
+    the solves and their adjoints.
+    """
+    ws = np.sqrt(grid.weights)[:, None]
+    d1 = grid.d1
+    k = data_scale.shape[0]
+    dtype = factors[0].dtype
+
+    # x and y are column blocks.  _factor checked the matrix already, so the
+    # solves skip the O(n^2) finiteness scan of the factors on every call.
+    def solve(x):
+        rhs = np.zeros((size, x.shape[1]), dtype=np.result_type(dtype, x))
+        rhs[data_rows] = data_scale[:, None] * x
+        u = np.zeros((grid.n + 1, x.shape[1]), dtype=rhs.dtype)
+        u[sol_rows] = lu_solve(factors, rhs, overwrite_b=True, check_finite=False)
+        return u
+
+    def solve_h(y):
+        sol = lu_solve(factors, y[sol_rows], trans=2, check_finite=False)
+        return data_scale[:, None] * sol[data_rows]
+
+    if grid.n < _LANCZOS_MIN_DEGREE:
+        u = solve(np.eye(k))
+        norm_inv = svdvals(ws * u)[0]
+        norm_d_inv = svdvals(ws * _real_matmul(d1, u))[0]
+        return float(norm_inv), float(norm_d_inv)
+
+    # A fixed start vector keeps repeated runs bit-identical.  The ramp has
+    # both even and odd parts, so a parity symmetry of the profile cannot
+    # make it orthogonal to the top singular vector.
+    v0 = np.linspace(1.0, 2.0, k).astype(dtype)
+
+    def top(apply, apply_h):
+        op = LinearOperator(
+            (grid.n + 1, k),
+            matvec=lambda x: apply(x.reshape(k, -1)),
+            rmatvec=lambda y: apply_h(y.reshape(-1, 1)),
+            matmat=apply,
+            dtype=dtype,
+        )
+        return float(svds(op, k=1, v0=v0, return_singular_vectors=False)[0])
+
+    norm_inv = top(lambda x: ws * solve(x), lambda y: solve_h(ws * y))
+    norm_d_inv = top(
+        lambda x: ws * _real_matmul(d1, solve(x)),
+        lambda y: solve_h(_real_matmul(d1.T, ws * y)),
+    )
+    return norm_inv, norm_d_inv
+
+
+_SINGULAR = {
+    "sigma_min": 0.0,
+    "singular": True,
+    "norm_inv": math.inf,
+    "norm_d_inv": math.inf,
+}
+
+
 def _dirichlet_numbers(op: AssembledOperator) -> dict:
-    w_full = op.grid.weights
-    ws_int = np.sqrt(w_full[1:-1])
-    ws_out = np.sqrt(w_full)
-    sim = (ws_int[:, None] * op.matrix) / ws_int[None, :]
-    svals = svdvals(sim)
-    sigma_min = float(svals[-1])
-    singular = sigma_min < _SINGULAR_RTOL * float(svals[0])
-    if singular or sigma_min == 0.0:
-        return {
-            "sigma_min": sigma_min,
-            "singular": True,
-            "norm_inv": math.inf,
-            "norm_d_inv": math.inf,
-        }
-    minv = inv(op.matrix)
-    norm_inv = 1.0 / sigma_min
-    dsol = op.grid.d1[:, 1:-1] @ minv
-    sim_d = (ws_out[:, None] * dsol) / ws_int[None, :]
-    norm_d_inv = float(svdvals(sim_d)[0])
+    # Singularity is judged from LAPACK's 1-norm condition estimate on the
+    # same factorization; it tracks the 2-norm ratio sigma_min / sigma_max of
+    # the weighted matrix to within a small factor.
+    mat = op.matrix
+    factors, exact = _factor(mat)
+    if exact:
+        return dict(_SINGULAR)
+    (gecon,) = get_lapack_funcs(("gecon",), (factors[0],))
+    rcond, _ = gecon(factors[0], np.linalg.norm(mat, 1), norm="1")
+    if rcond < _SINGULAR_RTOL:
+        return dict(_SINGULAR)
+    ws_int = np.sqrt(op.grid.weights[1:-1])
+    norm_inv, norm_d_inv = _solution_norms(
+        op.grid, factors, mat.shape[0], slice(None), 1.0 / ws_int, slice(1, -1)
+    )
+    if not (math.isfinite(norm_inv) and math.isfinite(norm_d_inv)):
+        return dict(_SINGULAR)
     return {
-        "sigma_min": sigma_min,
+        "sigma_min": 1.0 / norm_inv,
         "singular": False,
         "norm_inv": norm_inv,
         "norm_d_inv": norm_d_inv,
@@ -156,41 +259,28 @@ def _clamped_numbers(op: AssembledOperator) -> dict:
     # differentiated rows of order n^8, so its raw singular values say
     # nothing about resonance.  Judge singularity from the weighted solution
     # operator itself: a shift sitting on the spectrum surfaces as an absurd
-    # solve norm (or an outright factorization failure).
+    # solve norm (or an exactly zero pivot).
     #
-    # Rows must be equilibrated before inversion.  Without it the inverse
-    # carries absolute noise from the huge fourth-derivative rows, and the
+    # Rows must be equilibrated before factorization.  Without it the solves
+    # carry absolute noise from the huge fourth-derivative rows, and the
     # extra differentiation in norm_d_inv amplifies that noise by n^2 --
     # enough to stall ladder convergence past n ~ 800.  Scaling row j by
     # 1/max|row j| restores componentwise accuracy; the solution operator is
     # unchanged because data columns are rescaled back afterwards.
     keep = ~op.bc_rows
-    w_full = op.grid.weights
-    ws_out = np.sqrt(w_full)
-    ws_in = np.sqrt(w_full[keep])
     row_scale = np.max(np.abs(op.matrix), axis=1)
-    if not np.all(row_scale > 0.0):
-        return {
-            "sigma_min": 0.0,
-            "singular": True,
-            "norm_inv": math.inf,
-            "norm_d_inv": math.inf,
-        }
+    if not np.all(np.isfinite(row_scale)):
+        raise ValueError("operator matrix must not contain infs or NaNs")
+    if np.any(row_scale == 0.0):
+        return dict(_SINGULAR)
     d = 1.0 / row_scale
-    try:
-        sol = inv(d[:, None] * op.matrix)[:, keep] * d[keep][None, :]
-    except np.linalg.LinAlgError:
-        return {
-            "sigma_min": 0.0,
-            "singular": True,
-            "norm_inv": math.inf,
-            "norm_d_inv": math.inf,
-        }
-    sim = (ws_out[:, None] * sol) / ws_in[None, :]
-    norm_inv = float(svdvals(sim)[0])
-    dsol = op.grid.d1 @ sol
-    sim_d = (ws_out[:, None] * dsol) / ws_in[None, :]
-    norm_d_inv = float(svdvals(sim_d)[0])
+    factors, exact = _factor(d[:, None] * op.matrix, overwrite=True)
+    if exact:
+        return dict(_SINGULAR)
+    ws_in = np.sqrt(op.grid.weights[keep])
+    norm_inv, norm_d_inv = _solution_norms(
+        op.grid, factors, op.matrix.shape[0], keep, d[keep] / ws_in, slice(None)
+    )
     bad = (
         not math.isfinite(norm_inv)
         or not math.isfinite(norm_d_inv)

@@ -169,3 +169,31 @@ def test_grid_degree_rule():
     assert grid_degree_for(1e6) == 800
     assert grid_degree_for(1.0) == 64
     assert grid_degree_for(1e12) == 2048
+
+
+def test_orr_sommerfeld_expansion_matches_product_form(cubic01):
+    # The O(n^2) expansion against the dense product (-d2 + i b (U + i lam))
+    # (-d2 + a^2) + i b U'' it replaces, at a degree where D4 and D2 D2 differ
+    # most in rounding.
+    grid = ss.build_grid(512)
+    alpha, beta, lam = 1.3, 2e5, 0.01 + 0.03j
+    op = ss.assemble_orr_sommerfeld(cubic01, ss.SpectralParams(alpha, beta, lam), grid)
+    x = grid.nodes
+    eye = np.eye(len(x))
+    helm = -grid.d2 + alpha**2 * eye
+    adv = -grid.d2 + 1j * beta * np.diag(cubic01.u(x) + 1j * lam)
+    full = adv @ helm + 1j * beta * np.diag(cubic01.deriv(x, 2))
+    expected, _ = clamped_reduce(full, grid)
+    row_scale = np.max(np.abs(expected), axis=1)
+    row_rel = np.max(np.abs(op.matrix - expected), axis=1) / row_scale
+    assert np.max(row_rel) <= 1e-12
+
+
+def test_rayleigh_generator_matches_explicit_inverse(cubic01, grid64):
+    op = ss.assemble_rayleigh(cubic01, 1.0, grid64)
+    x = grid64.nodes[1:-1]
+    h = dirichlet_reduce(-grid64.d2) + np.eye(len(x))
+    a = np.diag(cubic01.u(x)) @ h + np.diag(cubic01.deriv(x, 2))
+    expected = np.linalg.inv(h) @ a
+    scale = np.max(np.abs(expected))
+    np.testing.assert_allclose(op.matrix, expected, rtol=0, atol=1e-10 * scale)

@@ -1,6 +1,8 @@
 """Weighted norms, eigenvalue floors, and resolvent ladders."""
 
+import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -195,3 +197,100 @@ def test_pseudospectrum_threads_agree(couette):
     one = pseudospectrum_grid(couette, "schrodinger", 0.0, 1e4, mus, nus, threads=1)
     two = pseudospectrum_grid(couette, "schrodinger", 0.0, 1e4, mus, nus, threads=2)
     np.testing.assert_array_equal(one.norms, two.norms)
+
+
+# --- one LU per rung: dense SVDs below the crossover, Lanczos above ----------
+
+DENSE_N = 64
+LANCZOS_N = 512
+
+
+def _weighted_top_sv(rows_w, mat, cols_w):
+    return np.linalg.svd((rows_w[:, None] * mat) / cols_w[None, :], compute_uv=False)[0]
+
+
+def test_route_degrees_straddle_crossover():
+    from shearstab.spectral import _LANCZOS_MIN_DEGREE
+
+    assert DENSE_N < _LANCZOS_MIN_DEGREE <= LANCZOS_N
+
+
+@pytest.mark.parametrize("n", [DENSE_N, LANCZOS_N])
+def test_dirichlet_norms_match_explicit_inverse_on_both_routes(cubic01, n):
+    grid = ss.build_grid(n)
+    beta = (n / 8.0) ** 3
+    params = ss.SpectralParams(0.0, beta, 0.02 + 0.1j)
+    op = ss.assemble_schrodinger(cubic01, params, grid)
+    nums = resolvent_numbers(op)
+    assert not nums["singular"]
+    w_int = np.sqrt(grid.weights[1:-1])
+    sol = np.linalg.inv(op.matrix)
+    direct = _weighted_top_sv(w_int, sol, w_int)
+    direct_d = _weighted_top_sv(np.sqrt(grid.weights), grid.d1[:, 1:-1] @ sol, w_int)
+    assert nums["norm_inv"] == pytest.approx(direct, rel=1e-10)
+    assert nums["norm_d_inv"] == pytest.approx(direct_d, rel=1e-10)
+    assert nums["sigma_min"] == 1.0 / nums["norm_inv"]
+
+
+@pytest.mark.parametrize("n", [DENSE_N, LANCZOS_N])
+def test_clamped_norms_match_explicit_inverse_on_both_routes(cubic01, n):
+    # Reference: explicit inverse of the row-equilibrated bordered matrix and
+    # full SVDs of the weighted solution operators.
+    grid = ss.build_grid(n)
+    beta = (n / 8.0) ** 3
+    params = ss.SpectralParams(1.0, beta, 0.5 * beta ** (-1.0 / 3.0))
+    op = ss.assemble_orr_sommerfeld(cubic01, params, grid)
+    nums = resolvent_numbers(op)
+    assert not nums["singular"]
+    keep = ~op.bc_rows
+    d = 1.0 / np.max(np.abs(op.matrix), axis=1)
+    sol = np.linalg.inv(d[:, None] * op.matrix)[:, keep] * d[keep][None, :]
+    w_out = np.sqrt(grid.weights)
+    w_in = np.sqrt(grid.weights[keep])
+    direct = _weighted_top_sv(w_out, sol, w_in)
+    direct_d = _weighted_top_sv(w_out, grid.d1 @ sol, w_in)
+    assert nums["norm_inv"] == pytest.approx(direct, rel=1e-8)
+    assert nums["norm_d_inv"] == pytest.approx(direct_d, rel=1e-8)
+
+
+def _lanczos_ops(couette, cubic01):
+    grid = ss.build_grid(LANCZOS_N)
+    beta = (LANCZOS_N / 8.0) ** 3
+    return [
+        ss.assemble_schrodinger(couette, ss.SpectralParams(0.0, beta, 0.05j), grid),
+        ss.assemble_orr_sommerfeld(
+            cubic01, ss.SpectralParams(1.0, beta, 0.5 * beta ** (-1.0 / 3.0)), grid
+        ),
+    ]
+
+
+def test_lanczos_norms_are_bit_identical_across_calls_and_threads(couette, cubic01):
+    for op in _lanczos_ops(couette, cubic01):
+        first = resolvent_numbers(op)
+        again = resolvent_numbers(op)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(resolvent_numbers, op) for _ in range(2)]
+            concurrent = [f.result(timeout=120) for f in futures]
+        for other in [again, *concurrent]:
+            assert other == first
+
+
+def test_rayleigh_shifted_on_spectrum_is_singular_above_crossover(couette):
+    # Even degree: the centre node is a collocation point, where U + i*lam = 0
+    # leaves an exactly zero row.
+    op = ss.assemble_rayleigh_shifted(
+        couette, ss.SpectralParams(1.0, 0.0, 0.0), ss.build_grid(LANCZOS_N)
+    )
+    nums = resolvent_numbers(op)
+    assert nums["singular"]
+    assert math.isinf(nums["norm_inv"])
+    assert math.isinf(nums["norm_d_inv"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_operator_raises_above_crossover(couette, cubic01, bad):
+    for op in _lanczos_ops(couette, cubic01):
+        mat = op.matrix.copy()
+        mat[LANCZOS_N // 3, LANCZOS_N // 2] = bad
+        with pytest.raises(ValueError):
+            resolvent_numbers(dataclasses.replace(op, matrix=mat))
