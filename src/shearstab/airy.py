@@ -15,9 +15,17 @@ module carries everything Airy-flavoured:
   advective operator -d2 + i*beta*(U + i*lam), built from scaled Airy
   ratios, plus an exactness check against their closed-form image.
 
-Zero hunting runs two independent evaluation routes: a panelwise
-Gauss-Legendre path integral drives the search, and adaptive quadrature
-re-verifies every reported zero.  The routes share only the Airy kernel.
+Zero hunting runs two independent evaluation routes that share only the Airy
+kernel.  The search evaluates F(z) = A0(iz) by batched radial quadrature:
+each contour point is integrated along its own straight path from the
+origin, with a 12-point Gauss-Legendre rule on panels of length at most 0.7,
+and the panels of a whole contour pass share vectorized kernel calls.  On
+the contour points of the default search that rule agrees with a 32-point
+rule on the same panels, and with itself on half-length panels, to
+5e-14 * max(|F|, 1/3); against mpmath at the rectangle corners and next to a
+zero it errs by at most 3e-14 on that scale.  Newton polishing starts at the
+first box that winds exactly once.  Adaptive quadrature then re-verifies
+every reported zero.
 """
 
 from __future__ import annotations
@@ -139,23 +147,21 @@ def airy_tail_integral(z: complex, eps: float = 1e-12) -> complex:
 
     The path leaves z in the +real direction, along which the rotated
     argument enters the decay sector, so truncation at `_decay_cut` offsets
-    costs less than 1e-19.  Real and imaginary parts are integrated
-    separately with adaptive quadrature at tolerance `eps`.
+    costs less than 1e-19.  One adaptive quadrature call integrates the real
+    and imaginary parts at tolerance `eps`.
     """
     z = complex(z)
     cut = _decay_cut(z)
 
-    def f_re(s: float) -> float:
-        return (_ROT6 * complex(special.airy(_ROT6 * (z + s))[0])).real
-
-    def f_im(s: float) -> float:
-        return (_ROT6 * complex(special.airy(_ROT6 * (z + s))[0])).imag
+    def f(s: float) -> complex:
+        return _ROT6 * complex(special.airy(_ROT6 * (z + s))[0])
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        re, _ = quad(f_re, 0.0, cut, epsabs=eps, epsrel=eps, limit=400)
-        im, _ = quad(f_im, 0.0, cut, epsabs=eps, epsrel=eps, limit=400)
-    return complex(re, im)
+        val, _ = quad(
+            f, 0.0, cut, epsabs=eps, epsrel=eps, limit=400, complex_func=True
+        )
+    return complex(val)
 
 
 def airy_tail_integral_prime(z: complex) -> complex:
@@ -166,80 +172,57 @@ def airy_tail_integral_prime(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 # zeros of F(z) = A0(iz) in the right half plane
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_PANEL_BATCH = 4096     # panels per kernel call: bounds the node array
 
 
-class _PathIntegral:
-    """Incremental path integration of F(z) = A0(iz) from the anchor F(0)=1/3.
+def _radial_values(points, max_panel: float = 0.7) -> np.ndarray:
+    """F(z) = A0(iz) at each point, integrated from F(0) = 1/3 along the ray.
 
-    F'(z) = -i e^{i pi/6} Ai(e^{2 pi i/3} z) is entire, so F is evaluated by
-    integrating along straight panels of bounded length with Gauss-Legendre
-    nodes.  Extending an existing path is a single panel chain, which makes
-    walking a rectangle boundary cheap.
+    F'(z) = -i e^{i pi/6} Ai(e^{2 pi i/3} z) is entire, so each value is the
+    anchor plus a 12-point Gauss-Legendre sum over equal panels of length at
+    most max_panel on the straight path from the origin.  The panels of all
+    points share vectorized kernel calls, `_PANEL_BATCH` panels per call.
+
+    Radial paths matter: along a ray the rotated Airy argument keeps a fixed
+    phase, so the integrand magnitude peaks at the endpoint and the result
+    carries relative accuracy.  Chaining points together instead would drag
+    absolute error from high-magnitude regions (|F| reaches 7e7 at z = 10
+    on the default search rectangle) into low ones (|F| ~ 2e-8 at its
+    corner 0.05 - 10i), wrecking the phase.
     """
-
-    def __init__(self, max_panel: float = 0.7):
-        self.max_panel = float(max_panel)
-        self.point = 0.0 + 0.0j
-        self.value = complex(TAIL_AT_ZERO)
-
-    def _segment(self, a: complex, b: complex) -> complex:
-        length = abs(b - a)
-        if length == 0.0:
-            return 0.0j
-        npan = max(1, math.ceil(length / self.max_panel))
-        ends = a + (b - a) * np.linspace(0.0, 1.0, npan + 1)
-        total = 0.0j
-        for lo, hi in zip(ends[:-1], ends[1:]):
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            pts = mid + half * _GL_NODES
-            vals = special.airy(_ROT3 * pts)[0]
-            total += half * np.sum(_GL_WEIGHTS * vals)
-        return -1j * _ROT6 * total
-
-    def value_at(self, z: complex) -> complex:
-        z = complex(z)
-        self.value += self._segment(self.point, z)
-        self.point = z
-        return self.value
+    z = np.asarray(points, dtype=complex).reshape(-1)
+    npan = np.maximum(1, np.ceil(np.abs(z) / max_panel)).astype(np.intp)
+    first = np.cumsum(npan) - npan
+    owner = np.repeat(np.arange(z.size), npan)
+    step = z[owner] / npan[owner]
+    half = 0.5 * step
+    mid = step * (np.arange(owner.size) - first[owner] + 0.5)
+    sums = np.empty(owner.size, dtype=complex)
+    for lo in range(0, owner.size, _PANEL_BATCH):
+        sl = slice(lo, lo + _PANEL_BATCH)
+        nodes = mid[sl, None] + half[sl, None] * _GL_NODES
+        sums[sl] = half[sl] * (special.airy(_ROT3 * nodes)[0] @ _GL_WEIGHTS)
+    return TAIL_AT_ZERO - 1j * _ROT6 * np.add.reduceat(sums, first)
 
 
 def _f_prime(z: complex) -> complex:
     return -1j * _ROT6 * complex(special.airy(_ROT3 * complex(z))[0])
 
 
-def _values_along(
-    points: list[complex], max_panel: float, cache: dict
-) -> list[complex]:
-    """F at each point by a fresh straight path from the origin.
-
-    Radial paths matter: along a ray the rotated Airy argument keeps a fixed
-    phase, so the integrand magnitude peaks at the endpoint and the result
-    carries relative accuracy.  Chaining points together instead would drag
-    absolute error from high-magnitude regions (|F| ~ 1e7 in the search
-    rectangle's corner) into low ones (|F| ~ 1e-8), wrecking the phase.
-    """
-    out = []
-    for p in points:
-        key = (p.real, p.imag)
-        v = cache.get(key)
-        if v is None:
-            v = _PathIntegral(max_panel).value_at(p)
-            cache[key] = v
-        out.append(v)
-    return out
-
-
 def _winding(corners: list[complex], max_panel: float, cache: dict) -> int:
     """Winding number of F around a closed polygon, or raise if a zero sits
-    too close to the boundary for phase tracking to settle."""
+    too close to the boundary for phase tracking to settle.  `cache` maps
+    contour points to F values; each pass evaluates its new points at once."""
     pts: list[complex] = []
     for a, b in zip(corners, corners[1:] + corners[:1]):
         seg = max(2, math.ceil(abs(b - a) / 0.5))
         pts.extend(a + (b - a) * k / seg for k in range(seg))
     for _ in range(40):
-        vals = _values_along(pts, max_panel, cache)
+        missing = [p for p in pts if p not in cache]
+        if missing:
+            cache.update(zip(missing, _radial_values(missing, max_panel).tolist()))
+        vals = [cache[p] for p in pts]
         if min(abs(v) for v in vals) < 1e-12:
             raise RuntimeError("contour passes through a zero")
         jumps = [
@@ -264,8 +247,7 @@ def _winding(corners: list[complex], max_panel: float, cache: dict) -> int:
 def _newton_zero(start: complex, max_panel: float) -> complex | None:
     z = complex(start)
     for _ in range(60):
-        path = _PathIntegral(max_panel)
-        fz = path.value_at(z)
+        fz = complex(_radial_values([z], max_panel)[0])
         dz = _f_prime(z)
         if dz == 0.0:
             return None
@@ -295,8 +277,8 @@ def _hunt(
         return _hunt(lo - shift, hi + shift, max_panel, depth + 1, cache)
     if w == 0:
         return []
-    size = max(hi.real - lo.real, hi.imag - lo.imag)
-    if w == 1 and size < 0.2:
+    if w == 1:
+        # one zero inside: a Newton limit that stays in the box is that zero
         z = _newton_zero(0.5 * (lo + hi), max_panel)
         pad = 1e-9
         if (
@@ -305,7 +287,7 @@ def _hunt(
             and lo.imag - pad <= z.imag <= hi.imag + pad
         ):
             return [z]
-    if size < 1e-6:
+    if max(hi.real - lo.real, hi.imag - lo.imag) < 1e-6:
         raise RuntimeError(f"zero cluster did not separate near {0.5 * (lo + hi)}")
     mid = 0.5 * (lo + hi)
     quads = [
@@ -342,17 +324,20 @@ def tail_zero_margin(
     """Locate every zero of F(z) = A0(iz) in the rectangle and the margin.
 
     The search subdivides by argument-principle winding counts, polishes with
-    Newton (rejecting any iterate that escapes its box), deduplicates, checks
+    Newton as soon as a box winds exactly once (rejecting a limit that escapes
+    its box, which is then subdivided further), deduplicates, checks
     the total against the winding count of the whole rectangle, and finally
     re-evaluates each zero through the quadrature route, demanding a Newton
     location-error estimate |F|/|F'| at most verify_tol.  Results are cached
     per argument set.
     """
-    key = (rectangle, max_panel, verify_tol)
+    rect = tuple(map(float, rectangle))
+    key = (rect, max_panel, verify_tol)
     if key in _TAIL_CACHE:
         return _TAIL_CACHE[key]
-    re_lo, re_hi, im_lo, im_hi = map(float, rectangle)
-    if not (re_lo > 0.0 and re_hi > re_lo and im_hi > im_lo):
+    re_lo, re_hi, im_lo, im_hi = rect
+    finite = all(map(math.isfinite, rect))
+    if not (finite and re_lo > 0.0 and re_hi > re_lo and im_hi > im_lo):
         raise ValueError(f"bad search rectangle {rectangle}")
     lo = complex(re_lo, im_lo)
     hi = complex(re_hi, im_hi)
@@ -384,7 +369,7 @@ def tail_zero_margin(
     result = TailZeroResult(
         margin=float(min(z.real for z in zeros)),
         zeros=tuple(zeros),
-        rectangle=(re_lo, re_hi, im_lo, im_hi),
+        rectangle=rect,
         residuals=tuple(float(r) for r in residuals),
     )
     _TAIL_CACHE[key] = result

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -36,9 +37,16 @@ class ChebGrid:
     nodes: np.ndarray    # shape (n+1,), nodes[0] = 1, nodes[n] = -1
     d1: np.ndarray       # first-derivative matrix, (n+1) x (n+1)
     d2: np.ndarray
-    d3: np.ndarray
     d4: np.ndarray
     weights: np.ndarray  # Clenshaw-Curtis weights, sum = 2
+
+    @cached_property
+    def d3(self) -> np.ndarray:
+        """Third-derivative matrix, built on first access: no solver needs it,
+        and keeping it would cost (n+1)^2 doubles per cached grid."""
+        d3 = _chebdif(self.n, 3)[1][2]
+        d3.setflags(write=False)
+        return d3
 
     def __repr__(self) -> str:  # keep dataclass repr from dumping matrices
         return f"ChebGrid(n={self.n})"
@@ -81,7 +89,7 @@ def _chebdif(n_deg: int, m_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
     for ell in range(1, m_max + 1):
         d = ell * z * (c * np.tile(np.diag(d), (n, 1)).T - d)
         d[k, k] = -d.sum(axis=1)
-        mats.append(d.copy())
+        mats.append(d)
     return x, mats
 
 
@@ -118,11 +126,11 @@ def build_grid(n: int) -> ChebGrid:
     with _cache_lock:
         grid = _cache.get(n)
         if grid is None:
-            x, (d1, d2, d3, d4) = _chebdif(n, 4)
+            x, (d1, d2, _, d4) = _chebdif(n, 4)
             w = _clencurt(n)
-            for arr in (x, d1, d2, d3, d4, w):
+            for arr in (x, d1, d2, d4, w):
                 arr.setflags(write=False)
-            grid = ChebGrid(n=n, nodes=x, d1=d1, d2=d2, d3=d3, d4=d4, weights=w)
+            grid = ChebGrid(n=n, nodes=x, d1=d1, d2=d2, d4=d4, weights=w)
             _cache[n] = grid
     return grid
 

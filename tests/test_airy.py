@@ -11,6 +11,9 @@ from shearstab.airy import (
     AI_AT_ZERO,
     AI_PRIME_AT_ZERO,
     TAIL_AT_ZERO,
+    _f_prime,
+    _hunt,
+    _radial_values,
     airy_ai,
     airy_ai_prime,
     airy_tail_integral,
@@ -130,6 +133,53 @@ def test_tail_zero_margin_stable_under_refinement():
     fine = tail_zero_margin(max_panel=0.35)
     assert abs(coarse.margin - fine.margin) < 1e-11
     assert len(coarse.zeros) == len(fine.zeros)
+
+
+def _mp_tail_value(z):
+    """F(z) = A0(iz) as 1/3 plus the integral of F' along [0, z], in mpmath."""
+    rot6 = mpmath.exp(1j * mpmath.pi / 6)
+    rot3 = mpmath.exp(2j * mpmath.pi / 3)
+    z = mpmath.mpc(z)
+    integral = mpmath.quad(
+        lambda s: -1j * rot6 * mpmath.airyai(rot3 * s), [0, z / 2, z]
+    )
+    return complex(mpmath.mpf(1) / 3 + integral)
+
+
+def test_radial_values_against_mpmath():
+    # rectangle corners, the largest |F| on it (7e7 at z = 10), then a point
+    # where |F| is about 1e-8: the error budget is relative to max(|F|, 1/3),
+    # the size of the anchor value
+    z0 = FROZEN_ZEROS[0]
+    near = z0 + 1e-8 / abs(_f_prime(z0))
+    pts = [0.05 - 10j, 10.0 - 10j, 10.0 + 10j, 0.05 + 10j, 10.0 + 0j, near]
+    got = _radial_values(pts)
+    for z, value in zip(pts, got):
+        exact = _mp_tail_value(z)
+        assert abs(value - exact) <= 1e-12 * max(abs(exact), 1.0 / 3.0), z
+    assert 0.5e-8 < abs(_mp_tail_value(near)) < 2e-8
+
+
+def test_radial_values_stable_under_panel_halving():
+    cache: dict = {}
+    _hunt(0.05 - 10j, 10.0 + 10j, 0.7, 0, cache)
+    pts = list(cache)
+    coarse = np.array([cache[p] for p in pts])
+    fine = _radial_values(pts, max_panel=0.35)
+    assert len(pts) > 100
+    scale = np.maximum(np.abs(coarse), 1.0 / 3.0)
+    assert np.max(np.abs(fine - coarse) / scale) <= 1e-12
+
+
+def test_tail_zero_margin_accepts_list_rectangle():
+    assert tail_zero_margin(rectangle=[0.05, 10, -10, 10]) == tail_zero_margin()
+    small = [0.5, 2.0, 3.0, 5.0]
+    res = tail_zero_margin(rectangle=small)
+    assert res == tail_zero_margin(rectangle=tuple(small))
+    assert res.rectangle == (0.5, 2.0, 3.0, 5.0)
+    assert abs(res.margin - FROZEN_MARGIN) <= 1e-9
+    with pytest.raises(ValueError):
+        tail_zero_margin(rectangle=[0.05, math.inf, -10.0, 10.0])
 
 
 def test_tail_zeros_verified_by_quadrature_route():

@@ -1,6 +1,7 @@
 """Differentiation matrices, quadrature weights, and boundary reductions."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.optimize import brentq
 from scipy.linalg import eig
 
 import shearstab as ss
-from shearstab.chebdiff import clamped_reduce, dirichlet_reduce
+from shearstab.chebdiff import _chebdif, clamped_reduce, dirichlet_reduce
 
 
 def test_nodes_descend_from_one_to_minus_one(grid32):
@@ -119,6 +120,17 @@ def test_build_grid_caches(grid64):
 def test_grid_arrays_are_read_only(grid64):
     for arr in (grid64.nodes, grid64.weights, grid64.d1, grid64.d2, grid64.d3, grid64.d4):
         assert not arr.flags.writeable
+
+
+def test_third_derivative_is_lazy_read_only_and_exact():
+    grid = ss.build_grid(37)   # a degree no other test reads d3 on
+    assert "d3" not in grid.__dict__
+    d3 = grid.d3
+    assert "d3" in grid.__dict__ and grid.d3 is d3
+    assert not d3.flags.writeable
+    with pytest.raises(FrozenInstanceError):
+        grid.d3 = np.zeros_like(d3)
+    np.testing.assert_array_equal(d3, _chebdif(37, 4)[1][2])
 
 
 @pytest.mark.parametrize("bad", [7, 2049, 0, -4])
