@@ -69,8 +69,8 @@ def _chebdif(n_deg: int, m_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
 
     # dx[k, j] = x_k - x_j via cos a - cos b = -2 sin((a+b)/2) sin((a-b)/2);
     # the column-minus-row order of the second factor supplies that minus.
-    T = np.tile(th / 2, (n, 1))
-    dx = 2 * np.sin(T.T + T) * np.sin(T - T.T)
+    h = th / 2
+    dx = 2 * np.sin(h[:, None] + h[None, :]) * np.sin(h[None, :] - h[:, None])
     n_half, n_ceil = n // 2, (n + 1) // 2
     dx = np.vstack((dx[:n_half], -np.flipud(np.fliplr(dx[:n_ceil]))))
     dx[k, k] = 1.0
@@ -87,7 +87,7 @@ def _chebdif(n_deg: int, m_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
     d = np.eye(n)
     mats: list[np.ndarray] = []
     for ell in range(1, m_max + 1):
-        d = ell * z * (c * np.tile(np.diag(d), (n, 1)).T - d)
+        d = ell * z * (c * np.diag(d)[:, None] - d)
         d[k, k] = -d.sum(axis=1)
         mats.append(d)
     return x, mats

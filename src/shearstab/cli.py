@@ -214,38 +214,35 @@ def _build_parser() -> _Parser:
     cert.add_argument("--interval-density", type=int, default=33)
     cert.add_argument("--margin", type=float, default=1e-6)
     cert.add_argument("--json", dest="json_path")
+    cert.set_defaults(run=_run_certify)
 
     scan = sub.add_parser("rayleigh-scan", help="inviscid spectrum scan")
     scan.add_argument("profile")
     scan.add_argument("--alpha", type=float, default=1.0)
     scan.add_argument("--n-list", default="128,256,512")
     scan.add_argument("--json", dest="json_path")
+    scan.set_defaults(run=_run_rayleigh_scan)
 
     sweep = sub.add_parser("sweep", help="scaling-law sweeps")
-    sweep.add_argument(
-        "kind",
-        choices=[
-            "schrodinger",
-            "l1-approx",
-            "weighted",
-            "os-boundary",
-            "os-alpha",
-            "os-lambda",
-        ],
-    )
+    sweep.add_argument("kind", choices=list(_SWEEPS))
     sweep.add_argument("profile")
     sweep.add_argument("--betas", default=None, help="comma-separated")
     sweep.add_argument("--beta", type=float, default=1e5)
     sweep.add_argument("--alpha", type=float, default=1.0)
     sweep.add_argument("--alphas", default=None, help="comma-separated")
-    sweep.add_argument("--lam", default="0", help="complex literal, e.g. -0.1+0.2j")
-    sweep.add_argument("--lams", default=None, help="comma-separated complex")
+    sweep.add_argument(
+        "--lam", default="0", help="complex literal; a negative one as --lam=-0.1+0.2j"
+    )
+    sweep.add_argument(
+        "--lams", default=None, help="comma-separated complex, e.g. --lams=-10,-20+3j"
+    )
     sweep.add_argument("--fraction", type=float, default=0.5)
     sweep.add_argument("--data", choices=["exp", "affine", "trig"], default="exp")
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--json", dest="json_path")
     sweep.add_argument("--csv", dest="csv_path")
     sweep.add_argument("--plot", dest="plot_path")
+    sweep.set_defaults(run=_run_sweep)
 
     pseudo = sub.add_parser("pseudo", help="resolvent norm over a shift grid")
     pseudo.add_argument("profile")
@@ -262,15 +259,17 @@ def _build_parser() -> _Parser:
                         metavar=("LO", "HI", "COUNT"))
     pseudo.add_argument("--json", dest="json_path")
     pseudo.add_argument("--csv", dest="csv_path")
+    pseudo.set_defaults(run=_run_pseudo)
 
     selftest = sub.add_parser("airy-selftest", help="kernel identity checks")
     selftest.add_argument("--seed", type=int, default=20260819)
     selftest.add_argument("--json", dest="json_path")
+    selftest.set_defaults(run=_run_airy_selftest)
     return parser
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _parse_list(text: str, cast=float) -> list:
+    return [cast(v) for v in text.split(",") if v.strip()]
 
 
 def _run_certify(args) -> int:
@@ -325,45 +324,53 @@ def _run_rayleigh_scan(args) -> int:
     return 0 if result.monotone else 2
 
 
+def _parse_alphas(args) -> list[float]:
+    if not args.alphas:
+        raise _CliError("os-alpha needs --alphas")
+    return _parse_list(args.alphas)
+
+
+# sweep flag -> its parsed value, None when not given; --json records these
+_SWEEP_FLAGS = {
+    "alpha": lambda a: a.alpha,
+    "alphas": _parse_alphas,
+    "beta": lambda a: a.beta,
+    "betas": lambda a: _parse_list(a.betas) if a.betas else None,
+    "data": lambda a: a.data,
+    "fraction": lambda a: a.fraction,
+    "lam": lambda a: complex(a.lam),
+    "lams": lambda a: _parse_list(a.lams, complex) if a.lams else None,
+    "seed": lambda a: a.seed,
+}
+
+
+def _with_fraction(sweep):
+    return lambda p, fraction, **v: sweep(p, margin_fraction=fraction, **v)
+
+
+def _with_data(sweep):
+    return lambda p, data, seed=None, **v: sweep(
+        p, data=data_preset(data, seed=seed), **v
+    )
+
+
+# sweep kind -> (flags it reads, driver call on the profile and the given
+# flags; a flag left out falls back to the driver's default)
+_SWEEPS = {
+    "schrodinger": (("lam", "fraction", "betas"), _with_fraction(schrodinger_sweep)),
+    "l1-approx": (("lam", "data", "seed", "betas"), _with_data(l1_approximation_sweep)),
+    "weighted": (("lam", "data", "seed", "betas"), _with_data(weighted_data_sweep)),
+    "os-boundary": (("alpha", "fraction", "betas"), _with_fraction(os_boundary_sweep)),
+    "os-alpha": (("alphas", "beta", "fraction"), _with_fraction(os_large_alpha_sweep)),
+    "os-lambda": (("alpha", "beta", "lams"), os_large_lambda_check),
+}
+
+
 def _run_sweep(args) -> int:
     profile, config = _load_profile(args.profile)
-    lam = complex(args.lam)
-    data = data_preset(args.data, seed=args.seed) if args.data != "exp" or args.seed else None
-    betas = _parse_floats(args.betas) if args.betas else None
-    if args.kind == "schrodinger":
-        kwargs = {"lam": lam, "margin_fraction": args.fraction}
-        if betas:
-            kwargs["betas"] = betas
-        result = schrodinger_sweep(profile, **kwargs)
-    elif args.kind == "l1-approx":
-        kwargs = {"lam": lam, "data": data}
-        if betas:
-            kwargs["betas"] = betas
-        result = l1_approximation_sweep(profile, **kwargs)
-    elif args.kind == "weighted":
-        kwargs = {"lam": lam, "data": data}
-        if betas:
-            kwargs["betas"] = betas
-        result = weighted_data_sweep(profile, **kwargs)
-    elif args.kind == "os-boundary":
-        kwargs = {"alpha": args.alpha, "margin_fraction": args.fraction}
-        if betas:
-            kwargs["betas"] = betas
-        result = os_boundary_sweep(profile, **kwargs)
-    elif args.kind == "os-alpha":
-        if not args.alphas:
-            raise _CliError("os-alpha needs --alphas")
-        result = os_large_alpha_sweep(
-            profile,
-            _parse_floats(args.alphas),
-            args.beta,
-            margin_fraction=args.fraction,
-        )
-    else:
-        kwargs = {"alpha": args.alpha, "beta": args.beta}
-        if args.lams:
-            kwargs["lams"] = [complex(v) for v in args.lams.split(",") if v.strip()]
-        result = os_large_lambda_check(profile, **kwargs)
+    flags, run = _SWEEPS[args.kind]
+    values = {f: v for f in flags if (v := _SWEEP_FLAGS[f](args)) is not None}
+    result = run(profile, **values)
 
     slope = repr(result.fit.slope) if result.fit else "n/a"
     print(
@@ -371,20 +378,10 @@ def _run_sweep(args) -> int:
         f"span={result.span!r} bound_ratio_max={result.bound_ratio_max!r} "
         f"converged={result.converged_fraction!r} checks={sorted(result.checks.items())}"
     )
-    resolved = {
-        "command": "sweep",
-        "kind": args.kind,
-        "profile": config,
-        "lam": {"re": lam.real, "im": lam.imag},
-        "fraction": args.fraction,
-        "data": args.data,
-        "seed": args.seed,
-    }
-    if betas:
-        resolved["betas"] = betas
     header, rows = _sweep_table(result)
     if args.json_path:
-        _emit_json(args.json_path, resolved, result)
+        resolved = {"command": "sweep", "kind": args.kind, "profile": config}
+        _emit_json(args.json_path, {**resolved, **values}, result)
     if args.csv_path:
         _emit_csv(args.csv_path, header, rows)
     if args.plot_path:
@@ -477,15 +474,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "certify":
-            return _run_certify(args)
-        if args.command == "rayleigh-scan":
-            return _run_rayleigh_scan(args)
-        if args.command == "sweep":
-            return _run_sweep(args)
-        if args.command == "pseudo":
-            return _run_pseudo(args)
-        return _run_airy_selftest(args)
+        return args.run(args)
     except (_CliError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"shearstab: error: {exc}", file=sys.stderr)
         return 3

@@ -12,9 +12,10 @@ a fixed start vector so that repeated runs agree bit for bit.  Below it, the
 explicit solution operator is formed from the same LU and its singular
 values are taken densely.
 
-Every quantity of interest is wrapped in a ladder that doubles the grid
-degree until the value settles, so callers receive a converged number plus
-the resolution that produced it.
+Every quantity of interest is wrapped in the one grid ladder ``_refine``,
+which doubles the degree until two consecutive rungs agree under the
+caller's rule, so callers receive a converged number plus the resolution
+that produced it.
 """
 
 from __future__ import annotations
@@ -315,6 +316,26 @@ def ladder_start(beta: float, floor: int = 64) -> int:
     return max(floor, math.ceil(4.0 * float(beta) ** (1.0 / 3.0)))
 
 
+def _refine(evaluate, n0: int, n_cap: int, agree):
+    """The grid ladder: evaluate(n) at n = min(n0, n_cap), 2n, 4n, ...
+
+    Returns (value, n, True) for the finer value of the first consecutive
+    pair with agree(prev, cur), or the last rung as (value, n, False) once
+    another doubling would pass n_cap.  Callers look up the grid, assembler
+    and solver inside ``evaluate``, so each rung sees the current bindings.
+    """
+    n = min(n0, n_cap)
+    prev = None
+    while True:
+        cur = evaluate(n)
+        if prev is not None and agree(prev, cur):
+            return cur, n, True
+        if 2 * n > n_cap:
+            return cur, n, False
+        prev = cur
+        n *= 2
+
+
 def resolvent_sample(
     profile: Profile,
     params: SpectralParams,
@@ -331,36 +352,28 @@ def resolvent_sample(
     """
     if kind not in _ASSEMBLERS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    assemble = _ASSEMBLERS[kind]
     n_start = min(n0 if n0 is not None else ladder_start(params.beta), n_cap)
-    n = n_start
-    prev = None
-    while True:
-        op = assemble(profile, params, build_grid(n))
-        nums = resolvent_numbers(op)
-        done_cap = 2 * n > n_cap
-        converged = False
-        if prev is not None:
-            ref = prev["norm_inv"] + prev["norm_d_inv"]
-            cur = nums["norm_inv"] + nums["norm_d_inv"]
-            if math.isfinite(ref) and ref > 0.0 and math.isfinite(cur):
-                converged = abs(cur - ref) <= rel_tol * ref
-        if converged or done_cap:
-            return ResolventSample(
-                kind=kind,
-                alpha=params.alpha,
-                beta=params.beta,
-                lam=params.lam,
-                n_start=n_start,
-                n_used=n,
-                converged=converged,
-                singular=nums["singular"],
-                sigma_min=nums["sigma_min"],
-                norm_inv=nums["norm_inv"],
-                norm_d_inv=nums["norm_d_inv"],
-            )
-        prev = nums
-        n *= 2
+
+    def evaluate(n):
+        return resolvent_numbers(_ASSEMBLERS[kind](profile, params, build_grid(n)))
+
+    def agree(prev, cur):
+        ref = prev["norm_inv"] + prev["norm_d_inv"]
+        val = cur["norm_inv"] + cur["norm_d_inv"]
+        finite = math.isfinite(ref) and ref > 0.0 and math.isfinite(val)
+        return finite and abs(val - ref) <= rel_tol * ref
+
+    nums, n_used, converged = _refine(evaluate, n_start, n_cap, agree)
+    return ResolventSample(
+        kind=kind,
+        alpha=params.alpha,
+        beta=params.beta,
+        lam=params.lam,
+        n_start=n_start,
+        n_used=n_used,
+        converged=converged,
+        **nums,
+    )
 
 
 def eig_floor_ladder(
@@ -376,19 +389,17 @@ def eig_floor_ladder(
     Returns (eigenvalue, degree used, converged flag); agreement between
     consecutive degrees is absolute below 1, relative above.
     """
-    n = min(n0, n_cap)
-    prev = None
-    while True:
+
+    def evaluate(n):
         op = assemble_certificate_operator(
             profile, nu, build_grid(n), singular_window=singular_window
         )
-        cur = min_eig_selfadjoint(op)
-        if prev is not None and abs(cur - prev) <= rel_tol * max(1.0, abs(cur)):
-            return cur, n, True
-        if 2 * n > n_cap:
-            return cur, n, False
-        prev = cur
-        n *= 2
+        return min_eig_selfadjoint(op)
+
+    def agree(prev, cur):
+        return abs(cur - prev) <= rel_tol * max(1.0, abs(cur))
+
+    return _refine(evaluate, n0, n_cap, agree)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .airy import airy_zeros, tail_zero_margin
 from .chebdiff import build_grid
 from .operators import SpectralParams, assemble_schrodinger
 from .profile import Profile, x_of_nu
-from .spectral import ladder_start, resolvent_sample, weighted_norm
+from .spectral import _refine, ladder_start, resolvent_sample, weighted_norm
 
 __all__ = [
     "SlopeFit",
@@ -194,11 +194,42 @@ class SweepResult:
         return not self.degraded and all(self.checks.values())
 
 
-def _finish(kind, profile, rows, fit, checks, meta) -> SweepResult:
+def _row(params: SpectralParams, n_used, converged, metric, bound_ratio) -> SweepRow:
+    return SweepRow(
+        beta=params.beta,
+        alpha=params.alpha,
+        lam=params.lam,
+        n_used=n_used,
+        converged=converged,
+        metric=metric,
+        bound_ratio=bound_ratio,
+    )
+
+
+def _finish(kind, profile, rows, meta, fit_on=None, span_limit=None, **extra):
+    """The SweepResult of a sweep's rows.
+
+    Fits the metric against the row field ``fit_on`` when one is named.
+    Checks are all_converged, then span_under_<span_limit> when a limit is
+    given, then ``extra`` in order: a bool as it stands, a callable on the
+    fitted slope only when there is a fit.
+    """
+    if not rows:
+        raise ValueError("a sweep needs at least one operating point")
     ratios = [r.bound_ratio for r in rows]
     finite = [r for r in ratios if math.isfinite(r) and r > 0.0]
     span = (max(finite) / min(finite)) if len(finite) == len(ratios) else math.inf
     conv = sum(r.converged for r in rows) / len(rows)
+    xs = [getattr(r, fit_on) for r in rows] if fit_on else None
+    fit = _try_fit(xs, [r.metric for r in rows]) if xs else None
+    checks = {"all_converged": all(r.converged for r in rows)}
+    if span_limit is not None:
+        checks[f"span_under_{span_limit}"] = span < span_limit
+    for name, check in extra.items():
+        if not callable(check):
+            checks[name] = check
+        elif fit is not None:
+            checks[name] = check(fit.slope)
     return SweepResult(
         kind=kind,
         profile_id=profile.id_string(),
@@ -211,6 +242,48 @@ def _finish(kind, profile, rows, fit, checks, meta) -> SweepResult:
         checks=checks,
         meta=meta,
     )
+
+
+def _sample_rows(profile, kind, points, measure, ladder_kwargs) -> list[SweepRow]:
+    """One row per operating point from its resolvent ladder;
+    measure(params, sample) -> (metric, bound_ratio)."""
+    rows = []
+    for params in points:
+        s = resolvent_sample(profile, params, kind, **ladder_kwargs)
+        rows.append(_row(params, s.n_used, s.converged, *measure(params, s)))
+    return rows
+
+
+def _solve_rows(profile, betas, lam, rhs_of, metric_of, data_norm):
+    """One row per beta from a direct solve of the advective operator.
+
+    (-d2 + i*b*U - b*lam) w = rhs_of(nodes) is solved on the grid ladder
+    until metric_of(grid, w, beta) settles to a relative 1e-3, with w
+    zero-extended to the full grid.  The bound ratio is metric * beta /
+    data_norm(grid) on the accepted grid.  Returns the rows and those norms.
+    """
+
+    def agree(prev, cur):
+        return abs(cur[0] - prev[0]) <= 1e-3 * max(prev[0], 1e-300)
+
+    rows, norms = [], []
+    for beta in betas:
+        params = SpectralParams(0.0, beta, lam)
+
+        def evaluate(n):
+            grid = build_grid(n)
+            op = assemble_schrodinger(profile, params, grid)
+            rhs = np.asarray(rhs_of(grid.nodes), dtype=complex)
+            w = np.zeros(grid.n + 1, dtype=complex)
+            w[1:-1] = solve(op.matrix, rhs[1:-1])
+            return metric_of(grid, w, params.beta), grid
+
+        start = ladder_start(params.beta)
+        (metric, grid), n_used, converged = _refine(evaluate, start, 2048, agree)
+        norms.append(data_norm(grid))
+        ratio = metric * params.beta / norms[-1]
+        rows.append(_row(params, n_used, converged, metric, ratio))
+    return rows, norms
 
 
 _DEFAULT_SCHRODINGER_BETAS = tuple(np.logspace(3.0, 7.0, 9))
@@ -233,68 +306,31 @@ def schrodinger_sweep(
     b^(-2/3)), which the theory predicts stays bounded.
     """
     betas = [float(b) for b in betas]
-    if not betas:
-        raise ValueError("empty beta list")
     lam = complex(lam)
     upsilon = margin_constant(margin_fraction)
-    rows = []
     for beta in betas:
         if lam.real * beta ** (1.0 / 3.0) >= upsilon:
             raise ValueError(
                 f"shift real part {lam.real} exceeds the safe scale at beta {beta}"
             )
-        params = SpectralParams(alpha=0.0, beta=beta, lam=lam)
-        s = resolvent_sample(profile, params, "schrodinger", **ladder_kwargs)
-        if lam.real == 0.0:
-            r = beta ** (-2.0 / 3.0)
-        else:
-            r = min(upsilon / abs(lam.real * beta), beta ** (-2.0 / 3.0))
-        ratio = (s.norm_inv + math.sqrt(r) * s.norm_d_inv) / r
-        rows.append(
-            SweepRow(
-                beta=beta,
-                alpha=0.0,
-                lam=lam,
-                n_used=s.n_used,
-                converged=s.converged,
-                metric=s.norm_inv,
-                bound_ratio=ratio,
-            )
-        )
-    fit = _try_fit([r.beta for r in rows], [r.metric for r in rows])
-    checks = {"all_converged": all(r.converged for r in rows)}
-    if fit is not None:
-        checks["slope_in_band"] = _SCHRODINGER_BAND[0] <= fit.slope <= _SCHRODINGER_BAND[1]
+
+    def measure(params, s):
+        r = params.beta ** (-2.0 / 3.0)
+        if lam.real != 0.0:
+            r = min(upsilon / abs(lam.real * params.beta), r)
+        return s.norm_inv, (s.norm_inv + math.sqrt(r) * s.norm_d_inv) / r
+
+    points = [SpectralParams(0.0, beta, lam) for beta in betas]
+    rows = _sample_rows(profile, "schrodinger", points, measure, ladder_kwargs)
+    lo, hi = _SCHRODINGER_BAND
     return _finish(
         "schrodinger",
         profile,
         rows,
-        fit,
-        checks,
         {"band": _SCHRODINGER_BAND, "upsilon": upsilon, "lam": lam},
+        fit_on="beta",
+        slope_in_band=lambda slope: lo <= slope <= hi,
     )
-
-
-def _solve_ladder(profile, params, rhs_of, metric_of, rel_tol=1e-3, n_cap=2048):
-    """Grid-double a direct solve of the advective operator until the given
-    metric settles.  rhs_of(grid) -> full-grid data; metric_of(grid, w_full)
-    -> float with w_full the zero-extended solution."""
-    n = ladder_start(params.beta)
-    prev = None
-    while True:
-        grid = build_grid(n)
-        op = assemble_schrodinger(profile, params, grid)
-        rhs = rhs_of(grid)
-        w = solve(op.matrix, np.asarray(rhs, dtype=complex)[1:-1])
-        full = np.zeros(grid.n + 1, dtype=complex)
-        full[1:-1] = w
-        metric = metric_of(grid, full)
-        if prev is not None and abs(metric - prev) <= rel_tol * max(prev, 1e-300):
-            return metric, grid, full, True
-        if 2 * n > n_cap:
-            return metric, grid, full, False
-        prev = metric
-        n *= 2
 
 
 def l1_approximation_sweep(
@@ -315,54 +351,27 @@ def l1_approximation_sweep(
     if lam.real > 0.0:
         raise ValueError("shift real part must be nonpositive")
     data = data or data_preset("exp")
+    betas = [float(b) for b in betas]
     xc = x_of_nu(profile, lam.imag)
     f_at_xc = float(np.asarray(data.f(np.array([xc])))[0])
-    rows = []
-    meta_norms = {}
-    for beta in [float(b) for b in betas]:
-        params = SpectralParams(alpha=0.0, beta=beta, lam=lam)
+
+    def metric_of(grid, w, beta):
         reg = max(-lam.real, beta ** (-1.0 / 3.0))
+        comp = 1j * f_at_xc / (beta * (profile.u(grid.nodes) - lam.imag - 1j * reg))
+        return float(np.sum(grid.weights * np.abs(w + comp)))
 
-        def rhs_of(grid):
-            return data.f(grid.nodes)
-
-        def metric_of(grid, full, _beta=beta, _reg=reg):
-            comp = (
-                1j
-                * f_at_xc
-                / (_beta * (profile.u(grid.nodes) - lam.imag - 1j * _reg))
-            )
-            return float(np.sum(grid.weights * np.abs(full + comp)))
-
-        metric, grid, _, converged = _solve_ladder(profile, params, rhs_of, metric_of)
+    def h1_norm(grid):
         fv = np.asarray(data.f(grid.nodes), dtype=float)
         fpv = np.asarray(data.fp(grid.nodes), dtype=float)
-        h1 = math.sqrt(np.sum(grid.weights * (fv**2 + fpv**2)))
-        meta_norms[beta] = h1
-        rows.append(
-            SweepRow(
-                beta=beta,
-                alpha=0.0,
-                lam=lam,
-                n_used=grid.n,
-                converged=converged,
-                metric=metric,
-                bound_ratio=metric * beta / h1,
-            )
-        )
-    checks = {
-        "all_converged": all(r.converged for r in rows),
-        "span_under_5": (
-            max(r.bound_ratio for r in rows) / min(r.bound_ratio for r in rows) < 5.0
-        ),
-    }
+        return math.sqrt(np.sum(grid.weights * (fv**2 + fpv**2)))
+
+    rows, h1 = _solve_rows(profile, betas, lam, data.f, metric_of, h1_norm)
     return _finish(
         "l1_approximation",
         profile,
         rows,
-        None,
-        checks,
-        {"data": data.name, "critical_point": xc, "h1_norms": meta_norms},
+        {"data": data.name, "critical_point": xc, "h1_norms": dict(zip(betas, h1))},
+        span_limit=5,
     )
 
 
@@ -382,41 +391,20 @@ def weighted_data_sweep(
     if lam.real > 0.0:
         raise ValueError("shift real part must be nonpositive")
     data = data or data_preset("exp")
-    rows = []
-    for beta in [float(b) for b in betas]:
-        params = SpectralParams(alpha=0.0, beta=beta, lam=lam)
 
-        def rhs_of(grid):
-            return (profile.u(grid.nodes) - lam.imag) * data.f(grid.nodes)
+    def metric_of(grid, w, beta):
+        dw = grid.d1 @ w
+        return weighted_norm(grid, w) + beta ** (-0.5) * weighted_norm(grid, dw)
 
-        def metric_of(grid, full, _beta=beta):
-            dfull = grid.d1 @ full
-            return weighted_norm(grid, full) + _beta ** (-0.5) * weighted_norm(
-                grid, dfull
-            )
-
-        metric, grid, _, converged = _solve_ladder(profile, params, rhs_of, metric_of)
-        l2 = weighted_norm(grid, np.asarray(data.f(grid.nodes), dtype=float))
-        rows.append(
-            SweepRow(
-                beta=beta,
-                alpha=0.0,
-                lam=lam,
-                n_used=grid.n,
-                converged=converged,
-                metric=metric,
-                bound_ratio=metric * beta / l2,
-            )
-        )
-    checks = {
-        "all_converged": all(r.converged for r in rows),
-        "span_under_5": (
-            max(r.bound_ratio for r in rows) / min(r.bound_ratio for r in rows) < 5.0
-        ),
-    }
-    return _finish(
-        "weighted_data", profile, rows, None, checks, {"data": data.name}
+    rows, _ = _solve_rows(
+        profile,
+        [float(b) for b in betas],
+        lam,
+        lambda x: (profile.u(x) - lam.imag) * data.f(x),
+        metric_of,
+        lambda grid: weighted_norm(grid, np.asarray(data.f(grid.nodes), dtype=float)),
     )
+    return _finish("weighted_data", profile, rows, {"data": data.name}, span_limit=5)
 
 
 def os_boundary_sweep(
@@ -440,38 +428,22 @@ def os_boundary_sweep(
         raise ValueError(f"wavenumber {alpha} outside (0, {alpha_max}]")
     betas = [float(b) for b in betas]
     upsilon = margin_constant(margin_fraction)
-    rows = []
-    for beta in betas:
-        lam = complex(upsilon * beta ** (-1.0 / 3.0))
-        params = SpectralParams(alpha=alpha, beta=beta, lam=lam)
-        s = resolvent_sample(profile, params, "orr_sommerfeld", **ladder_kwargs)
-        rows.append(
-            SweepRow(
-                beta=beta,
-                alpha=alpha,
-                lam=lam,
-                n_used=s.n_used,
-                converged=s.converged,
-                metric=s.combined,
-                bound_ratio=s.combined * beta ** (5.0 / 6.0),
-            )
-        )
-    fit = _try_fit([r.beta for r in rows], [r.metric for r in rows])
-    checks = {
-        "all_converged": all(r.converged for r in rows),
-        "single_doubling": all(
-            r.converged and r.n_used <= 2 * ladder_start(r.beta) for r in rows
-        ),
-    }
-    if fit is not None:
-        checks["slope_at_most"] = fit.slope <= slope_limit
+
+    def measure(params, s):
+        return s.combined, s.combined * params.beta ** (5.0 / 6.0)
+
+    points = [SpectralParams(alpha, b, upsilon * b ** (-1.0 / 3.0)) for b in betas]
+    rows = _sample_rows(profile, "orr_sommerfeld", points, measure, ladder_kwargs)
     return _finish(
         "os_boundary",
         profile,
         rows,
-        fit,
-        checks,
         {"upsilon_eff": upsilon, "fraction": margin_fraction, "slope_limit": slope_limit},
+        fit_on="beta",
+        single_doubling=all(
+            r.converged and r.n_used <= 2 * ladder_start(r.beta) for r in rows
+        ),
+        slope_at_most=lambda slope: slope <= slope_limit,
     )
 
 
@@ -495,37 +467,21 @@ def os_large_alpha_sweep(
     if alphas[0] < alpha_min:
         raise ValueError(f"short-wave sweep needs alpha >= {alpha_min}")
     upsilon = margin_constant(margin_fraction)
-    lam = complex(upsilon * beta ** (-1.0 / 3.0))
-    rows = []
-    for alpha in alphas:
-        params = SpectralParams(alpha=alpha, beta=beta, lam=lam)
-        s = resolvent_sample(profile, params, "orr_sommerfeld", **ladder_kwargs)
-        metric = s.norm_inv * math.sqrt(alpha) * beta ** (5.0 / 6.0)
-        rows.append(
-            SweepRow(
-                beta=beta,
-                alpha=alpha,
-                lam=lam,
-                n_used=s.n_used,
-                converged=s.converged,
-                metric=metric,
-                bound_ratio=metric,
-            )
-        )
-    fit = _try_fit([r.alpha for r in rows], [r.metric for r in rows])
-    checks = {
-        "all_converged": all(r.converged for r in rows),
-        "span_under_10": (
-            max(r.bound_ratio for r in rows) / min(r.bound_ratio for r in rows) < 10.0
-        ),
-    }
+    lam = upsilon * beta ** (-1.0 / 3.0)
+
+    def measure(params, s):
+        metric = s.norm_inv * math.sqrt(params.alpha) * beta ** (5.0 / 6.0)
+        return metric, metric
+
+    points = [SpectralParams(a, beta, lam) for a in alphas]
+    rows = _sample_rows(profile, "orr_sommerfeld", points, measure, ladder_kwargs)
     return _finish(
         "os_large_alpha",
         profile,
         rows,
-        fit,
-        checks,
         {"upsilon_eff": upsilon, "beta": beta},
+        fit_on="alpha",
+        span_limit=10,
     )
 
 
@@ -543,34 +499,17 @@ def os_large_lambda_check(
     check inside the falloff region of the resolvent.
     """
     lams = [complex(v) for v in lams]
-    if not lams:
-        raise ValueError("need at least one shift")
     for lam in lams:
         if abs(lam) < lam_min:
             raise ValueError(f"|{lam}| below the far-shift threshold {lam_min}")
         if lam.real >= 1.0:
             raise ValueError(f"shift {lam} has real part >= 1")
     beta = float(beta)
-    rows = []
-    for lam in lams:
-        params = SpectralParams(alpha=alpha, beta=beta, lam=lam)
-        s = resolvent_sample(profile, params, "orr_sommerfeld", **ladder_kwargs)
-        metric = s.combined * beta * abs(lam)
-        rows.append(
-            SweepRow(
-                beta=beta,
-                alpha=float(alpha),
-                lam=lam,
-                n_used=s.n_used,
-                converged=s.converged,
-                metric=metric,
-                bound_ratio=metric,
-            )
-        )
-    checks = {
-        "all_converged": all(r.converged for r in rows),
-        "span_under_10": (
-            max(r.bound_ratio for r in rows) / min(r.bound_ratio for r in rows) < 10.0
-        ),
-    }
-    return _finish("os_large_lambda", profile, rows, None, checks, {"beta": beta})
+
+    def measure(params, s):
+        metric = s.combined * beta * abs(params.lam)
+        return metric, metric
+
+    points = [SpectralParams(alpha, beta, lam) for lam in lams]
+    rows = _sample_rows(profile, "orr_sommerfeld", points, measure, ladder_kwargs)
+    return _finish("os_large_lambda", profile, rows, {"beta": beta}, span_limit=10)

@@ -259,3 +259,60 @@ def test_unwritable_output_exits_three(capsys):
 def test_usage_error_exits_three(capsys):
     code, _, err = run(capsys, "sweep", "warp-drive", '{"family": "couette"}')
     assert code == 3
+
+
+_COUETTE = '{"family": "couette"}'
+
+# sweep kind -> (cheap CLI arguments, config keys the kind records)
+_SWEEP_CONFIGS = {
+    "schrodinger": (["--betas", "1e3,1e4"], {"lam", "fraction", "betas"}),
+    "l1-approx": (["--betas", "1e4", "--seed", "5"], {"lam", "data", "seed", "betas"}),
+    "weighted": (["--betas", "1e4"], {"lam", "data", "betas"}),
+    "os-boundary": (["--betas", "1e4"], {"alpha", "fraction", "betas"}),
+    "os-alpha": (["--alphas", "2,4", "--beta", "1e4"], {"alphas", "beta", "fraction"}),
+    "os-lambda": (["--beta", "1e4", "--lams=-10"], {"alpha", "beta", "lams"}),
+}
+
+
+def _sweep_config(tmp_path, capsys, kind, *extra):
+    out_json = tmp_path / f"{kind}.json"
+    code, _, err = run(capsys, "sweep", kind, _COUETTE, *extra, "--json", str(out_json))
+    assert code in (0, 1, 2), err
+    return json.loads(out_json.read_text())["config"]
+
+
+@pytest.mark.parametrize("kind", sorted(_SWEEP_CONFIGS))
+def test_sweep_config_records_exactly_the_flags_read(tmp_path, capsys, kind):
+    extra, keys = _SWEEP_CONFIGS[kind]
+    config = _sweep_config(tmp_path, capsys, kind, *extra)
+    assert set(config) == {"command", "kind", "profile"} | keys
+    assert (config["command"], config["kind"]) == ("sweep", kind)
+
+
+def test_sweep_config_tells_apart_runs_that_differ_in_beta(tmp_path, capsys):
+    a = _sweep_config(tmp_path, capsys, "os-lambda", "--beta", "1e4", "--lams=-10")
+    b = _sweep_config(tmp_path, capsys, "os-lambda", "--beta", "2e4", "--lams=-10")
+    assert a != b
+    assert (a["beta"], b["beta"]) == (1e4, 2e4)
+    assert a["lams"] == [{"re": -10.0, "im": 0.0}]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", _COUETTE],
+        [
+            "pseudo", _COUETTE, "--beta", "1e4",
+            "--mu-range", "-0.5", "-0.1", "2", "--nu-range", "0.05", "0.2", "2",
+        ],
+    ],
+    ids=["certify", "pseudo"],
+)
+def test_json_is_byte_identical_across_thread_counts(tmp_path, capsys, argv):
+    paths = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads{threads}.json"
+        code, _, err = run(capsys, "--threads", threads, *argv, "--json", str(path))
+        assert code == 0, err
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()

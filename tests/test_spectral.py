@@ -294,3 +294,25 @@ def test_non_finite_operator_raises_above_crossover(couette, cubic01, bad):
         mat[LANCZOS_N // 3, LANCZOS_N // 2] = bad
         with pytest.raises(ValueError):
             resolvent_numbers(dataclasses.replace(op, matrix=mat))
+
+
+def test_refine_ladder_rules():
+    from shearstab.spectral import _refine
+
+    seen = []
+
+    def evaluate(n):
+        seen.append(n)
+        return 1.0 / n
+
+    # agreement on the second pair returns the finer rung, converged
+    value, n, converged = _refine(evaluate, 16, 2048, lambda p, c: abs(c - p) < 0.02)
+    assert (seen, value, n, converged) == ([16, 32, 64], 1.0 / 64, 64, True)
+    # no agreement: the last rung below the cap comes back unconverged
+    seen.clear()
+    assert _refine(evaluate, 16, 100, lambda p, c: False) == (1.0 / 64, 64, False)
+    assert seen == [16, 32, 64]
+    # a start above the cap is clamped to it: one rung, unconverged
+    seen.clear()
+    assert _refine(evaluate, 4000, 2048, lambda p, c: True) == (1.0 / 2048, 2048, False)
+    assert seen == [2048]

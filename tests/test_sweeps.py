@@ -156,3 +156,28 @@ def test_sweep_result_shape(couette):
     assert not res.degraded
     assert res.profile_id == "couette"
     assert all(row.n_used >= 64 for row in res.rows)
+
+
+def test_direct_solve_ladder_start_is_clamped_to_the_grid_cap(couette):
+    # ladder_start(1e9) = 4000 lies above the 2048 cap: the row is solved
+    # once at the cap and reported unconverged, so the sweep is degraded
+    res = l1_approximation_sweep(couette, betas=(1e9,))
+    (row,) = res.rows
+    assert (row.n_used, row.converged) == (2048, False)
+    assert res.degraded and not res.passed
+    assert math.isfinite(row.bound_ratio) and row.bound_ratio > 0.0
+
+
+@pytest.mark.parametrize(
+    "sweep, empty",
+    [
+        (schrodinger_sweep, {"betas": ()}),
+        (l1_approximation_sweep, {"betas": ()}),
+        (weighted_data_sweep, {"betas": ()}),
+        (os_boundary_sweep, {"betas": ()}),
+        (os_large_lambda_check, {"lams": ()}),
+    ],
+)
+def test_empty_sweep_is_rejected(couette, sweep, empty):
+    with pytest.raises(ValueError, match="at least one operating point"):
+        sweep(couette, **empty)
