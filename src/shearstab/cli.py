@@ -391,12 +391,18 @@ def _run_sweep(args) -> int:
     return 0 if all(result.checks.values()) else 1
 
 
+def _shift_axis(flag: str, lo: float, hi: float, count: float) -> np.ndarray:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{flag} bounds must be finite, got {lo!r} {hi!r}")
+    if not (count >= 1 and float(count).is_integer()):
+        raise ValueError(f"{flag} COUNT must be a whole number >= 1, got {count!r}")
+    return np.linspace(lo, hi, int(count))
+
+
 def _run_pseudo(args) -> int:
     profile, config = _load_profile(args.profile)
-    mu_lo, mu_hi, mu_n = args.mu_range
-    nu_lo, nu_hi, nu_n = args.nu_range
-    mu_values = np.linspace(mu_lo, mu_hi, int(mu_n))
-    nu_values = np.linspace(nu_lo, nu_hi, int(nu_n))
+    mu_values = _shift_axis("--mu-range", *args.mu_range)
+    nu_values = _shift_axis("--nu-range", *args.nu_range)
     grid = pseudospectrum_grid(
         profile,
         args.kind,

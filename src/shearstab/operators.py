@@ -15,6 +15,7 @@ form so that no digits are lost to 0/0 cancellation.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -54,10 +55,14 @@ class SpectralParams:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "lam", complex(self.lam))
-        if not self.alpha >= 0.0:
-            raise ValueError(f"wavenumber must be >= 0, got {self.alpha}")
-        if not self.beta >= 0.0:
-            raise ValueError(f"rescaled Reynolds number must be >= 0, got {self.beta}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"wavenumber must be finite and >= 0, got {self.alpha}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(
+                f"rescaled Reynolds number must be finite and >= 0, got {self.beta}"
+            )
+        if not cmath.isfinite(self.lam):
+            raise ValueError(f"spectral shift must be finite, got {self.lam}")
 
     @property
     def mu(self) -> float:

@@ -7,10 +7,13 @@ operator norms converge to their integral counterparts as the grid grows.
 
 Resolvent norms take one LU factorization per rung.  From the measured
 crossover degree ``_LANCZOS_MIN_DEGREE`` on, both norms are top singular
-values found by Lanczos (``svds``) on the LU solves and their adjoints, from
-a fixed start vector so that repeated runs agree bit for bit.  Below it, the
-explicit solution operator is formed from the same LU and its singular
-values are taken densely.
+values found by Lanczos (``svds``) on the LU solves and their adjoints
+(LAPACK ``getrs``), from a fixed start vector so that repeated runs agree
+bit for bit.  The Krylov basis holds ``_LANCZOS_BASIS`` = 6 vectors rather
+than scipy's default 20: a resolvent call then takes about 37 solves on the
+sweep rungs and 63 on the shift maps of the benchmark, against 86 and 92.
+Below the crossover, the explicit solution operator is formed from the same
+LU and its singular values are taken densely.
 
 Every quantity of interest is wrapped in the one grid ladder ``_refine``,
 which doubles the degree until two consecutive rungs agree under the
@@ -26,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals, get_lapack_funcs, lu_solve, svdvals
+from scipy.linalg import eigvals, get_lapack_funcs, svdvals
 from scipy.sparse.linalg import LinearOperator, svds
 
 from .chebdiff import build_grid
@@ -61,6 +64,14 @@ _SINGULAR_RTOL = 1e3 * np.finfo(float).eps
 # faster.  Measured crossover (see CHANGES.md): it sits where OpenBLAS starts
 # threading the O(n^3) calls of the dense route.
 _LANCZOS_MIN_DEGREE = 80
+# Krylov basis of the Lanczos norms.  ARPACK fills the whole basis before
+# its first convergence test, so scipy's default of 20 vectors costs ~21
+# solve pairs per norm.  Survey of the 626 Lanczos calls made by the
+# os-boundary sweeps of couette and cubic(0.05/0.1/0.2), the couette
+# Schrodinger sweep and 8x8 shift maps of both kinds at beta 1e4 and 1e5:
+# total solves for a basis of 20/10/8/6/5/4/3 vectors were 56,876/39,126/
+# 37,420/37,386/41,792/44,612/54,620, with norms equal to 2e-12.
+_LANCZOS_BASIS = 6
 # solve norms beyond this are treated as a resonance hit (clamped systems)
 _SOLVE_NORM_CAP = 1e12
 
@@ -179,17 +190,26 @@ def _solution_norms(
     k = data_scale.shape[0]
     dtype = factors[0].dtype
 
-    # x and y are column blocks.  _factor checked the matrix already, so the
-    # solves skip the O(n^2) finiteness scan of the factors on every call.
+    # x and y are column blocks of the factors' dtype.  _factor checked the
+    # matrix already, so the solves call LAPACK directly and skip lu_solve's
+    # checks and dispatch on every Lanczos step.
+    (getrs,) = get_lapack_funcs(("getrs",), (factors[0],))
+
+    def backsolve(b, trans, overwrite):
+        x, info = getrs(*factors, b, trans=trans, overwrite_b=overwrite)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal getrs")
+        return x
+
     def solve(x):
         rhs = np.zeros((size, x.shape[1]), dtype=np.result_type(dtype, x))
         rhs[data_rows] = data_scale[:, None] * x
         u = np.zeros((grid.n + 1, x.shape[1]), dtype=rhs.dtype)
-        u[sol_rows] = lu_solve(factors, rhs, overwrite_b=True, check_finite=False)
+        u[sol_rows] = backsolve(rhs, 0, True)
         return u
 
     def solve_h(y):
-        sol = lu_solve(factors, y[sol_rows], trans=2, check_finite=False)
+        sol = backsolve(y[sol_rows], 2, False)
         return data_scale[:, None] * sol[data_rows]
 
     if grid.n < _LANCZOS_MIN_DEGREE:
@@ -211,7 +231,10 @@ def _solution_norms(
             matmat=apply,
             dtype=dtype,
         )
-        return float(svds(op, k=1, v0=v0, return_singular_vectors=False)[0])
+        sigma = svds(
+            op, k=1, ncv=_LANCZOS_BASIS, v0=v0, return_singular_vectors=False
+        )
+        return float(sigma[0])
 
     norm_inv = top(lambda x: ws * solve(x), lambda y: solve_h(ws * y))
     norm_d_inv = top(
@@ -427,8 +450,12 @@ def pseudospectrum_grid(
 ) -> PseudospectrumGrid:
     """Map (mu, nu) -> resolvent norm at shifts lam = mu + i nu, in parallel.
 
-    Worker threads each run the full grid ladder; dense linear algebra
-    releases the interpreter lock, so modest thread counts scale well.
+    Worker threads each run the full grid ladder, and the result does not
+    depend on their number.  The pool does not pay off here: the Lanczos
+    steps between solves run in Python, and on 2 cores the benchmark's shift
+    maps ran 0.74x as fast with 2 threads as with 1.  Dense kernels alone,
+    with one BLAS thread, gained 1.36x for LU factor + solve and lost for
+    svdvals (0.95x).
     """
     mu_values = np.asarray(mu_values, dtype=float)
     nu_values = np.asarray(nu_values, dtype=float)

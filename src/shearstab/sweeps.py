@@ -175,7 +175,9 @@ class SweepResult:
 
     span is max/min of the bound ratios; checks holds the sweep's named
     pass/fail observations; degraded flags a sweep where fewer than 80% of
-    the rows reached grid convergence.
+    the rows reached grid convergence, or where a named check had nothing
+    to test (a slope check without a fit, a span over a single row).  Such
+    a check is recorded as failed.
     """
 
     kind: str
@@ -192,6 +194,15 @@ class SweepResult:
     @property
     def passed(self) -> bool:
         return not self.degraded and all(self.checks.values())
+
+
+def _betas(betas) -> list[float]:
+    """Sweep betas as floats; each must be finite and positive."""
+    betas = [float(b) for b in betas]
+    for beta in betas:
+        if not (math.isfinite(beta) and beta > 0.0):
+            raise ValueError(f"beta must be finite and positive, got {beta}")
+    return betas
 
 
 def _row(params: SpectralParams, n_used, converged, metric, bound_ratio) -> SweepRow:
@@ -212,7 +223,8 @@ def _finish(kind, profile, rows, meta, fit_on=None, span_limit=None, **extra):
     Fits the metric against the row field ``fit_on`` when one is named.
     Checks are all_converged, then span_under_<span_limit> when a limit is
     given, then ``extra`` in order: a bool as it stands, a callable on the
-    fitted slope only when there is a fit.
+    fitted slope.  A span check over one row, or a slope check without a
+    fit, tests nothing: it fails and the result is degraded.
     """
     if not rows:
         raise ValueError("a sweep needs at least one operating point")
@@ -223,13 +235,16 @@ def _finish(kind, profile, rows, meta, fit_on=None, span_limit=None, **extra):
     xs = [getattr(r, fit_on) for r in rows] if fit_on else None
     fit = _try_fit(xs, [r.metric for r in rows]) if xs else None
     checks = {"all_converged": all(r.converged for r in rows)}
+    untested = False
     if span_limit is not None:
-        checks[f"span_under_{span_limit}"] = span < span_limit
+        untested = len(rows) < 2
+        checks[f"span_under_{span_limit}"] = not untested and span < span_limit
     for name, check in extra.items():
         if not callable(check):
             checks[name] = check
-        elif fit is not None:
-            checks[name] = check(fit.slope)
+        else:
+            untested = untested or fit is None
+            checks[name] = fit is not None and check(fit.slope)
     return SweepResult(
         kind=kind,
         profile_id=profile.id_string(),
@@ -238,7 +253,7 @@ def _finish(kind, profile, rows, meta, fit_on=None, span_limit=None, **extra):
         bound_ratio_max=max(ratios),
         span=span,
         converged_fraction=conv,
-        degraded=conv < 0.8,
+        degraded=conv < 0.8 or untested,
         checks=checks,
         meta=meta,
     )
@@ -305,7 +320,7 @@ def schrodinger_sweep(
     (norm + sqrt(r)*derivative norm) / r with r = min(margin/|mu*b|,
     b^(-2/3)), which the theory predicts stays bounded.
     """
-    betas = [float(b) for b in betas]
+    betas = _betas(betas)
     lam = complex(lam)
     upsilon = margin_constant(margin_fraction)
     for beta in betas:
@@ -351,7 +366,7 @@ def l1_approximation_sweep(
     if lam.real > 0.0:
         raise ValueError("shift real part must be nonpositive")
     data = data or data_preset("exp")
-    betas = [float(b) for b in betas]
+    betas = _betas(betas)
     xc = x_of_nu(profile, lam.imag)
     f_at_xc = float(np.asarray(data.f(np.array([xc])))[0])
 
@@ -398,7 +413,7 @@ def weighted_data_sweep(
 
     rows, _ = _solve_rows(
         profile,
-        [float(b) for b in betas],
+        _betas(betas),
         lam,
         lambda x: (profile.u(x) - lam.imag) * data.f(x),
         metric_of,
@@ -426,7 +441,7 @@ def os_boundary_sweep(
     alpha = float(alpha)
     if not 0.0 < alpha <= alpha_max:
         raise ValueError(f"wavenumber {alpha} outside (0, {alpha_max}]")
-    betas = [float(b) for b in betas]
+    betas = _betas(betas)
     upsilon = margin_constant(margin_fraction)
 
     def measure(params, s):
@@ -461,7 +476,7 @@ def os_large_alpha_sweep(
     sweep actually probes the short-wave asymptotics.
     """
     alphas = [float(a) for a in alphas]
-    beta = float(beta)
+    (beta,) = _betas([beta])
     if not alphas or any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("wavenumbers must be strictly increasing")
     if alphas[0] < alpha_min:
@@ -504,7 +519,7 @@ def os_large_lambda_check(
             raise ValueError(f"|{lam}| below the far-shift threshold {lam_min}")
         if lam.real >= 1.0:
             raise ValueError(f"shift {lam} has real part >= 1")
-    beta = float(beta)
+    (beta,) = _betas([beta])
 
     def measure(params, s):
         metric = s.combined * beta * abs(params.lam)

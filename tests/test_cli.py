@@ -9,6 +9,9 @@ import shearstab as ss
 from shearstab.cli import main
 
 
+_COUETTE = '{"family": "couette"}'
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -97,7 +100,8 @@ def test_sweep_schrodinger_json_and_complex_encoding(tmp_path, capsys):
         "--json",
         str(out_json),
     )
-    assert code == 0
+    # three betas are too few for a slope fit: inconclusive
+    assert code == 2
     payload = json.loads(out_json.read_text())
     assert payload["config"]["kind"] == "schrodinger"
     assert payload["config"]["lam"] == {"re": 0.0, "im": 0.0}
@@ -256,12 +260,43 @@ def test_unwritable_output_exits_three(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (["schrodinger", _COUETTE, "--betas", "1e4,1e5"], "slope_in_band"),
+        (["l1-approx", _COUETTE, "--betas", "1e5"], "span_under_5"),
+    ],
+    ids=["no-fit", "one-row"],
+)
+def test_sweep_that_tests_nothing_is_inconclusive(capsys, argv, check):
+    code, out, _ = run(capsys, "sweep", *argv)
+    assert code == 2
+    assert f"('{check}', False)" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pseudo", _COUETTE, "--beta", "inf"], "must be finite"),
+        (["sweep", "schrodinger", _COUETTE, "--betas", "0"], "positive"),
+        (["pseudo", _COUETTE, "--mu-range", "-0.1", "0.1", "0"], "whole number"),
+        (["pseudo", _COUETTE, "--mu-range", "-0.1", "0.1", "inf"], "whole number"),
+        (["pseudo", _COUETTE, "--nu-range", "0", "inf", "2"], "finite"),
+        (["pseudo", _COUETTE, "--alpha", "nan"], "must be finite"),
+    ],
+    ids=["beta-inf", "betas-zero", "count-zero", "count-inf", "bound-inf", "alpha-nan"],
+)
+def test_hostile_numbers_exit_three_without_traceback(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert message in err
+    assert "Traceback" not in out + err
+
+
 def test_usage_error_exits_three(capsys):
     code, _, err = run(capsys, "sweep", "warp-drive", '{"family": "couette"}')
     assert code == 3
 
-
-_COUETTE = '{"family": "couette"}'
 
 # sweep kind -> (cheap CLI arguments, config keys the kind records)
 _SWEEP_CONFIGS = {

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigvals
 from scipy.optimize import brentq
 
 import shearstab as ss
@@ -251,6 +252,73 @@ def test_clamped_norms_match_explicit_inverse_on_both_routes(cubic01, n):
     direct_d = _weighted_top_sv(w_out, grid.d1 @ sol, w_in)
     assert nums["norm_inv"] == pytest.approx(direct, rel=1e-8)
     assert nums["norm_d_inv"] == pytest.approx(direct_d, rel=1e-8)
+
+
+# shift-map's first Lanczos rung: ladder_start(1e4)
+SHIFT_MAP_N = 87
+
+
+def _explicit_numbers(op):
+    """(norm_inv, norm_d_inv, singular) from an explicit inverse and full
+    SVDs, judged singular by the rules of resolvent_numbers."""
+    from shearstab.spectral import _SINGULAR_RTOL, _SOLVE_NORM_CAP
+
+    grid, mat = op.grid, op.matrix
+    w = np.sqrt(grid.weights)
+    if op.bc == "dirichlet":
+        sol = np.linalg.inv(mat)
+        rcond = 1.0 / (np.linalg.norm(mat, 1) * np.linalg.norm(sol, 1))
+        w_in, d_sol = w[1:-1], grid.d1[:, 1:-1] @ sol
+        norm_inv = _weighted_top_sv(w_in, sol, w_in)
+        singular = rcond < _SINGULAR_RTOL
+    else:
+        keep = ~op.bc_rows
+        d = 1.0 / np.max(np.abs(mat), axis=1)
+        sol = np.linalg.inv(d[:, None] * mat)[:, keep] * d[keep][None, :]
+        w_in, d_sol = w[keep], grid.d1 @ sol
+        norm_inv = _weighted_top_sv(w, sol, w_in)
+        singular = norm_inv > _SOLVE_NORM_CAP
+    return norm_inv, _weighted_top_sv(w, d_sol, w_in), singular
+
+
+@pytest.mark.parametrize("beta", [1e4, 1e5])
+@pytest.mark.parametrize("bc", ["dirichlet", "clamped"])
+def test_lanczos_norms_match_explicit_inverse_near_the_spectrum(
+    couette, cubic01, bc, beta
+):
+    # A 3x3 patch of shifts 1e-3 apart, centred on the discrete eigenvalue
+    # nearest 0.1 + 0.5i: large resolvents, as on the shift-map workload.
+    from shearstab.spectral import _LANCZOS_MIN_DEGREE
+
+    assert _LANCZOS_MIN_DEGREE <= SHIFT_MAP_N == ladder_start(1e4)
+    grid = ss.build_grid(SHIFT_MAP_N)
+    if bc == "dirichlet":
+        profile, alpha, assemble, rel = couette, 0.0, ss.assemble_schrodinger, 1e-10
+    else:
+        profile, alpha, assemble, rel = cubic01, 1.0, ss.assemble_orr_sommerfeld, 1e-8
+
+    def op_at(lam):
+        return assemble(profile, ss.SpectralParams(alpha, beta, lam), grid)
+
+    # the matrix is affine in the shift: M(lam) = M(0) + lam (M(1) - M(0))
+    m0 = op_at(0.0).matrix
+    eigs = eigvals(m0, m0 - op_at(1.0).matrix)
+    eigs = eigs[np.isfinite(eigs)]
+    centre = eigs[np.argmin(np.abs(eigs - (0.1 + 0.5j)))]
+    compared = 0
+    for a in (-1, 0, 1):
+        for b in (-1, 0, 1):
+            op = op_at(centre + 1e-3 * complex(a, b))
+            assert op.bc == bc
+            nums = resolvent_numbers(op)
+            norm_inv, norm_d_inv, singular = _explicit_numbers(op)
+            assert nums["singular"] == singular, (a, b)
+            if singular:
+                continue
+            assert nums["norm_inv"] == pytest.approx(norm_inv, rel=rel)
+            assert nums["norm_d_inv"] == pytest.approx(norm_d_inv, rel=rel)
+            compared += 1
+    assert compared >= 8
 
 
 def _lanczos_ops(couette, cubic01):
