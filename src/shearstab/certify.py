@@ -94,8 +94,8 @@ def certify_profile(
     with one BLAS thread, 2 threads ran eigvals 1.03x and a Hessenberg
     reduction 0.79x as fast as 1.
     """
-    if margin < 0.0:
-        raise ValueError(f"margin must be nonnegative, got {margin}")
+    if not (math.isfinite(margin) and margin >= 0.0):
+        raise ValueError(f"margin must be finite and nonnegative, got {margin}")
     infset = inflection_values(profile)
     if infset.is_empty():
         return CertificateResult(

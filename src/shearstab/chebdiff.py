@@ -5,6 +5,10 @@ quadrature weights on [-1, 1].  Differentiation matrices are built with the
 trigonometric-identity / flipping construction and the negative-sum trick for
 the diagonal, which keeps the roundoff of high-order matrices well below the
 naive (x_j - x_k) formulation.
+
+Node values and Chebyshev coefficients are related by a type-1 DCT, which
+gives the first derivative and its transpose in O(n log n) without the
+matrix, and resamples a function from one degree to another.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import dct
 from scipy.linalg import toeplitz
 
 __all__ = [
@@ -110,6 +115,79 @@ def _clencurt(n_deg: int) -> np.ndarray:
             v -= 2.0 * np.cos(2 * kk * th_i) / (4 * kk**2 - 1)
     w[1:-1] = 2.0 * v / n_deg
     return w
+
+
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """Type-1 DCT along axis 0.  A complex array goes through as its real and
+    imaginary parts side by side in one real transform, which at n = 1724
+    takes about half the time of scipy's complex route."""
+    if np.iscomplexobj(x):
+        x = np.ascontiguousarray(x, dtype=np.complex128)
+        flat = dct(x.view(np.float64).reshape(x.shape[0], -1), type=1, axis=0)
+        return flat.view(np.complex128).reshape(x.shape)
+    return dct(x, type=1, axis=0)
+
+
+def _coefficients(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients (along axis 0) of the interpolant of node values,
+    nodes descending from +1 as on a ChebGrid."""
+    n = values.shape[0] - 1
+    a = _dct1(values) / n
+    a[0] /= 2
+    a[n] /= 2
+    return a
+
+
+def _values(coef: np.ndarray) -> np.ndarray:
+    """Node values sum_k coef_k T_k(x_j) on the degree len(coef) - 1 grid."""
+    b = np.array(coef, copy=True)
+    b[0] *= 2
+    b[-1] *= 2
+    return _dct1(b) / 2
+
+
+def _parity_cumsum(t: np.ndarray, reverse: bool) -> np.ndarray:
+    """Cumulative sums along axis 0 over indices of one parity at a time."""
+    out = np.empty_like(t)
+    for p in (0, 1):
+        part = t[p::2][::-1] if reverse else t[p::2]
+        part = np.cumsum(part, axis=0)
+        out[p::2] = part[::-1] if reverse else part
+    return out
+
+
+def _derivative(values: np.ndarray) -> np.ndarray:
+    """grid.d1 @ values in O(n log n): coefficients, the derivative recurrence
+    b_k = sum_{j > k, j - k odd} 2 j a_j (b_0 halved), then values."""
+    j = np.arange(values.shape[0]).reshape((-1,) + (1,) * (values.ndim - 1))
+    s = _parity_cumsum(2 * j * _coefficients(values), reverse=True)
+    b = np.zeros_like(s)
+    b[:-1] = s[1:]
+    b[0] /= 2
+    return _values(b)
+
+
+def _derivative_t(values: np.ndarray) -> np.ndarray:
+    """grid.d1.T @ values: the steps of ``_derivative`` transposed in reverse
+    order.  The value map cos(pi j k / n) and the coefficient map are both
+    symmetric, and the recurrence turns into prefix sums."""
+    j = np.arange(values.shape[0]).reshape((-1,) + (1,) * (values.ndim - 1))
+    g = _values(values)
+    g[0] /= 2
+    q = _parity_cumsum(g, reverse=False)
+    h = np.zeros_like(q)
+    h[1:] = 2 * j[1:] * q[:-1]
+    return _coefficients(h)
+
+
+def _resample(values: np.ndarray, n: int) -> np.ndarray:
+    """Node values of the interpolant of ``values`` on the degree-n grid:
+    its Chebyshev coefficients truncated or zero-padded to n + 1."""
+    a = _coefficients(values)
+    coef = np.zeros((n + 1,) + a.shape[1:], dtype=a.dtype)
+    m = min(n, a.shape[0] - 1) + 1
+    coef[:m] = a[:m]
+    return _values(coef)
 
 
 _cache: dict[int, ChebGrid] = {}

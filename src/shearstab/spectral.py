@@ -6,14 +6,20 @@ a matrix M acting between node-value spaces is measured as
 operator norms converge to their integral counterparts as the grid grows.
 
 Resolvent norms take one LU factorization per rung.  From the measured
-crossover degree ``_LANCZOS_MIN_DEGREE`` on, both norms are top singular
-values found by Lanczos (``svds``) on the LU solves and their adjoints
-(LAPACK ``getrs``), from a fixed start vector so that repeated runs agree
-bit for bit.  The Krylov basis holds ``_LANCZOS_BASIS`` = 6 vectors rather
-than scipy's default 20: a resolvent call then takes about 37 solves on the
-sweep rungs and 63 on the shift maps of the benchmark, against 86 and 92.
-Below the crossover, the explicit solution operator is formed from the same
-LU and its singular values are taken densely.
+crossover degree ``_LANCZOS_MIN_DEGREE`` on, each norm is the top singular
+value found by Golub-Kahan-Lanczos bidiagonalization (``_top_singular``) on
+the LU solves and their adjoints (LAPACK ``getrs``), with full
+reorthogonalization.  The recurrence stops once the gap bound
+r^2 / (theta_1 - theta_2) on its top Ritz value is at most 1e-13 theta_1,
+r = beta_k |e_k^T p| the residual.  D1 and D1^T reach the solutions through a
+type-1 DCT, O(n log n) per application.  The first Lanczos rung of a ladder
+starts from a fixed ramp, so repeated runs agree bit for bit; each later
+rung starts from the previous rung's top right singular vectors, resampled
+through their Chebyshev coefficients, and never from another shift.  A
+resolvent call on the sweep rungs of the benchmark takes about 13 solves,
+against 36 with ARPACK's ``svds``.  Below the crossover, the explicit
+solution operator is formed from the same LU and its singular values are
+taken densely.
 
 Every quantity of interest is wrapped in the one grid ladder ``_refine``,
 which doubles the degree until two consecutive rungs agree under the
@@ -30,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvals, get_lapack_funcs, svdvals
-from scipy.sparse.linalg import LinearOperator, svds
 
-from .chebdiff import build_grid
+from .chebdiff import _derivative, _derivative_t, _resample, build_grid
 from .operators import (
     AssembledOperator,
     SpectralParams,
@@ -59,19 +64,17 @@ __all__ = [
 # a reciprocal condition number below this means the shift sits on the
 # discrete spectrum and the resolvent number is noise
 _SINGULAR_RTOL = 1e3 * np.finfo(float).eps
-# Rungs of at least this degree take their norms from Lanczos on the LU
-# solves; below it two dense SVDs of the explicit solution operator are
-# faster.  Measured crossover (see CHANGES.md): it sits where OpenBLAS starts
-# threading the O(n^3) calls of the dense route.
+# Rungs of at least this degree take their norms from Golub-Kahan-Lanczos on
+# the LU solves; below it two dense SVDs of the explicit solution operator
+# are faster.  Measured crossover (see CHANGES.md): the dense route wins at
+# n = 64 and loses at n = 76.
 _LANCZOS_MIN_DEGREE = 80
-# Krylov basis of the Lanczos norms.  ARPACK fills the whole basis before
-# its first convergence test, so scipy's default of 20 vectors costs ~21
-# solve pairs per norm.  Survey of the 626 Lanczos calls made by the
-# os-boundary sweeps of couette and cubic(0.05/0.1/0.2), the couette
-# Schrodinger sweep and 8x8 shift maps of both kinds at beta 1e4 and 1e5:
-# total solves for a basis of 20/10/8/6/5/4/3 vectors were 56,876/39,126/
-# 37,420/37,386/41,792/44,612/54,620, with norms equal to 2e-12.
-_LANCZOS_BASIS = 6
+# Golub-Kahan-Lanczos for the resolvent norms: relative bound on the error
+# of the top Ritz value at which the recurrence stops, and the step cap past
+# which it gives up (the benchmark's sweeps and shift maps at beta 1e4 and
+# 1e5 needed at most 25 steps per norm).
+_GKL_RTOL = 1e-13
+_GKL_MAX_STEPS = 60
 # solve norms beyond this are treated as a resonance hit (clamped systems)
 _SOLVE_NORM_CAP = 1e12
 
@@ -172,75 +175,129 @@ def _real_matmul(d: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out.view(np.complex128).reshape((d.shape[0],) + z.shape[1:])
 
 
+def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """w minus its projection on the orthonormal rows of basis, applied twice
+    so the result is orthogonal to working precision."""
+    for _ in range(2):
+        w = w - basis.T @ (basis.conj() @ w)
+    return w
+
+
+def _top_singular(apply, apply_h, v0: np.ndarray):
+    """Largest singular value and right singular vector of A by Golub-Kahan-
+    Lanczos bidiagonalization with full reorthogonalization.
+
+    ``apply`` and ``apply_h`` map vectors by A and A^H.  After j steps,
+    A V_j = U_j B_j and A^H U_j = V_j B_j^H + beta_j v_{j+1} e_j^T with B_j
+    upper bidiagonal.  For the top singular triplet (theta_1, p, q) of B_j
+    the residual is r = beta_j |e_j^T p|, and theta_1 is within
+    r^2 / (theta_1 - theta_2) of a singular value of A (Larsen, PROPACK,
+    1998); the loop stops once that bound is at most ``_GKL_RTOL`` theta_1.
+    An alpha or beta that small is a breakdown: the Krylov space is
+    invariant to that accuracy, and the Ritz value is final.
+    """
+    steps = min(_GKL_MAX_STEPS, v0.shape[0])
+    vs = np.zeros((steps + 1, v0.shape[0]), dtype=v0.dtype)
+    vs[0] = v0 / np.linalg.norm(v0)
+    u = apply(vs[0])
+    us = np.zeros((steps, u.shape[0]), dtype=u.dtype)
+    alphas, betas = np.zeros(steps), np.zeros(steps)
+    theta = 0.0
+    for j in range(steps):
+        u = _orthogonalize(u, us[:j])
+        alphas[j] = np.linalg.norm(u)
+        if alphas[j] > _GKL_RTOL * theta:
+            us[j] = u / alphas[j]
+            p = _orthogonalize(apply_h(us[j]), vs[: j + 1])
+            betas[j] = np.linalg.norm(p)
+        else:
+            alphas[j] = 0.0
+        bidiag = np.diag(alphas[: j + 1]) + np.diag(betas[:j], 1)
+        left, sigma, right_h = np.linalg.svd(bidiag)
+        theta = sigma[0]
+        r = betas[j] * abs(left[j, 0])
+        if betas[j] <= _GKL_RTOL * theta or (
+            j and r * r <= _GKL_RTOL * theta * (theta - sigma[1])
+        ):
+            return float(theta), right_h[0].conj() @ vs[: j + 1]
+        vs[j + 1] = p / betas[j]
+        u = apply(vs[j + 1])
+    raise RuntimeError(f"Golub-Kahan-Lanczos did not converge in {steps} steps")
+
+
 def _solution_norms(
-    grid, factors, size: int, data_rows, data_scale: np.ndarray, sol_rows
+    grid, factors, size: int, data_rows, row_scale, sol_rows, start
 ) -> tuple[float, float]:
     """Weighted norms of a solution map and of its derivative.
 
-    Weighted data x (k values) become the right-hand side ``data_scale * x``
-    on ``data_rows`` of a system of order ``size``, zero elsewhere; its LU
-    ``factors`` give u on ``sol_rows`` of the grid, zero on the other nodes.
-    Returns (||W u||, ||W D1 u||) over unit ||x||, W the square-root
-    quadrature weights.  Below ``_LANCZOS_MIN_DEGREE`` both norms come from
-    SVDs of the explicit solution operator; from there on, from Lanczos on
-    the solves and their adjoints.
+    Unknowns of the system of order ``size`` sit on the grid nodes
+    ``sol_rows``, equation i on the node of unknown i.  Data f on the nodes
+    of ``data_rows``, weighted as x = W f, become the right-hand side
+    ``row_scale * f`` on those rows, zero elsewhere; the LU ``factors`` give
+    u, zero off ``sol_rows``.  Returns (||W u||, ||W D1 u||) over unit ||x||,
+    W the square-root quadrature weights.  Below ``_LANCZOS_MIN_DEGREE`` both
+    come from SVDs of the explicit solution operator; from there on, each
+    from ``_top_singular`` on the solves and their adjoints, with D1 and D1^T
+    applied by DCT, and ``start`` carries the top right singular vectors from
+    one rung of a ladder to the next.
     """
-    ws = np.sqrt(grid.weights)[:, None]
-    d1 = grid.d1
+    ws = np.sqrt(grid.weights)
+    data_nodes = np.arange(grid.n + 1)[sol_rows][data_rows]
+    ws_in = ws[data_nodes]
+    data_scale = row_scale / ws_in
     k = data_scale.shape[0]
     dtype = factors[0].dtype
 
-    # x and y are column blocks of the factors' dtype.  _factor checked the
-    # matrix already, so the solves call LAPACK directly and skip lu_solve's
-    # checks and dispatch on every Lanczos step.
+    # _factor checked the matrix already, so the solves call LAPACK directly
+    # and skip lu_solve's checks and dispatch on every Lanczos step.
     (getrs,) = get_lapack_funcs(("getrs",), (factors[0],))
 
-    def backsolve(b, trans, overwrite):
-        x, info = getrs(*factors, b, trans=trans, overwrite_b=overwrite)
+    def backsolve(b, trans):
+        x, info = getrs(*factors, b, trans=trans, overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in {-info}th argument of internal getrs")
         return x
 
     def solve(x):
-        rhs = np.zeros((size, x.shape[1]), dtype=np.result_type(dtype, x))
-        rhs[data_rows] = data_scale[:, None] * x
-        u = np.zeros((grid.n + 1, x.shape[1]), dtype=rhs.dtype)
-        u[sol_rows] = backsolve(rhs, 0, True)
+        rhs = np.zeros(size, dtype=np.result_type(dtype, x))
+        rhs[data_rows] = data_scale * x
+        u = np.zeros(grid.n + 1, dtype=rhs.dtype)
+        u[sol_rows] = backsolve(rhs, 0)
         return u
 
     def solve_h(y):
-        sol = backsolve(y[sol_rows], 2, False)
-        return data_scale[:, None] * sol[data_rows]
+        return data_scale * backsolve(y[sol_rows], 2)[data_rows]
 
     if grid.n < _LANCZOS_MIN_DEGREE:
-        u = solve(np.eye(k))
-        norm_inv = svdvals(ws * u)[0]
-        norm_d_inv = svdvals(ws * _real_matmul(d1, u))[0]
+        rhs = np.zeros((size, k), dtype=dtype)
+        rhs[data_rows] = np.diag(data_scale)
+        u = np.zeros((grid.n + 1, k), dtype=dtype)
+        u[sol_rows] = backsolve(rhs, 0)
+        norm_inv = svdvals(ws[:, None] * u)[0]
+        norm_d_inv = svdvals(ws[:, None] * _real_matmul(grid.d1, u))[0]
         return float(norm_inv), float(norm_d_inv)
 
-    # A fixed start vector keeps repeated runs bit-identical.  The ramp has
-    # both even and odd parts, so a parity symmetry of the profile cannot
-    # make it orthogonal to the top singular vector.
-    v0 = np.linspace(1.0, 2.0, k).astype(dtype)
-
-    def top(apply, apply_h):
-        op = LinearOperator(
-            (grid.n + 1, k),
-            matvec=lambda x: apply(x.reshape(k, -1)),
-            rmatvec=lambda y: apply_h(y.reshape(-1, 1)),
-            matmat=apply,
-            dtype=dtype,
-        )
-        sigma = svds(
-            op, k=1, ncv=_LANCZOS_BASIS, v0=v0, return_singular_vectors=False
-        )
-        return float(sigma[0])
-
-    norm_inv = top(lambda x: ws * solve(x), lambda y: solve_h(ws * y))
-    norm_d_inv = top(
-        lambda x: ws * _real_matmul(d1, solve(x)),
-        lambda y: solve_h(_real_matmul(d1.T, ws * y)),
+    if start is not None and start.values is not None:
+        v0s = [_resample(f, grid.n)[data_nodes] * ws_in for f in start.values]
+    else:
+        # A fixed ramp keeps repeated runs bit-identical; it has both even
+        # and odd parts, so a parity symmetry of the profile cannot make it
+        # orthogonal to the top singular vector.
+        v0s = [np.linspace(1.0, 2.0, k)] * 2
+    norm_inv, v_inv = _top_singular(
+        lambda x: ws * solve(x), lambda y: solve_h(ws * y), v0s[0].astype(dtype)
     )
+    norm_d_inv, v_d_inv = _top_singular(
+        lambda x: ws * _derivative(solve(x)),
+        lambda y: solve_h(_derivative_t(ws * y)),
+        v0s[1].astype(dtype),
+    )
+    if start is not None:
+        start.values = []
+        for v in (v_inv, v_d_inv):
+            f = np.zeros(grid.n + 1, dtype=v.dtype)
+            f[data_nodes] = v / ws_in
+            start.values.append(f)
     return norm_inv, norm_d_inv
 
 
@@ -252,7 +309,7 @@ _SINGULAR = {
 }
 
 
-def _dirichlet_numbers(op: AssembledOperator) -> dict:
+def _dirichlet_numbers(op: AssembledOperator, start) -> dict:
     # Singularity is judged from LAPACK's 1-norm condition estimate on the
     # same factorization; it tracks the 2-norm ratio sigma_min / sigma_max of
     # the weighted matrix to within a small factor.
@@ -264,9 +321,8 @@ def _dirichlet_numbers(op: AssembledOperator) -> dict:
     rcond, _ = gecon(factors[0], np.linalg.norm(mat, 1), norm="1")
     if rcond < _SINGULAR_RTOL:
         return dict(_SINGULAR)
-    ws_int = np.sqrt(op.grid.weights[1:-1])
     norm_inv, norm_d_inv = _solution_norms(
-        op.grid, factors, mat.shape[0], slice(None), 1.0 / ws_int, slice(1, -1)
+        op.grid, factors, mat.shape[0], slice(None), 1.0, slice(1, -1), start
     )
     if not (math.isfinite(norm_inv) and math.isfinite(norm_d_inv)):
         return dict(_SINGULAR)
@@ -278,7 +334,7 @@ def _dirichlet_numbers(op: AssembledOperator) -> dict:
     }
 
 
-def _clamped_numbers(op: AssembledOperator) -> dict:
+def _clamped_numbers(op: AssembledOperator, start) -> dict:
     # The bordered fourth-order matrix mixes unit-scale constraint rows with
     # differentiated rows of order n^8, so its raw singular values say
     # nothing about resonance.  Judge singularity from the weighted solution
@@ -301,9 +357,8 @@ def _clamped_numbers(op: AssembledOperator) -> dict:
     factors, exact = _factor(d[:, None] * op.matrix, overwrite=True)
     if exact:
         return dict(_SINGULAR)
-    ws_in = np.sqrt(op.grid.weights[keep])
     norm_inv, norm_d_inv = _solution_norms(
-        op.grid, factors, op.matrix.shape[0], keep, d[keep] / ws_in, slice(None)
+        op.grid, factors, op.matrix.shape[0], keep, d[keep], slice(None), start
     )
     bad = (
         not math.isfinite(norm_inv)
@@ -318,12 +373,26 @@ def _clamped_numbers(op: AssembledOperator) -> dict:
     }
 
 
-def resolvent_numbers(op: AssembledOperator) -> dict:
-    """Raw resolvent norms of one assembled operator (no ladder)."""
+class _StartVectors:
+    """Top right singular vectors of the last rung of one ladder, one per
+    norm, as node values on that rung's grid.  The next rung starts its
+    recurrences from them, resampled; a fresh holder starts from the ramp."""
+
+    values = None
+
+
+def resolvent_numbers(
+    op: AssembledOperator, *, start: _StartVectors | None = None
+) -> dict:
+    """Raw resolvent norms of one assembled operator (no ladder).
+
+    ``start``, private to ``resolvent_sample``, warm-starts the norms from
+    the previous rung of the same ladder and records this rung's vectors.
+    """
     if op.bc == "dirichlet":
-        return _dirichlet_numbers(op)
+        return _dirichlet_numbers(op, start)
     if op.bc == "clamped":
-        return _clamped_numbers(op)
+        return _clamped_numbers(op, start)
     raise ValueError(f"unknown boundary treatment {op.bc!r}")
 
 
@@ -376,9 +445,11 @@ def resolvent_sample(
     if kind not in _ASSEMBLERS:
         raise ValueError(f"unknown operator kind {kind!r}")
     n_start = min(n0 if n0 is not None else ladder_start(params.beta), n_cap)
+    start = _StartVectors()
 
     def evaluate(n):
-        return resolvent_numbers(_ASSEMBLERS[kind](profile, params, build_grid(n)))
+        op = _ASSEMBLERS[kind](profile, params, build_grid(n))
+        return resolvent_numbers(op, start=start)
 
     def agree(prev, cur):
         ref = prev["norm_inv"] + prev["norm_d_inv"]

@@ -9,7 +9,14 @@ from scipy.optimize import brentq
 from scipy.linalg import eig
 
 import shearstab as ss
-from shearstab.chebdiff import _chebdif, clamped_reduce, dirichlet_reduce
+from shearstab.chebdiff import (
+    _chebdif,
+    _derivative,
+    _derivative_t,
+    _resample,
+    clamped_reduce,
+    dirichlet_reduce,
+)
 
 
 def test_nodes_descend_from_one_to_minus_one(grid32):
@@ -144,3 +151,31 @@ def test_dirichlet_reduce_strips_boundary(grid32):
     inner = dirichlet_reduce(mat)
     assert inner.shape == (31, 31)
     np.testing.assert_array_equal(inner, mat[1:-1, 1:-1])
+
+
+@pytest.mark.parametrize("n", [80, 87, 173, 862, 1724])
+def test_dct_derivative_and_transpose_match_d1(n):
+    # random data: no smoothness to hide behind
+    grid = ss.build_grid(n)
+    rng = np.random.default_rng(n)
+    for shape in [(n + 1,), (n + 1, 3)]:
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        pairs = ((_derivative(f), grid.d1 @ f), (_derivative_t(f), grid.d1.T @ f))
+        for fast, dense in pairs:
+            assert fast.shape == dense.shape
+            assert np.linalg.norm(fast - dense) <= 1e-13 * np.linalg.norm(dense)
+    real = rng.standard_normal(n + 1)
+    assert np.isrealobj(_derivative(real)) and np.isrealobj(_derivative_t(real))
+    dense = grid.d1 @ real
+    assert np.linalg.norm(_derivative(real) - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("n", [9, 64])
+def test_resample_interpolates_through_chebyshev_coefficients(n):
+    def poly(x):
+        return 3.0 * x**7 - x**4 + 0.5 * x - 2.0
+
+    up = _resample(poly(ss.build_grid(n).nodes), 2 * n)
+    np.testing.assert_allclose(up, poly(ss.build_grid(2 * n).nodes), atol=1e-13)
+    # resampling down truncates; a degree-7 polynomial survives it
+    np.testing.assert_allclose(_resample(up, n), poly(ss.build_grid(n).nodes), atol=1e-13)

@@ -293,6 +293,15 @@ def test_hostile_numbers_exit_three_without_traceback(capsys, argv, message):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("margin", ["nan", "inf"])
+def test_certify_non_finite_margin_exits_three(capsys, margin):
+    # rejected before any ladder runs
+    code, out, err = run(capsys, "certify", _COUETTE, "--margin", margin)
+    assert code == 3
+    assert out == ""
+    assert "margin must be finite and nonnegative" in err
+
+
 def test_usage_error_exits_three(capsys):
     code, _, err = run(capsys, "sweep", "warp-drive", '{"family": "couette"}')
     assert code == 3

@@ -384,3 +384,104 @@ def test_refine_ladder_rules():
     seen.clear()
     assert _refine(evaluate, 4000, 2048, lambda p, c: True) == (1.0 / 2048, 2048, False)
     assert seen == [2048]
+
+
+# --- Golub-Kahan-Lanczos on operators with known singular values -------------
+
+
+def _synthetic(singular_values, m=40, k=30, seed=5):
+    """A = Q1 diag(s) Q2^H with random unitary Q1 (m x m) and Q2 (k x k)."""
+    rng = np.random.default_rng(seed)
+
+    def unitary(size):
+        z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        q, _ = np.linalg.qr(z)
+        return q
+
+    s = np.zeros((m, k))
+    rank = len(singular_values)
+    s[np.arange(rank), np.arange(rank)] = singular_values
+    q2 = unitary(k)
+    return unitary(m) @ s @ q2.conj().T, q2
+
+
+def _run_top_singular(a, v0):
+    from shearstab.spectral import _top_singular
+
+    steps = []
+
+    def apply(x):
+        steps.append(1)
+        return a @ x
+
+    theta, v = _top_singular(apply, lambda y: a.conj().T @ y, v0)
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    assert np.linalg.norm(a @ v) == pytest.approx(theta, rel=1e-12)
+    return theta, len(steps)
+
+
+RAMP = np.linspace(1.0, 2.0, 30).astype(complex)
+CLUSTER = [1.0, 1.0 - 1e-8] + list(np.linspace(0.9, 0.1, 28))
+
+
+def test_top_singular_lands_inside_a_close_cluster():
+    # From a generic start one Krylov sequence cannot split 1 and 1 - 1e-8
+    # before the bound on the tail is met: the value is a mixture of the two,
+    # inside the cluster, and the tail error is below the bound.
+    a, _ = _synthetic(CLUSTER)
+    theta, _ = _run_top_singular(a, RAMP)
+    assert CLUSTER[1] * (1.0 - 1e-12) <= theta <= CLUSTER[0] * (1.0 + 1e-12)
+
+
+def test_top_singular_resolves_a_cluster_it_has_split():
+    # A start in the span of the two cluster vectors: the second step sees
+    # both, the Ritz gap drops to 1e-8, and the bound holds the recurrence
+    # until r <= 3e-11.  Stopping on one Ritz value would return the mixture.
+    a, q2 = _synthetic(CLUSTER)
+    theta, _ = _run_top_singular(a, q2[:, 0] + 2.0 * q2[:, 1])
+    assert theta == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("in_range", [False, True])
+def test_top_singular_stops_on_breakdown(in_range):
+    # Rank 3: a generic start also has a null-space part, so alpha breaks
+    # down at step 4; a start inside the range makes beta break down at 3.
+    a, q2 = _synthetic([3.0, 2.0, 1.0])
+    v0 = q2[:, :3] @ np.array([1.0, 1.0, 1.0]) if in_range else RAMP
+    theta, steps = _run_top_singular(a, v0)
+    assert theta == pytest.approx(3.0, rel=1e-12)
+    assert steps == (3 if in_range else 4)
+
+
+def test_top_singular_raises_at_the_step_cap(monkeypatch):
+    from shearstab import spectral
+
+    monkeypatch.setattr(spectral, "_GKL_MAX_STEPS", 3)
+    a, _ = _synthetic(CLUSTER)
+    with pytest.raises(RuntimeError, match="did not converge in 3 steps"):
+        spectral._top_singular(lambda x: a @ x, lambda y: a.conj().T @ y, RAMP)
+
+
+@pytest.mark.parametrize(
+    "kind, profile, alpha",
+    [("schrodinger", ss.couette(), 0.0), ("orr_sommerfeld", ss.cubic(0.1), 1.0)],
+)
+def test_warm_start_matches_cold_start_on_the_top_rung(kind, profile, alpha):
+    # The 862 -> 1724 rung pair of a beta = 1e7 ladder.
+    from shearstab.spectral import _ASSEMBLERS, _StartVectors
+
+    beta = 1e7
+    assert ladder_start(beta) == 862
+    lam = 0.0 if kind == "schrodinger" else ss.margin_constant() * beta ** (-1.0 / 3.0)
+    params = ss.SpectralParams(alpha, beta, lam)
+    start = _StartVectors()
+    assemble = _ASSEMBLERS[kind]
+    lower, top = (assemble(profile, params, ss.build_grid(n)) for n in (862, 1724))
+    resolvent_numbers(lower, start=start)
+    assert [f.shape for f in start.values] == [(863,), (863,)]
+    warm = resolvent_numbers(top, start=start)
+    cold = resolvent_numbers(top)
+    assert set(warm) == set(cold)
+    assert warm["singular"] == cold["singular"] is False
+    for key in ("norm_inv", "norm_d_inv"):
+        assert warm[key] == pytest.approx(cold[key], rel=1e-11)
