@@ -15,7 +15,6 @@ persist as the grid is refined.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,16 +85,19 @@ def certify_profile(
     """Certify positivity of -d2 + U''/(U - nu) over the inflection set.
 
     Velocities come from the profile's inflection set: isolated inflection
-    values directly, flat curvature intervals through an inclusive linspace
-    of `interval_density` points each.  Each velocity gets an independent
-    eigenvalue ladder; ladders run on a thread pool, and the result does not
-    depend on its size.  The pool buys little: on 2 cores the benchmark's
-    certificate batch ran 0.97-1.05x as fast with 2 threads as with 1, and
-    with one BLAS thread, 2 threads ran eigvals 1.03x and a Hessenberg
-    reduction 0.79x as fast as 1.
+    values directly, flat curvature intervals (where U'' is exactly zero on
+    the scan) through an inclusive linspace of `interval_density` points
+    each.  Each velocity gets its own eigenvalue ladder, run one after
+    another, and every distinct rung operator is solved once: a rung whose
+    assembled matrix is bit-identical to one solved earlier in this call
+    reuses its eigenvalue.  On a flat interval U'' = 0 makes the operator
+    -d2 at every velocity, so Couette takes two eigen-solves (n = 64 and
+    128) at any density.  `threads` is validated and otherwise unused: a
+    thread pool here bought at most 1.10x on 2 cores.
     """
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"margin must be finite and nonnegative, got {margin}")
+    thread_count(threads)
     infset = inflection_values(profile)
     if infset.is_empty():
         return CertificateResult(
@@ -107,22 +109,21 @@ def certify_profile(
             vacuous=True,
             interval_density=interval_density,
         )
-    nus = infset.sample(interval_density=interval_density)
-
-    def work(nu: float) -> CertificateEntry:
-        lam_min, n_used, converged = eig_floor_ladder(
-            profile,
-            nu,
-            n0=n0,
-            n_cap=n_cap,
-            singular_window=singular_window,
+    memo: dict = {}
+    entries = tuple(
+        CertificateEntry(
+            float(nu),
+            *eig_floor_ladder(
+                profile,
+                nu,
+                n0=n0,
+                n_cap=n_cap,
+                singular_window=singular_window,
+                memo=memo,
+            ),
         )
-        return CertificateEntry(
-            nu=float(nu), lam_min=lam_min, n_used=n_used, converged=converged
-        )
-
-    with ThreadPoolExecutor(max_workers=thread_count(threads)) as pool:
-        entries = tuple(pool.map(work, nus))
+        for nu in infset.sample(interval_density=interval_density)
+    )
 
     sigma0 = min(e.lam_min for e in entries)
     if not all(e.converged for e in entries):

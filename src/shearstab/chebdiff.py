@@ -19,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.fft import dct
-from scipy.linalg import toeplitz
 
 __all__ = [
     "ChebGrid",
@@ -49,7 +48,7 @@ class ChebGrid:
     def d3(self) -> np.ndarray:
         """Third-derivative matrix, built on first access: no solver needs it,
         and keeping it would cost (n+1)^2 doubles per cached grid."""
-        d3 = _chebdif(self.n, 3)[1][2]
+        (d3,) = _chebdif(self.n, 3, keep=(3,))[1]
         d3.setflags(write=False)
         return d3
 
@@ -57,7 +56,13 @@ class ChebGrid:
         return f"ChebGrid(n={self.n})"
 
 
-def _chebdif(n_deg: int, m_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
+# rows of the differentiation matrices built together in ``_chebdif``
+_ROW_BLOCK = 32
+
+
+def _chebdif(
+    n_deg: int, m_max: int, keep=None
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Nodes and derivative matrices D^1..D^m on the degree-n_deg CGL grid.
 
     The off-diagonal node differences are formed as
@@ -65,37 +70,60 @@ def _chebdif(n_deg: int, m_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
     is obtained by flipping the upper half, so that x_j - x_k never suffers
     cancellation near the boundary.  Diagonals come from the negative row-sum
     identity (each D annihilates constants exactly).
+
+    Row k of D^l depends only on row k of D^(l-1), so the recurrence runs on
+    blocks of ``_ROW_BLOCK`` rows, and only the orders in ``keep`` (default
+    all) are stored as full matrices and returned, in increasing order.  The
+    sine products are taken only for the upper rows the flip reuses, and the
+    scaling c_kj = (-1)^(k+j) a_k / a_j (a = 2 at the ends, 1 inside) is an
+    outer product of signed powers of two, so every entry is bit-identical
+    to building each whole matrix at once.
     """
+    keep = range(1, m_max + 1) if keep is None else sorted(keep)
     n = n_deg + 1
     k = np.arange(n)
     th = k * np.pi / n_deg
     # identical to cos(k pi / N) but symmetric about 0 to the last bit
     x = np.sin(np.pi * (n_deg - 2 * k) / (2 * n_deg))
-
-    # dx[k, j] = x_k - x_j via cos a - cos b = -2 sin((a+b)/2) sin((a-b)/2);
-    # the column-minus-row order of the second factor supplies that minus.
     h = th / 2
-    dx = 2 * np.sin(h[:, None] + h[None, :]) * np.sin(h[None, :] - h[:, None])
+    c_row, c_col = (-1.0) ** k, (-1.0) ** k
+    c_row[[0, -1]] *= 2.0
+    c_col[[0, -1]] *= 0.5
+    mats = {ell: np.empty((n, n)) for ell in keep}
+
+    def rows_from(dx: np.ndarray, first: int) -> None:
+        # rows first, first + 1, ... of every D^l, from their node differences
+        r = np.arange(dx.shape[0])
+        diag = (r, first + r)
+        z = np.array(dx)
+        z[diag] = 1.0
+        np.divide(1.0, z, out=z)
+        z[diag] = 0.0
+        d, nxt, tmp = np.zeros_like(z), np.empty_like(z), np.empty_like(z)
+        d[diag] = 1.0
+        for ell in range(1, max(keep) + 1):
+            # D^l = l z (c diag(D^(l-1)) - D^(l-1)); c d_kk is exact
+            np.multiply((c_row[first + r] * d[diag])[:, None], c_col, out=nxt)
+            np.subtract(nxt, d, out=nxt)
+            np.multiply(z, ell, out=tmp)
+            np.multiply(tmp, nxt, out=nxt)
+            nxt[diag] = -nxt.sum(axis=1)
+            if ell in mats:
+                mats[ell][first : first + dx.shape[0]] = nxt
+            d, nxt = nxt, d
+
     n_half, n_ceil = n // 2, (n + 1) // 2
-    dx = np.vstack((dx[:n_half], -np.flipud(np.fliplr(dx[:n_ceil]))))
-    dx[k, k] = 1.0
-
-    c = toeplitz((-1.0) ** k)
-    c[0, :] *= 2.0
-    c[-1, :] *= 2.0
-    c[:, 0] *= 0.5
-    c[:, -1] *= 0.5
-
-    z = 1.0 / dx
-    z[k, k] = 0.0
-
-    d = np.eye(n)
-    mats: list[np.ndarray] = []
-    for ell in range(1, m_max + 1):
-        d = ell * z * (c * np.diag(d)[:, None] - d)
-        d[k, k] = -d.sum(axis=1)
-        mats.append(d)
-    return x, mats
+    for a in range(0, n_ceil, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, n_ceil)
+        # dx[k, j] = x_k - x_j via cos a - cos b = -2 sin((a+b)/2) sin((a-b)/2);
+        # the column-minus-row order of the second factor supplies that minus.
+        hk = h[a:b, None]
+        dx = 2 * np.sin(hk + h[None, :]) * np.sin(h[None, :] - hk)
+        if a < n_half:
+            rows_from(dx[: min(b, n_half) - a], a)
+        # rows n - b .. n - 1 - a: the same rows flipped both ways, negated
+        rows_from(-dx[::-1, ::-1], n - b)
+    return x, [mats[ell] for ell in keep]
 
 
 def _clencurt(n_deg: int) -> np.ndarray:
@@ -204,7 +232,7 @@ def build_grid(n: int) -> ChebGrid:
     with _cache_lock:
         grid = _cache.get(n)
         if grid is None:
-            x, (d1, d2, _, d4) = _chebdif(n, 4)
+            x, (d1, d2, d4) = _chebdif(n, 4, keep=(1, 2, 4))
             w = _clencurt(n)
             for arr in (x, d1, d2, d4, w):
                 arr.setflags(write=False)

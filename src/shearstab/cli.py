@@ -206,7 +206,12 @@ def _sweep_table(result) -> tuple[list[str], list[list]]:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="shearstab", description=__doc__.splitlines()[0])
-    parser.add_argument("--threads", type=int, default=None, help="worker threads")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker threads of the pseudo map; other commands validate it only",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     cert = sub.add_parser("certify", help="positivity certificate")

@@ -244,16 +244,17 @@ def inflection_values(
 ) -> InflectionSet:
     """Locate the inflection set of U in velocity coordinates.
 
-    A run of scan nodes where U'' sits at the noise floor (relative to the
-    profile's curvature scale) is reported as an interval; isolated sign
+    A run of at least three scan nodes where U'' is exactly zero is reported
+    as an interval.  Every family is analytic, so U'' vanishes on an
+    interval only where it vanishes identically; a small nonzero U'' (about
+    1e-11 at the walls of tanh_shear(16)) is no interval.  Isolated sign
     changes are polished by bisection plus one Newton step and flagged as
     degenerate when U''' also vanishes there.
     """
     xs = np.linspace(-1.0, 1.0, scan_points + 1)
     u2 = profile.deriv(xs, 2)
     scale = float(np.max(np.abs(u2)))
-    zero_tol = 1e-12 * max(1.0, scale)
-    flat = np.abs(u2) <= zero_tol
+    flat = u2 == 0.0
 
     intervals: list[tuple[float, float]] = []
     runs: list[tuple[int, int]] = []

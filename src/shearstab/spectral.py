@@ -29,6 +29,7 @@ that produced it.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -477,18 +478,30 @@ def eig_floor_ladder(
     rel_tol: float = 1e-9,
     n_cap: int = 2048,
     singular_window: float = 1e-4,
+    *,
+    memo: dict | None = None,
 ) -> tuple[float, int, bool]:
     """Smallest certificate eigenvalue at velocity nu, grid-doubled to rest.
 
     Returns (eigenvalue, degree used, converged flag); agreement between
     consecutive degrees is absolute below 1, relative above.
+
+    ``memo``, private to ``certify_profile``, maps the SHA-256 digest and
+    shape of an assembled matrix to its smallest eigenvalue, so a rung whose
+    operator another ladder already solved reuses that value.  A digest, not
+    the bytes: at n = 2048 the matrix alone is 33 MB.
     """
 
     def evaluate(n):
         op = assemble_certificate_operator(
             profile, nu, build_grid(n), singular_window=singular_window
         )
-        return min_eig_selfadjoint(op)
+        if memo is None:
+            return min_eig_selfadjoint(op)
+        key = (op.matrix.shape, hashlib.sha256(op.matrix.tobytes()).digest())
+        if key not in memo:
+            memo[key] = min_eig_selfadjoint(op)
+        return memo[key]
 
     def agree(prev, cur):
         return abs(cur - prev) <= rel_tol * max(1.0, abs(cur))

@@ -11,6 +11,8 @@ from shearstab.certify import (
     rayleigh_resolvent_probe,
     rayleigh_spectrum_scan,
 )
+from shearstab.profile import inflection_values
+from shearstab.spectral import eig_floor_ladder
 
 
 def test_couette_certifies_at_quarter_pi_squared(couette):
@@ -111,3 +113,74 @@ def test_rayleigh_probe_samples(couette):
     assert lams == [0.5 + 0.0j, 0.5 + 0.1j, -2.0 + 0.0j, -2.0 + 0.1j]
     # shifts further from the spectrum have smaller resolvent norm
     assert probe[2].norm_inv < probe[0].norm_inv
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Count the eigen-solves behind the certificate ladders."""
+    from shearstab import spectral
+
+    calls = []
+    solve = spectral.min_eig_selfadjoint
+
+    def counted(op):
+        calls.append(op.grid.n)
+        return solve(op)
+
+    monkeypatch.setattr(spectral, "min_eig_selfadjoint", counted)
+    return calls
+
+
+@pytest.mark.parametrize("density", [33, 129])
+def test_couette_solves_each_rung_operator_once(couette, eig_calls, density):
+    # U'' = 0: the operator is -d2 at every velocity, one per grid degree.
+    res = certify_profile(couette, interval_density=density)
+    assert len(res.entries) == density
+    assert sorted(eig_calls) == [64, 128]
+    assert {e.lam_min for e in res.entries} == {res.sigma0}
+
+
+# U = x - x^3/24 + x^5/20: U'' = x (x^2 - 1/4), three inflection points
+_QUINTIC3 = (0.0, 1.0, 0.0, -1.0 / 24.0, 0.0, 1.0 / 20.0)
+
+
+def test_distinct_rung_operators_are_never_merged(eig_calls):
+    res = certify_profile(ss.polynomial(_QUINTIC3))
+    assert len(res.entries) == 3
+    rungs = sum(int(math.log2(e.n_used // 64)) + 1 for e in res.entries)
+    assert len(eig_calls) == rungs
+
+
+@pytest.mark.parametrize(
+    "profile", [ss.couette(), ss.polynomial(_QUINTIC3)], ids=["couette", "quintic3"]
+)
+def test_memoized_entries_equal_plain_ladders(profile):
+    res = certify_profile(profile)
+    nus = inflection_values(profile).sample()
+    plain = [eig_floor_ladder(profile, nu) for nu in nus]
+    assert [(e.nu, e.lam_min, e.n_used, e.converged) for e in res.entries] == [
+        (float(nu), *ladder) for nu, ladder in zip(nus, plain)
+    ]
+
+
+def test_certify_still_validates_threads(couette):
+    with pytest.raises(ValueError):
+        certify_profile(couette, threads=0)
+    assert certify_profile(couette, threads=2) == certify_profile(couette, threads=1)
+
+
+@pytest.mark.parametrize("k", [16.0, 32.0])
+def test_steep_tanh_is_not_certified_at_its_one_inflection(k):
+    # The Poschl-Teller well -2 K^2 sech^2(K x) has ground state -K^2 on the
+    # line; on [-1, 1] the walls shift it by far less than the tolerance.
+    res = certify_profile(ss.tanh_shear(k))
+    assert res.verdict == "not_certified"
+    assert [e.nu for e in res.entries] == [0.0]
+    assert res.sigma0 == pytest.approx(-k * k, rel=1e-9)
+
+
+def test_tiny_cubic_term_certifies_at_one_point():
+    res = certify_profile(ss.polynomial((0.0, 1.0, 0.0, 1e-11)))
+    assert res.verdict == "certified"
+    assert [e.nu for e in res.entries] == [0.0]
+    assert res.sigma0 == pytest.approx(math.pi**2 / 4.0, rel=1e-9)

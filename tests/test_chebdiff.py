@@ -179,3 +179,47 @@ def test_resample_interpolates_through_chebyshev_coefficients(n):
     np.testing.assert_allclose(up, poly(ss.build_grid(2 * n).nodes), atol=1e-13)
     # resampling down truncates; a degree-7 polynomial survives it
     np.testing.assert_allclose(_resample(up, n), poly(ss.build_grid(n).nodes), atol=1e-13)
+
+
+def _reference_chebdif(n_deg, m_max):
+    """The whole-matrix construction: full sine products, flip, toeplitz."""
+    from scipy.linalg import toeplitz
+
+    n = n_deg + 1
+    k = np.arange(n)
+    th = k * np.pi / n_deg
+    x = np.sin(np.pi * (n_deg - 2 * k) / (2 * n_deg))
+    h = th / 2
+    dx = 2 * np.sin(h[:, None] + h[None, :]) * np.sin(h[None, :] - h[:, None])
+    n_half, n_ceil = n // 2, (n + 1) // 2
+    dx = np.vstack((dx[:n_half], -np.flipud(np.fliplr(dx[:n_ceil]))))
+    dx[k, k] = 1.0
+    c = toeplitz((-1.0) ** k)
+    c[0, :] *= 2.0
+    c[-1, :] *= 2.0
+    c[:, 0] *= 0.5
+    c[:, -1] *= 0.5
+    z = 1.0 / dx
+    z[k, k] = 0.0
+    d = np.eye(n)
+    mats = []
+    for ell in range(1, m_max + 1):
+        d = ell * z * (c * np.diag(d)[:, None] - d)
+        d[k, k] = -d.sum(axis=1)
+        mats.append(d)
+    return x, mats
+
+
+@pytest.mark.parametrize("n", [8, 9, 40, 63, 64, 87, 127, 174, 372, 862])
+def test_row_blocked_chebdif_is_bit_identical_to_whole_matrix(n):
+    x_ref, ref = _reference_chebdif(n, 4)
+    x, mats = _chebdif(n, 4)
+    assert np.array_equal(x, x_ref)
+    for mat, want in zip(mats, ref):
+        assert np.array_equal(mat, want)
+    _, kept = _chebdif(n, 4, keep=(4, 1, 2))
+    for mat, want in zip(kept, (ref[0], ref[1], ref[3])):
+        assert np.array_equal(mat, want)
+    grid = ss.build_grid(n)
+    for name, want in (("nodes", x_ref), ("d1", ref[0]), ("d2", ref[1]), ("d4", ref[3])):
+        assert np.array_equal(getattr(grid, name), want), name

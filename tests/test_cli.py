@@ -360,3 +360,12 @@ def test_json_is_byte_identical_across_thread_counts(tmp_path, capsys, argv):
         assert code == 0, err
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_certify_very_steep_tanh_exits_one(capsys):
+    # U'' is about 1e-24 at the walls but not zero: the inflection set is
+    # the one point nu = 0, and no wall interval reaches the potential.
+    code, out, err = run(capsys, "certify", '{"family": "tanh_shear", "K": 32}')
+    assert code == 1
+    assert "verdict=not_certified" in out and "velocities=1" in out
+    assert err == ""

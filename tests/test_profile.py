@@ -167,3 +167,21 @@ def test_second_derivative_matches_finite_differences(tanh3):
     for x in (-0.5, 0.2, 0.7):
         fd = (tanh3.u(x + h) - 2 * tanh3.u(x) + tanh3.u(x - h)) / h**2
         assert abs(tanh3.deriv(x, 2) - fd) < 1e-5 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("k", [16.0, 32.0])
+def test_steep_tanh_walls_are_not_flat(k):
+    # U'' is about 1e-11 (K = 16) or smaller at the walls but never zero:
+    # the only inflection value is nu = 0.
+    info = inflection_values(ss.tanh_shear(k))
+    assert info.intervals == ()
+    assert [p.nu for p in info.points] == [0.0]
+    assert not info.points[0].degenerate
+
+
+def test_tiny_cubic_term_is_one_point_not_an_interval():
+    # U''' = 6e-11 at the crossing: small, but U'' is zero only at x = 0.
+    info = inflection_values(ss.polynomial((0.0, 1.0, 0.0, 1e-11)))
+    assert info.intervals == ()
+    assert [(p.x, p.nu) for p in info.points] == [(0.0, 0.0)]
+    assert not info.points[0].degenerate
