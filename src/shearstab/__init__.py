@@ -11,159 +11,20 @@ The package answers two questions about a monotone velocity profile U on
    number?  The `sweeps` module measures them by dense collocation.
 """
 
-from .chebdiff import ChebGrid, build_grid, clamped_reduce, dirichlet_reduce
-from .profile import (
-    DomainError,
-    InflectionPoint,
-    InflectionSet,
-    MonotonicityError,
-    Profile,
-    couette,
-    cubic,
-    inflection_values,
-    polynomial,
-    tanh_shear,
-    x_of_nu,
-)
-from .operators import (
-    AssembledOperator,
-    InflectionError,
-    SpectralParams,
-    assemble_certificate_operator,
-    assemble_orr_sommerfeld,
-    assemble_rayleigh,
-    assemble_rayleigh_shifted,
-    assemble_schrodinger,
-    certificate_potential,
-    grid_degree_for,
-)
-from .airy import (
-    NormalizationError,
-    Quasimode,
-    QuasimodeResidual,
-    TailZeroResult,
-    airy_ai,
-    airy_ai_prime,
-    airy_tail_integral,
-    airy_tail_integral_prime,
-    airy_zeros,
-    quasimode,
-    quasimode_residual,
-    rotation_identity_residual,
-    smooth_step,
-    tail_zero_margin,
-)
-from .spectral import (
-    PseudospectrumGrid,
-    ResolventSample,
-    eig_floor_ladder,
-    eigenvalues,
-    min_eig_selfadjoint,
-    pseudospectrum_grid,
-    resolvent_numbers,
-    resolvent_sample,
-    weighted_norm,
-)
-from .certify import (
-    CertificateEntry,
-    CertificateResult,
-    RayleighScan,
-    certify_profile,
-    rayleigh_resolvent_probe,
-    rayleigh_spectrum_scan,
-)
-from .sweeps import (
-    SlopeFit,
-    SmoothData,
-    SweepResult,
-    SweepRow,
-    data_preset,
-    fit_slope,
-    l1_approximation_sweep,
-    margin_constant,
-    os_boundary_sweep,
-    os_large_alpha_sweep,
-    os_large_lambda_check,
-    schrodinger_sweep,
-    weighted_data_sweep,
-)
+from . import airy, certify, chebdiff, operators, profile, spectral, sweeps
+from .chebdiff import *
+from .profile import *
+from .operators import *
+from .airy import *
+from .spectral import *
+from .certify import *
+from .sweeps import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # grids
-    "ChebGrid",
-    "build_grid",
-    "dirichlet_reduce",
-    "clamped_reduce",
-    # profiles
-    "Profile",
-    "couette",
-    "cubic",
-    "tanh_shear",
-    "polynomial",
-    "x_of_nu",
-    "inflection_values",
-    "InflectionPoint",
-    "InflectionSet",
-    "DomainError",
-    "MonotonicityError",
-    # operators
-    "SpectralParams",
-    "AssembledOperator",
-    "InflectionError",
-    "certificate_potential",
-    "assemble_certificate_operator",
-    "assemble_rayleigh_shifted",
-    "assemble_rayleigh",
-    "assemble_schrodinger",
-    "assemble_orr_sommerfeld",
-    "grid_degree_for",
-    # airy
-    "NormalizationError",
-    "airy_ai",
-    "airy_ai_prime",
-    "airy_zeros",
-    "rotation_identity_residual",
-    "airy_tail_integral",
-    "airy_tail_integral_prime",
-    "TailZeroResult",
-    "tail_zero_margin",
-    "smooth_step",
-    "Quasimode",
-    "quasimode",
-    "QuasimodeResidual",
-    "quasimode_residual",
-    # spectral
-    "weighted_norm",
-    "eigenvalues",
-    "min_eig_selfadjoint",
-    "ResolventSample",
-    "resolvent_numbers",
-    "resolvent_sample",
-    "eig_floor_ladder",
-    "PseudospectrumGrid",
-    "pseudospectrum_grid",
-    # certificates and scans
-    "CertificateEntry",
-    "CertificateResult",
-    "certify_profile",
-    "RayleighScan",
-    "rayleigh_spectrum_scan",
-    "rayleigh_resolvent_probe",
-    # sweeps
-    "SlopeFit",
-    "fit_slope",
-    "margin_constant",
-    "SmoothData",
-    "data_preset",
-    "SweepRow",
-    "SweepResult",
-    "schrodinger_sweep",
-    "l1_approximation_sweep",
-    "weighted_data_sweep",
-    "os_boundary_sweep",
-    "os_large_alpha_sweep",
-    "os_large_lambda_check",
+# each module's own __all__ is the one list of its public names
+__all__ = ["__version__"] + [
+    name
+    for module in (chebdiff, profile, operators, airy, spectral, certify, sweeps)
+    for name in module.__all__
 ]

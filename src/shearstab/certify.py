@@ -24,10 +24,10 @@ from .operators import SpectralParams, assemble_rayleigh
 from .profile import InflectionSet, Profile, inflection_values
 from .spectral import (
     ResolventSample,
+    _check_threads,
     eig_floor_ladder,
     eigenvalues,
     resolvent_sample,
-    thread_count,
 )
 
 __all__ = [
@@ -92,12 +92,12 @@ def certify_profile(
     assembled matrix is bit-identical to one solved earlier in this call
     reuses its eigenvalue.  On a flat interval U'' = 0 makes the operator
     -d2 at every velocity, so Couette takes two eigen-solves (n = 64 and
-    128) at any density.  `threads` is validated and otherwise unused: a
-    thread pool here bought at most 1.10x on 2 cores.
+    128) at any density.  `threads` is validated (at least 1) and has no
+    effect: a thread pool here bought at most 1.10x on 2 cores.
     """
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"margin must be finite and nonnegative, got {margin}")
-    thread_count(threads)
+    _check_threads(threads)
     infset = inflection_values(profile)
     if infset.is_empty():
         return CertificateResult(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.fft import dct
@@ -25,8 +24,6 @@ __all__ = [
     "build_grid",
     "dirichlet_reduce",
     "clamped_reduce",
-    "N_MIN",
-    "N_MAX",
 ]
 
 N_MIN = 8
@@ -43,14 +40,6 @@ class ChebGrid:
     d2: np.ndarray
     d4: np.ndarray
     weights: np.ndarray  # Clenshaw-Curtis weights, sum = 2
-
-    @cached_property
-    def d3(self) -> np.ndarray:
-        """Third-derivative matrix, built on first access: no solver needs it,
-        and keeping it would cost (n+1)^2 doubles per cached grid."""
-        (d3,) = _chebdif(self.n, 3, keep=(3,))[1]
-        d3.setflags(write=False)
-        return d3
 
     def __repr__(self) -> str:  # keep dataclass repr from dumping matrices
         return f"ChebGrid(n={self.n})"

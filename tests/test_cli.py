@@ -283,8 +283,13 @@ def test_sweep_that_tests_nothing_is_inconclusive(capsys, argv, check):
         (["pseudo", _COUETTE, "--mu-range", "-0.1", "0.1", "inf"], "whole number"),
         (["pseudo", _COUETTE, "--nu-range", "0", "inf", "2"], "finite"),
         (["pseudo", _COUETTE, "--alpha", "nan"], "must be finite"),
+        (["--threads", "-5", "airy-selftest"], "--threads must be at least 1"),
+        (["--threads", "0", "rayleigh-scan", _COUETTE], "--threads must be at least 1"),
     ],
-    ids=["beta-inf", "betas-zero", "count-zero", "count-inf", "bound-inf", "alpha-nan"],
+    ids=[
+        "beta-inf", "betas-zero", "count-zero", "count-inf", "bound-inf", "alpha-nan",
+        "threads-negative", "threads-zero",
+    ],
 )
 def test_hostile_numbers_exit_three_without_traceback(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -360,6 +365,15 @@ def test_json_is_byte_identical_across_thread_counts(tmp_path, capsys, argv):
         assert code == 0, err
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_thread_environment_variable_is_ignored(monkeypatch, capsys):
+    argv = ["pseudo", _COUETTE, "--mu-range", "-0.3", "-0.3", "1",
+            "--nu-range", "0.1", "0.1", "1"]
+    plain = run(capsys, *argv)
+    monkeypatch.setenv("SHEARSTAB_THREADS", "abc")
+    assert run(capsys, *argv) == plain
+    assert plain[0] == 0
 
 
 def test_certify_very_steep_tanh_exits_one(capsys):

@@ -1,6 +1,7 @@
 """Shear profiles: evaluation, monotonicity, velocity inversion, inflection sets."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -77,6 +78,15 @@ def test_non_monotone_profiles_rejected():
         ss.cubic(-0.5)
     with pytest.raises(MonotonicityError):
         ss.polynomial((0.0, 1.0, 0.0, -1.0))
+
+
+@pytest.mark.parametrize("k", [356.0, 400.0, 800.0])
+def test_very_steep_tanh_is_rejected_without_overflow_warning(k):
+    # cosh(K x)^2 overflows near the walls; U' there is 0, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MonotonicityError):
+            ss.tanh_shear(k)
 
 
 def test_polynomial_validation():

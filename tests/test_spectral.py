@@ -198,6 +198,8 @@ def test_pseudospectrum_threads_agree(couette):
     one = pseudospectrum_grid(couette, "schrodinger", 0.0, 1e4, mus, nus, threads=1)
     two = pseudospectrum_grid(couette, "schrodinger", 0.0, 1e4, mus, nus, threads=2)
     np.testing.assert_array_equal(one.norms, two.norms)
+    with pytest.raises(ValueError):
+        pseudospectrum_grid(couette, "schrodinger", 0.0, 1e4, mus, nus, threads=0)
 
 
 # --- one LU per rung: dense SVDs below the crossover, Lanczos above ----------
