@@ -15,7 +15,7 @@ module carries everything Airy-flavoured:
   advective operator -d2 + i*beta*(U + i*lam), built from scaled Airy
   ratios, plus an exactness check against their closed-form image.
 
-Zero hunting runs two independent evaluation routes that share only the Airy
+Zero hunting runs two independent evaluation routes that share no Airy
 kernel.  The search evaluates F(z) = A0(iz) by batched radial quadrature:
 each contour point is integrated along its own straight path from the
 origin, with a 12-point Gauss-Legendre rule on panels of length at most 0.7,
@@ -23,9 +23,12 @@ and the panels of a whole contour pass share vectorized kernel calls.  On
 the contour points of the default search that rule agrees with a 32-point
 rule on the same panels, and with itself on half-length panels, to
 5e-14 * max(|F|, 1/3); against mpmath at the rectangle corners and next to a
-zero it errs by at most 3e-14 on that scale.  Newton polishing starts at the
-first box that winds exactly once.  Adaptive quadrature then re-verifies
-every reported zero.
+zero it errs by at most 3e-14 on that scale.  Its kernel `_ai` computes Ai
+alone, from the Bessel identity Ai(w) = pi^-1 sqrt(w/3) K_{1/3}(zeta) with
+zeta = (2/3) w^(3/2), written as one Hankel function of -i zeta (DLMF 9.6.1,
+10.27.8).  Newton polishing starts at the first box that winds exactly once.
+Adaptive quadrature on the AMOS kernel `special.airy` then re-verifies every
+reported zero.
 """
 
 from __future__ import annotations
@@ -72,14 +75,21 @@ class NormalizationError(RuntimeError):
     """Wall normalization of a boundary mode would overflow or underflow."""
 
 
+def _amos_airy(z):
+    # AMOS reads a negative real z with imaginary part -0.0 as lying below
+    # its cut and returns a wrong value (Ai(-3 - 0j) = 0.19 + 0.10i); adding
+    # 0j turns each -0.0 part into +0.0 and leaves every value as it is
+    return special.airy(np.asarray(z, dtype=complex) + 0j)
+
+
 def airy_ai(z):
     """Ai(z) for real or complex argument, elementwise."""
-    return special.airy(np.asarray(z, dtype=complex))[0]
+    return _amos_airy(z)[0]
 
 
 def airy_ai_prime(z):
     """Ai'(z) for real or complex argument, elementwise."""
-    return special.airy(np.asarray(z, dtype=complex))[1]
+    return _amos_airy(z)[1]
 
 
 def airy_zeros(kmax: int) -> np.ndarray:
@@ -148,13 +158,17 @@ def airy_tail_integral(z: complex, eps: float = 1e-12) -> complex:
     The path leaves z in the +real direction, along which the rotated
     argument enters the decay sector, so truncation at `_decay_cut` offsets
     costs less than 1e-19.  One adaptive quadrature call integrates the real
-    and imaginary parts at tolerance `eps`.
+    and imaginary parts at tolerance `eps`; it samples the integrand once per
+    part, so each node's value is kept for the other part.
     """
     z = complex(z)
     cut = _decay_cut(z)
+    memo: dict[float, complex] = {}
 
     def f(s: float) -> complex:
-        return _ROT6 * complex(special.airy(_ROT6 * (z + s))[0])
+        if s not in memo:
+            memo[s] = _ROT6 * complex(special.airy(_ROT6 * (z + s))[0])
+        return memo[s]
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
@@ -174,6 +188,32 @@ def airy_tail_integral_prime(z: complex) -> complex:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _PANEL_BATCH = 4096     # panels per kernel call: bounds the node array
+_H2_FACTOR = -0.5j * cmath.exp(-1j * math.pi / 6.0) / math.sqrt(3.0)
+
+
+def _ai(w) -> np.ndarray:
+    """Ai(w) elementwise from a single Hankel function per point.
+
+    Ai(w) = pi^-1 sqrt(w/3) K_{1/3}(zeta) with zeta = (2/3) w^(3/2) (DLMF
+    9.6.1), and K_{1/3}(zeta) = -(pi i/2) e^{-i pi/6} H2_{1/3}(-i zeta) (DLMF
+    10.27.8).  On the closed upper half plane -i zeta stays in
+    -pi/2 <= arg <= pi, so one identity covers 0 <= arg w <= pi, across the
+    ray arg w = 2 pi/3 where zeta itself meets K's cut; the lower half plane
+    follows from Ai(conj w) = conj Ai(w).  AMOS `special.airy` also forms
+    Ai', Bi and Bi', which the zero search never reads.
+    """
+    w = np.asarray(w, dtype=complex)
+    v = w.real + 1j * np.abs(w.imag)       # upper half plane, +0 on the axis
+    root = np.sqrt(v)
+    # -i zeta = (2/3)(bc + ad) + (2/3)(bd - ac) i for v = a + ib, b >= 0, and
+    # root = c + id, c, d >= 0.  Its real part is negative only if a < 0, and
+    # then each rounded product in its imaginary part is >= 0, so no point
+    # lands below H2's cut on the negative real axis
+    t = (-2.0j / 3.0) * v * root
+    zero = v == 0.0
+    val = _H2_FACTOR * root * special.hankel2(1.0 / 3.0, np.where(zero, 1.0, t))
+    val = np.where(zero, AI_AT_ZERO, val)
+    return np.where(w.imag < 0.0, val.conj(), val)
 
 
 def _radial_values(points, max_panel: float = 0.7) -> np.ndarray:
@@ -202,7 +242,7 @@ def _radial_values(points, max_panel: float = 0.7) -> np.ndarray:
     for lo in range(0, owner.size, _PANEL_BATCH):
         sl = slice(lo, lo + _PANEL_BATCH)
         nodes = mid[sl, None] + half[sl, None] * _GL_NODES
-        sums[sl] = half[sl] * (special.airy(_ROT3 * nodes)[0] @ _GL_WEIGHTS)
+        sums[sl] = half[sl] * (_ai(_ROT3 * nodes) @ _GL_WEIGHTS)
     return TAIL_AT_ZERO - 1j * _ROT6 * np.add.reduceat(sums, first)
 
 

@@ -32,6 +32,7 @@ from .airy import (
     AI_AT_ZERO,
     AI_PRIME_AT_ZERO,
     TAIL_AT_ZERO,
+    _ai,
     airy_ai,
     airy_ai_prime,
     airy_tail_integral,
@@ -65,9 +66,9 @@ class _Parser(argparse.ArgumentParser):
 
 _FAMILIES = {
     "couette": ((), lambda: couette()),
-    "cubic": (("a",), lambda a: cubic(float(a))),
-    "tanh_shear": (("K",), lambda k: tanh_shear(float(k))),
-    "polynomial": (("coeffs",), lambda c: polynomial(tuple(float(v) for v in c))),
+    "cubic": (("a",), cubic),
+    "tanh_shear": (("K",), tanh_shear),
+    "polynomial": (("coeffs",), polynomial),
 }
 
 
@@ -451,6 +452,8 @@ def _run_airy_selftest(args) -> int:
     angle = 2.0 * math.pi * rng.random(100)
     points = radius * np.exp(1j * angle)
     rotation_worst = max(rotation_identity_residual(z) for z in points)
+    amos = airy_ai(points)
+    kernel_gap = np.abs(_ai(points) - amos) / np.maximum(1.0, np.abs(amos))
     zeros = airy_zeros(10)
     zero_worst = float(np.max(np.abs(airy_ai(zeros))))
     report = {
@@ -458,6 +461,7 @@ def _run_airy_selftest(args) -> int:
         "ai_prime_at_zero_error": abs(complex(airy_ai_prime(0.0)) - AI_PRIME_AT_ZERO),
         "tail_at_zero_error": abs(airy_tail_integral(0.0) - TAIL_AT_ZERO),
         "rotation_identity_worst": rotation_worst,
+        "search_kernel_worst": float(np.max(kernel_gap)),
         "zero_residual_worst": zero_worst,
     }
     thresholds = {
@@ -465,6 +469,7 @@ def _run_airy_selftest(args) -> int:
         "ai_prime_at_zero_error": 1e-12,
         "tail_at_zero_error": 1e-10,
         "rotation_identity_worst": 1e-11,
+        "search_kernel_worst": 1e-12,
         "zero_residual_worst": 1e-12,
     }
     passed = all(report[k] <= thresholds[k] for k in report)

@@ -6,10 +6,19 @@ positive lower bound on U' by default.  Inflection analysis locates the
 velocity values at which U'' vanishes: isolated crossings and whole intervals
 (identically vanishing curvature) are both supported, since the linear
 profile's inflection set is all of [U(-1), U(1)].
+
+Parameters must be finite and inside their family's range, which keeps U
+through U'''' and the Taylor form of the certificate potential finite:
+
+* cubic: -1/3 < a <= 1e6 (the lower bound is monotonicity);
+* tanh_shear: K > 0; from K of about 355.58 on, U'(+-1) underflows to 0 and
+  the monotonicity check rejects the profile;
+* polynomial: every |c_k| <= 1e6, and U' >= 1e-6 on [-1, 1].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +40,8 @@ __all__ = [
 ]
 
 MAX_POLY_DEGREE = 12
+MAX_COEFF = 1e6          # largest cubic a and polynomial |c_k|
+MIN_POLY_SLOPE = 1e-6    # smallest U' of a polynomial on [-1, 1]
 
 
 class DomainError(ValueError):
@@ -39,6 +50,17 @@ class DomainError(ValueError):
 
 class MonotonicityError(ValueError):
     """Profile is not strictly increasing on [-1, 1]."""
+
+
+def _params(family: str, values) -> tuple[float, ...]:
+    """The parameters as finite floats, else ValueError before any arithmetic."""
+    try:
+        out = tuple(float(v) for v in values)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{family} parameters must be real numbers: {exc}") from None
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"{family} parameters must be finite, got {out}")
+    return out
 
 
 def _poly_derivs(coeffs: tuple[float, ...]) -> list[Polynomial]:
@@ -72,7 +94,9 @@ class Profile:
     @staticmethod
     def cubic(a: float) -> "Profile":
         """U(x) = x + a x^3; monotone for a > -1/3, single inflection at 0."""
-        a = float(a)
+        (a,) = _params("cubic", (a,))
+        if a > MAX_COEFF:
+            raise ValueError(f"cubic a = {a!r} exceeds {MAX_COEFF:g}")
         p = Profile(
             family="cubic",
             params=(("a", a),),
@@ -84,7 +108,7 @@ class Profile:
     @staticmethod
     def tanh_shear(k: float, check_monotone: bool = True) -> "Profile":
         """U(x) = tanh(Kx)/tanh(K), the normalized hyperbolic shear layer."""
-        k = float(k)
+        (k,) = _params("tanh_shear", (k,))
         if not k > 0:
             raise ValueError(f"steepness must be positive, got {k}")
         p = Profile(family="tanh_shear", params=(("K", k),))
@@ -94,21 +118,26 @@ class Profile:
 
     @staticmethod
     def polynomial(coeffs, check_monotone: bool = True) -> "Profile":
-        """U(x) = sum coeffs[k] x^k, degree <= 12."""
-        coeffs = tuple(float(c) for c in coeffs)
+        """U(x) = sum coeffs[k] x^k, degree <= 12, every |coeffs[k]| <= 1e6.
+
+        With check_monotone, U' must also be at least 1e-6 on [-1, 1].
+        """
+        coeffs = _params("polynomial", coeffs)
         if len(coeffs) == 0:
             raise ValueError("empty coefficient list")
         if len(coeffs) - 1 > MAX_POLY_DEGREE:
             raise ValueError(
                 f"polynomial degree {len(coeffs) - 1} exceeds {MAX_POLY_DEGREE}"
             )
+        if max(map(abs, coeffs)) > MAX_COEFF:
+            raise ValueError(f"polynomial coefficients {coeffs} exceed {MAX_COEFF:g}")
         p = Profile(
             family="polynomial",
             params=tuple((f"c{i}", c) for i, c in enumerate(coeffs)),
             _polys=tuple(_poly_derivs(coeffs)),
         )
         if check_monotone:
-            p._check_monotone()
+            p._check_monotone(MIN_POLY_SLOPE)
         return p
 
     # -- evaluation --------------------------------------------------------
@@ -152,11 +181,12 @@ class Profile:
     def param_dict(self) -> dict:
         return {"family": self.family, **{k: v for k, v in self.params}}
 
-    def _check_monotone(self) -> None:
+    def _check_monotone(self, floor: float = 0.0) -> None:
         m = monotonicity_margin(self)
-        if not m > 0.0:
+        if not (m > 0.0 and m >= floor):
             raise MonotonicityError(
-                f"{self.id_string()} is not strictly increasing (min U' = {m:.3e})"
+                f"{self.id_string()} is not strictly increasing "
+                f"(min U' = {m:.3e}, floor {floor:g})"
             )
 
 

@@ -5,12 +5,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 import shearstab as ss
+from shearstab import airy
 from shearstab.airy import (
     AI_AT_ZERO,
     AI_PRIME_AT_ZERO,
     TAIL_AT_ZERO,
+    _ai,
     _f_prime,
     _hunt,
     _radial_values,
@@ -59,6 +62,14 @@ def test_airy_against_mpmath_on_complex_points():
         assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
+def test_airy_on_negative_axis_with_signed_zero():
+    # conj(-3 + 0j) is -3 - 0j: Ai and Ai' are real there, whatever the sign
+    for x in (0.5, 3.0, 9.0):
+        w = np.conj(np.array([complex(-x, 0.0)]))
+        assert abs(airy_ai(w)[0] - float(mpmath.airyai(-x))) <= 1e-12
+        assert abs(airy_ai_prime(w)[0] - float(mpmath.airyai(-x, 1))) <= 1e-12
+
+
 def test_airy_zeros_against_mpmath():
     got = airy_zeros(10)
     for k, z in enumerate(got, start=1):
@@ -85,6 +96,72 @@ def test_rotation_identity_seeded_points():
     pts = 8.0 * np.sqrt(u) * np.exp(2j * np.pi * ang)
     worst = max(rotation_identity_residual(z) for z in pts)
     assert worst <= 1e-11
+
+
+def _kernel_points():
+    rays = [2 * math.pi / 3 + d for d in (-1e-15, 0.0, 1e-15)]
+    rays += [-r for r in rays]
+    pts = [r * np.exp(1j * a) for r in (1e-8, 0.3, 2.0, 7.5, 15.0) for a in rays]
+    pts += [airy._ROT3 * r for r in (1e-8, 0.5, 3.0, 9.0, 15.0)]
+    pts += [complex(-x, 0.0) for x in (1e-8, 0.5, 1.0, 3.0, 5.5, 9.0, 14.7)]
+    pts += [complex(-x, -0.0) for x in (0.5, 3.0, 9.0)]
+    pts += [r * np.exp(1j * a) for r in np.geomspace(1e-8, 15.0, 10)
+            for a in np.linspace(-math.pi, math.pi, 13)]
+    return np.array(pts)
+
+
+def test_search_kernel_against_mpmath():
+    # the rays arg w = +-2 pi/3 (and 1e-15 rad off them), where zeta meets
+    # K's cut; the negative real axis with either signed zero, where
+    # arg(-i zeta) meets the Hankel cut; |w| from 1e-8 to 15 all round
+    pts = _kernel_points()
+    got = _ai(pts)
+    for w, value in zip(pts, got):
+        exact = complex(mpmath.airyai(mpmath.mpc(w.real, w.imag)))
+        assert abs(value - exact) <= 1e-12 * abs(exact), w
+    assert _ai(0.0) == AI_AT_ZERO
+    assert _ai(np.zeros(3, dtype=complex)).tolist() == [AI_AT_ZERO] * 3
+
+
+def test_search_kernel_matches_amos_on_search_contour(monkeypatch):
+    cache: dict = {}
+    _hunt(0.05 - 10j, 10.0 + 10j, 0.7, 0, cache)
+    pts = list(cache)
+    assert len(pts) > 100
+    w = airy._ROT3 * np.array(pts)
+    amos = special.airy(w)[0]
+    assert np.max(np.abs(_ai(w) - amos) / np.maximum(np.abs(amos), 1.0)) <= 1e-12
+    # the radial values on each kernel, scaled as under panel halving
+    ours = np.array([cache[p] for p in pts])
+    monkeypatch.setattr(airy, "_ai", lambda z: special.airy(z)[0])
+    theirs = _radial_values(pts)
+    scale = np.maximum(np.abs(theirs), 1.0 / 3.0)
+    assert np.max(np.abs(ours - theirs) / scale) <= 1e-12
+
+
+def test_tail_zeros_agree_across_kernels(monkeypatch):
+    ours = tail_zero_margin()
+    monkeypatch.setattr(airy, "_TAIL_CACHE", {})
+    monkeypatch.setattr(airy, "_ai", lambda z: special.airy(z)[0])
+    amos = tail_zero_margin()
+    assert len(ours.zeros) == len(amos.zeros) == 7
+    for a, b in zip(ours.zeros, amos.zeros):
+        assert abs(a - b) <= 1e-12
+    assert abs(ours.margin - amos.margin) <= 1e-12
+    assert max(ours.residuals) <= 1e-10
+
+
+def test_tail_integral_evaluates_each_node_once(monkeypatch):
+    seen = []
+    amos = special.airy
+
+    def counted(w):
+        seen.append(complex(w))
+        return amos(w)
+
+    monkeypatch.setattr(special, "airy", counted)
+    airy_tail_integral(1.0 + 1.0j)
+    assert len(seen) == len(set(seen)) > 20
 
 
 def test_tail_integral_at_zero_is_one_third():

@@ -56,6 +56,40 @@ def test_bad_profile_config_exits_three(capsys, config):
     assert err.startswith("shearstab: error:")
 
 
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize(
+    "template",
+    [
+        '{"family": "cubic", "a": %s}',
+        '{"family": "tanh_shear", "K": %s}',
+        '{"family": "polynomial", "coeffs": [0, 1, %s]}',
+    ],
+)
+def test_non_finite_profile_parameters_exit_three(capsys, template, value):
+    code, out, err = run(capsys, "certify", template % value)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("shearstab: error:") and "must be finite" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        '{"family": "cubic", "a": 1e300}',
+        '{"family": "polynomial", "coeffs": [0, 1e300]}',
+        '{"family": "polynomial", "coeffs": [0, 1e-300, 0, 1]}',
+        '{"family": "cubic", "a": null}',
+        '{"family": "polynomial", "coeffs": 5}',
+    ],
+)
+def test_out_of_range_profile_parameters_exit_three(capsys, config):
+    code, out, err = run(capsys, "certify", config)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("shearstab: error:") and err.count("\n") == 1
+
+
 def test_certify_json_deterministic(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -246,6 +280,8 @@ def test_airy_selftest(capsys, tmp_path):
     assert result["passed"] is True
     for name, threshold in result["thresholds"].items():
         assert result["report"][name] <= threshold
+    assert result["thresholds"]["search_kernel_worst"] == 1e-12
+    assert "search_kernel_worst=" in out
 
 
 def test_unwritable_output_exits_three(capsys):

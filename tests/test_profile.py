@@ -89,6 +89,57 @@ def test_very_steep_tanh_is_rejected_without_overflow_warning(k):
             ss.tanh_shear(k)
 
 
+_FACTORIES = [
+    (ss.cubic, lambda v: (v,)),
+    (ss.tanh_shear, lambda v: (v,)),
+    (ss.polynomial, lambda v: ((0.0, 1.0, v),)),
+    (ss.polynomial, lambda v: ((0.0, v),)),
+]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("factory,args", _FACTORIES)
+def test_non_finite_parameters_rejected_before_arithmetic(factory, args, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            factory(*args(value))
+
+
+@pytest.mark.parametrize(
+    "factory,arg",
+    [(ss.cubic, None), (ss.cubic, 10**400), (ss.tanh_shear, [2.0]), (ss.polynomial, 5)],
+)
+def test_non_numeric_parameters_are_value_errors(factory, arg):
+    with pytest.raises(ValueError, match="must be real numbers"):
+        factory(arg)
+
+
+def test_parameter_ranges():
+    # benchmark corners sit inside the ranges
+    for k in (0.5, 8.0, 355.0):
+        ss.tanh_shear(k)
+    for a in (-0.3, 1.0, 1e6):
+        ss.cubic(a)
+    ss.polynomial((0.0, 1.0, 0.15, 0.25, 0.1, 0.1))
+    ss.polynomial((0.0, 1e-6))
+    ss.polynomial((0.0, 1.0, 0.0, 1e6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="exceeds"):
+            ss.cubic(1e300)
+        with pytest.raises(ValueError, match="exceed"):
+            ss.cubic(1.000001e6)
+        with pytest.raises(ValueError, match="exceed"):
+            ss.polynomial((0.0, 1e300))
+        with pytest.raises(ValueError, match="exceed"):
+            ss.polynomial((0.0, 1.0, -2e6))
+        # U' below 1e-6 somewhere on [-1, 1]: the Taylor form divides by U'^2
+        for coeffs in ((0.0, 1e-7), (0.0, 1e-300, 0.0, 1.0), (0.0, 1e-200)):
+            with pytest.raises(MonotonicityError):
+                ss.polynomial(coeffs)
+
+
 def test_polynomial_validation():
     with pytest.raises(ValueError):
         ss.polynomial(())
