@@ -7,9 +7,10 @@ smallest eigenvalue, uniformly over that set, rules out inviscid neutral
 modes and with them the large-Reynolds instability route.
 
 The Rayleigh scan complements the certificate: it computes the spectrum of
-the inviscid evolution generator directly and measures how far eigenvalues
-stray from the real segment [U(-1), U(1)], tracking which excursions
-persist as the grid is refined.
+the inviscid evolution generator L = H^-1 (U H + U''), H = -d2 + alpha^2,
+and measures how far eigenvalues stray from the real segment [U(-1), U(1)],
+tracking which excursions persist as the grid is refined.  It solves the
+generator conjugated by H, U + U'' H^-1, which has the same spectrum.
 """
 
 from __future__ import annotations
@@ -179,7 +180,8 @@ def rayleigh_spectrum_scan(
     match_rtol: float = 0.1,
     match_floor: float = 1e-3,
 ) -> RayleighScan:
-    """Spectrum of H^-1(U H + U'') across resolutions, H = -d2 + alpha^2."""
+    """Spectrum of the generator H^-1(U H + U'') across resolutions,
+    H = -d2 + alpha^2, taken from its H-conjugate U + U'' H^-1."""
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n_list must be strictly increasing, got {n_list}")
     lo, hi = float(profile.u(-1.0)), float(profile.u(1.0))

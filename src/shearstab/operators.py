@@ -4,7 +4,8 @@ Five assemblers, all returning dense matrices with their boundary treatment:
 
 * certificate operator  -u'' + [U''/(U - nu)] u        (Dirichlet, real)
 * shifted inviscid      (U + i*lam)(-u'' + a^2 u) + U'' u   (Dirichlet)
-* inviscid generator    H^-1 (U H + U''),  H = -d2 + a^2    (Dirichlet, real)
+* inviscid generator    U + U'' H^-1, H = -d2 + a^2: the generator
+                        H^-1 (U H + U'') conjugated by H    (Dirichlet, real)
 * advective Schrodinger -u'' + i*b*U u - b*lam u            (Dirichlet)
 * Orr-Sommerfeld        (-d2 + i*b*(U+i*lam))(-d2 + a^2) + i*b*U''  (clamped)
 
@@ -20,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve
+from scipy.linalg import inv
 
-from .chebdiff import ChebGrid, clamped_reduce, dirichlet_reduce
+from .chebdiff import ChebGrid, clamped_reduce
 from .profile import DomainError, Profile, x_of_nu
 
 __all__ = [
@@ -144,6 +145,21 @@ def certificate_potential(
     return q
 
 
+def _minus_d2(grid: ChebGrid, dtype=float) -> np.ndarray:
+    """-d2 on the interior nodes (homogeneous Dirichlet) in one new array;
+    the assemblers add their diagonal terms to it in place."""
+    mat = np.zeros((grid.n - 1, grid.n - 1), dtype=dtype)
+    np.negative(grid.d2[1:-1, 1:-1], out=mat.real)
+    return mat
+
+
+def _helmholtz(grid: ChebGrid, alpha: float) -> np.ndarray:
+    """H = -d2 + alpha^2 on the interior nodes (homogeneous Dirichlet)."""
+    h = _minus_d2(grid)
+    h[np.diag_indices_from(h)] += alpha**2
+    return h
+
+
 def assemble_certificate_operator(
     profile: Profile,
     nu: float,
@@ -153,7 +169,8 @@ def assemble_certificate_operator(
     """-d2 + diag(U''/(U - nu)) on interior nodes, homogeneous Dirichlet."""
     xi = grid.nodes[1:-1]
     q = certificate_potential(profile, nu, xi, singular_window=singular_window)
-    mat = -dirichlet_reduce(grid.d2) + np.diag(q)
+    mat = _minus_d2(grid)
+    mat[np.diag_indices_from(mat)] += q
     return AssembledOperator(matrix=mat, kind="certificate", bc="dirichlet", grid=grid)
 
 
@@ -164,10 +181,11 @@ def assemble_rayleigh_shifted(
 ) -> AssembledOperator:
     """(U + i*lam)(-d2 + a^2) + U'' on interior nodes (Dirichlet)."""
     xi = grid.nodes[1:-1]
-    h = -dirichlet_reduce(grid.d2) + params.alpha**2 * np.eye(grid.n - 1)
-    mat = np.diag(profile.u(xi) + 1j * params.lam) @ h + np.diag(
-        profile.deriv(xi, 2)
-    ).astype(complex)
+    mat = (profile.u(xi) + 1j * params.lam)[:, None] * _helmholtz(grid, params.alpha)
+    # a row whose factor has a zero part holds signed zeros; adding +0.0
+    # makes them all +0.0, so the bytes do not depend on how rows are scaled
+    mat += 0.0
+    mat[np.diag_indices_from(mat)] += profile.deriv(xi, 2)
     return AssembledOperator(
         matrix=mat, kind="rayleigh_shifted", bc="dirichlet", grid=grid, params=params
     )
@@ -178,18 +196,22 @@ def assemble_rayleigh(
     alpha: float,
     grid: ChebGrid,
 ) -> AssembledOperator:
-    """H^-1 (diag(U) H + diag(U'')), H the Dirichlet Helmholtz operator.
+    """diag(U) + diag(U'') H^-1 on interior nodes, H the Dirichlet Helmholtz
+    operator -d2 + alpha^2.
 
-    The product is formed by one LU solve against H rather than an explicit
-    inverse; its spectrum is that of the inviscid evolution generator.
+    This is the inviscid evolution generator L = H^-1 (diag(U) H + diag(U''))
+    conjugated by H, so it has exactly the spectrum of L.  It is built from
+    one LU-based inverse of H, the discrete Green's matrix, with its rows
+    scaled by U''; the eigen-solve needs a dense matrix anyway.  With
+    U'' = 0 (Couette) the matrix is diag(U) exactly.
     """
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValueError(f"wavenumber must be positive, got {alpha}")
     xi = grid.nodes[1:-1]
-    h = -dirichlet_reduce(grid.d2) + alpha**2 * np.eye(grid.n - 1)
-    a = np.diag(profile.u(xi)) @ h + np.diag(profile.deriv(xi, 2))
-    mat = solve(h, a)
+    mat = inv(_helmholtz(grid, alpha), overwrite_a=True)
+    mat *= profile.deriv(xi, 2)[:, None]
+    mat[np.diag_indices_from(mat)] += profile.u(xi)
     return AssembledOperator(matrix=mat, kind="rayleigh", bc="dirichlet", grid=grid)
 
 
@@ -200,10 +222,9 @@ def assemble_schrodinger(
 ) -> AssembledOperator:
     """-d2 + i*beta*diag(U) - beta*lam on interior nodes (Dirichlet)."""
     xi = grid.nodes[1:-1]
-    mat = (
-        -dirichlet_reduce(grid.d2).astype(complex)
-        + np.diag(1j * params.beta * profile.u(xi))
-        - params.beta * params.lam * np.eye(grid.n - 1)
+    mat = _minus_d2(grid, complex)
+    mat[np.diag_indices_from(mat)] += (
+        1j * params.beta * profile.u(xi) - params.beta * params.lam
     )
     return AssembledOperator(
         matrix=mat, kind="schrodinger", bc="dirichlet", grid=grid, params=params

@@ -52,10 +52,24 @@ class MonotonicityError(ValueError):
     """Profile is not strictly increasing on [-1, 1]."""
 
 
+def _real(value) -> float:
+    """float(value) for a number; strings and booleans are refused, since
+    float() would read "0.1" as 0.1 and True as 1.0."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _params(family: str, values) -> tuple[float, ...]:
-    """The parameters as finite floats, else ValueError before any arithmetic."""
+    """The parameters as finite floats, else ValueError before any arithmetic.
+
+    A string of coefficients is refused too, rather than read one character
+    at a time.
+    """
     try:
-        out = tuple(float(v) for v in values)
+        if isinstance(values, (str, bytes)):
+            raise TypeError(f"{values!r} is a string, not a list of numbers")
+        out = tuple(_real(v) for v in values)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{family} parameters must be real numbers: {exc}") from None
     if not all(map(math.isfinite, out)):

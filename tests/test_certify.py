@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import shearstab as ss
 from shearstab.certify import (
@@ -89,6 +90,47 @@ def test_rayleigh_scan_couette_spectrum_stays_on_segment(couette):
         b <= a for a, b in zip(scan.max_distances, scan.max_distances[1:])
     )
     assert non_increasing
+
+
+def _rayleigh_shooting(profile, alpha, c0, c1, tol=1e-13):
+    """Eigenvalue c of (U - c)(phi'' - alpha^2 phi) - U'' phi = 0, phi(+-1) = 0.
+
+    Integrates phi(-1) = 0, phi'(-1) = 1 in complex arithmetic and takes
+    secant steps on c until phi(1) vanishes.  Im c > 0 keeps U - c off zero.
+    """
+
+    def miss(c):
+        sol = solve_ivp(
+            lambda x, y: [y[1], (alpha**2 + profile.deriv(x, 2) / (profile.u(x) - c)) * y[0]],
+            (-1.0, 1.0),
+            [0j, 1.0 + 0j],
+            method="DOP853",
+            rtol=1e-12,
+            atol=1e-14,
+        )
+        return sol.y[0, -1]
+
+    f0, f1 = miss(c0), miss(c1)
+    for _ in range(40):
+        c0, c1, f0 = c1, c1 - f1 * (c1 - c0) / (f1 - f0), f1
+        f1 = miss(c1)
+        if abs(c1 - c0) <= tol:
+            return c1
+    raise AssertionError(f"secant did not settle: c = {c1!r}")
+
+
+def test_rayleigh_scan_finds_the_shooting_mode_of_steep_tanh(tanh3):
+    # An independent oracle for an unstable mode: the inflectional tanh
+    # shear with K = 3 has one at alpha = 1, and the scan must report it
+    # and its conjugate as its only persistent offsets.
+    c = _rayleigh_shooting(tanh3, 1.0, 0.4j, 0.42j)
+    assert c.imag > 0.4
+    scan = rayleigh_spectrum_scan(tanh3, 1.0)
+    assert not scan.monotone
+    offsets = sorted(scan.persistent_offsets, key=lambda z: z.imag)
+    assert len(offsets) == 2
+    assert abs(offsets[0] - c.conjugate()) <= 1e-9
+    assert abs(offsets[1] - c) <= 1e-9
 
 
 def test_rayleigh_scan_validation(couette):

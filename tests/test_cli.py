@@ -90,6 +90,24 @@ def test_out_of_range_profile_parameters_exit_three(capsys, config):
     assert err.startswith("shearstab: error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        '{"family": "polynomial", "coeffs": "01"}',
+        '{"family": "polynomial", "coeffs": [0, "1"]}',
+        '{"family": "cubic", "a": "0.1"}',
+        '{"family": "tanh_shear", "K": "3"}',
+        '{"family": "cubic", "a": true}',
+    ],
+)
+def test_string_and_boolean_profile_parameters_exit_three(capsys, config):
+    code, out, err = run(capsys, "certify", config)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("shearstab: error:") and "must be real numbers" in err
+    assert err.count("\n") == 1
+
+
 def test_certify_json_deterministic(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -112,6 +130,12 @@ def test_rayleigh_scan_exit_zero(capsys):
     assert code == 0
     assert "monotone=True" in out
     assert "persistent=0" in out
+
+
+def test_rayleigh_scan_exit_one_on_unstable_mode(capsys):
+    code, out, _ = run(capsys, "rayleigh-scan", '{"family": "tanh_shear", "K": 3}')
+    assert code == 1
+    assert "persistent=2" in out
 
 
 def test_rayleigh_scan_rejects_bad_n_list(capsys):

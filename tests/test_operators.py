@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import shearstab as ss
 from shearstab.chebdiff import clamped_reduce, dirichlet_reduce
@@ -189,11 +190,38 @@ def test_orr_sommerfeld_expansion_matches_product_form(cubic01):
     assert np.max(row_rel) <= 1e-12
 
 
-def test_rayleigh_generator_matches_explicit_inverse(cubic01, grid64):
-    op = ss.assemble_rayleigh(cubic01, 1.0, grid64)
+def test_rayleigh_generator_matches_explicit_inverse(cubic01, tanh3, grid64):
+    # The assembled matrix is the generator L = inv(H) (U H + U'') conjugated
+    # by H: U + U'' inv(H).  Check it entrywise, and check that its spectrum
+    # is that of L formed with an explicit inverse.
     x = grid64.nodes[1:-1]
     h = dirichlet_reduce(-grid64.d2) + np.eye(len(x))
-    a = np.diag(cubic01.u(x)) @ h + np.diag(cubic01.deriv(x, 2))
-    expected = np.linalg.inv(h) @ a
-    scale = np.max(np.abs(expected))
-    np.testing.assert_allclose(op.matrix, expected, rtol=0, atol=1e-10 * scale)
+    for profile in (cubic01, tanh3):
+        op = ss.assemble_rayleigh(profile, 1.0, grid64)
+        u, u2 = profile.u(x), profile.deriv(x, 2)
+        expected = np.diag(u) + np.diag(u2) @ np.linalg.inv(h)
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(op.matrix, expected, rtol=0, atol=1e-12 * scale)
+
+        a = np.diag(u) @ h + np.diag(u2)
+        reference = np.linalg.eigvals(np.linalg.inv(h) @ a)
+        got = ss.eigenvalues(op)
+        # pair the two spectra one to one, nearest first
+        rows, cols = linear_sum_assignment(np.abs(reference[:, None] - got[None, :]))
+        worst = np.max(np.abs(reference[rows] - got[cols]))
+        assert len(rows) == len(reference) == len(got)
+        assert worst <= 1e-10 * np.max(np.abs(reference)), profile.id_string()
+
+
+def test_rayleigh_generator_of_couette_is_diag_u(couette):
+    # U'' = 0 leaves diag(U) exactly, so the spectrum is U at the interior
+    # nodes and every scan distance to the segment [-1, 1] is exactly zero.
+    grid = ss.build_grid(128)
+    x = grid.nodes[1:-1]
+    op = ss.assemble_rayleigh(couette, 1.0, grid)
+    np.testing.assert_array_equal(op.matrix, np.diag(couette.u(x)))
+    eigs = ss.eigenvalues(op)
+    np.testing.assert_array_equal(eigs.real, np.sort(couette.u(x)))
+    np.testing.assert_array_equal(eigs.imag, 0.0)
+    scan = ss.rayleigh_spectrum_scan(couette, 1.0)
+    assert scan.max_distances == (0.0, 0.0, 0.0)

@@ -115,6 +115,27 @@ def test_non_numeric_parameters_are_value_errors(factory, arg):
         factory(arg)
 
 
+@pytest.mark.parametrize(
+    "factory,arg",
+    [
+        (ss.polynomial, "01"),
+        (ss.polynomial, b"01"),
+        (ss.polynomial, (0.0, "1")),
+        (ss.polynomial, (0.0, True)),
+        (ss.cubic, "0.1"),
+        (ss.cubic, True),
+        (ss.cubic, np.True_),
+        (ss.tanh_shear, "3"),
+        (ss.tanh_shear, b"3"),
+    ],
+)
+def test_strings_and_booleans_are_not_parameters(factory, arg):
+    # float() would accept each of these: "0.1" as 0.1, True as 1.0, and a
+    # string of coefficients one character at a time
+    with pytest.raises(ValueError, match="must be real numbers"):
+        factory(arg)
+
+
 def test_parameter_ranges():
     # benchmark corners sit inside the ranges
     for k in (0.5, 8.0, 355.0):
