@@ -152,14 +152,18 @@ def _decay_cut(z: complex) -> float:
     return 80.0
 
 
-def airy_tail_integral(z: complex, eps: float = 1e-12) -> complex:
+# absolute and relative tolerance of the tail quadrature
+_TAIL_QUAD_TOL = 1e-12
+
+
+def airy_tail_integral(z: complex) -> complex:
     """A0(z) = e^{i pi/6} * integral_z^inf Ai(e^{i pi/6} t) dt.
 
     The path leaves z in the +real direction, along which the rotated
     argument enters the decay sector, so truncation at `_decay_cut` offsets
     costs less than 1e-19.  One adaptive quadrature call integrates the real
-    and imaginary parts at tolerance `eps`; it samples the integrand once per
-    part, so each node's value is kept for the other part.
+    and imaginary parts at tolerance `_TAIL_QUAD_TOL`; it samples the
+    integrand once per part, so each node's value is kept for the other part.
     """
     z = complex(z)
     cut = _decay_cut(z)
@@ -173,7 +177,13 @@ def airy_tail_integral(z: complex, eps: float = 1e-12) -> complex:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         val, _ = quad(
-            f, 0.0, cut, epsabs=eps, epsrel=eps, limit=400, complex_func=True
+            f,
+            0.0,
+            cut,
+            epsabs=_TAIL_QUAD_TOL,
+            epsrel=_TAIL_QUAD_TOL,
+            limit=400,
+            complex_func=True,
         )
     return complex(val)
 
@@ -354,12 +364,13 @@ class TailZeroResult:
 
 
 _TAIL_CACHE: dict[tuple, TailZeroResult] = {}
+# largest Newton location-error estimate |F|/|F'| the quadrature re-check accepts
+_VERIFY_TOL = 1e-10
 
 
 def tail_zero_margin(
     rectangle: tuple[float, float, float, float] = (0.05, 10.0, -10.0, 10.0),
     max_panel: float = 0.7,
-    verify_tol: float = 1e-10,
 ) -> TailZeroResult:
     """Locate every zero of F(z) = A0(iz) in the rectangle and the margin.
 
@@ -368,11 +379,11 @@ def tail_zero_margin(
     its box, which is then subdivided further), deduplicates, checks
     the total against the winding count of the whole rectangle, and finally
     re-evaluates each zero through the quadrature route, demanding a Newton
-    location-error estimate |F|/|F'| at most verify_tol.  Results are cached
+    location-error estimate |F|/|F'| at most _VERIFY_TOL.  Results are cached
     per argument set.
     """
     rect = tuple(map(float, rectangle))
-    key = (rect, max_panel, verify_tol)
+    key = (rect, max_panel)
     if key in _TAIL_CACHE:
         return _TAIL_CACHE[key]
     re_lo, re_hi, im_lo, im_hi = rect
@@ -402,7 +413,7 @@ def tail_zero_margin(
         abs(airy_tail_integral(1j * z)) / abs(_f_prime(z)) for z in zeros
     )
     worst = max(residuals)
-    if worst > verify_tol:
+    if worst > _VERIFY_TOL:
         raise RuntimeError(
             f"independent quadrature rejects a zero: residual {worst:.3e}"
         )

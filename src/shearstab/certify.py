@@ -78,9 +78,6 @@ def certify_profile(
     profile: Profile,
     interval_density: int = 33,
     margin: float = 1e-6,
-    n0: int = 64,
-    n_cap: int = 2048,
-    singular_window: float = 1e-4,
     threads: int | None = None,
 ) -> CertificateResult:
     """Certify positivity of -d2 + U''/(U - nu) over the inflection set.
@@ -114,14 +111,7 @@ def certify_profile(
     entries = tuple(
         CertificateEntry(
             float(nu),
-            *eig_floor_ladder(
-                profile,
-                nu,
-                n0=n0,
-                n_cap=n_cap,
-                singular_window=singular_window,
-                memo=memo,
-            ),
+            *eig_floor_ladder(profile, nu, memo=memo),
         )
         for nu in infset.sample(interval_density=interval_density)
     )
@@ -152,6 +142,13 @@ def _segment_distance(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.hypot(dx, z.imag)
 
 
+# Rayleigh scan: distance from the velocity segment past which an eigenvalue
+# is off it, and the relative and absolute parts of the cross-grid match
+_OFF_TOL = 1e-3
+_MATCH_RTOL = 0.1
+_MATCH_FLOOR = 1e-3
+
+
 @dataclass(frozen=True)
 class RayleighScan:
     """Inviscid generator spectrum versus grid resolution.
@@ -176,12 +173,14 @@ def rayleigh_spectrum_scan(
     profile: Profile,
     alpha: float,
     n_list: tuple[int, ...] = (128, 256, 512),
-    off_tol: float = 1e-3,
-    match_rtol: float = 0.1,
-    match_floor: float = 1e-3,
 ) -> RayleighScan:
     """Spectrum of the generator H^-1(U H + U'') across resolutions,
-    H = -d2 + alpha^2, taken from its H-conjugate U + U'' H^-1."""
+    H = -d2 + alpha^2, taken from its H-conjugate U + U'' H^-1.
+
+    An eigenvalue stands off the segment beyond ``_OFF_TOL``; a finest-grid
+    one persists when every coarser grid has an off-segment eigenvalue
+    within ``_MATCH_RTOL |z| + _MATCH_FLOOR`` of it.
+    """
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n_list must be strictly increasing, got {n_list}")
     lo, hi = float(profile.u(-1.0)), float(profile.u(1.0))
@@ -193,12 +192,12 @@ def rayleigh_spectrum_scan(
     max_dists = tuple(float(d.max()) for d in dists)
     monotone = all(b <= a for a, b in zip(max_dists, max_dists[1:]))
 
-    fine = spectra[-1][dists[-1] > off_tol]
+    fine = spectra[-1][dists[-1] > _OFF_TOL]
     persistent = []
     for z in fine:
-        tol = match_rtol * abs(z) + match_floor
+        tol = _MATCH_RTOL * abs(z) + _MATCH_FLOOR
         if all(
-            np.min(np.abs(eigs[dist > off_tol] - z), initial=math.inf) <= tol
+            np.min(np.abs(eigs[dist > _OFF_TOL] - z), initial=math.inf) <= tol
             for eigs, dist in zip(spectra[:-1], dists[:-1])
         ):
             persistent.append(complex(z))
@@ -218,7 +217,6 @@ def rayleigh_resolvent_probe(
     alpha: float,
     mu_values,
     nu_values,
-    **ladder_kwargs,
 ) -> tuple[ResolventSample, ...]:
     """Resolvent norms of (U + i lam)(-d2 + alpha^2) + U'' at shifts off the
     imaginary axis: lam = mu + i nu with every mu nonzero, since at mu = 0
@@ -229,7 +227,5 @@ def rayleigh_resolvent_probe(
             raise ValueError("shift real parts must be nonzero")
         for nu in nu_values:
             params = SpectralParams(alpha=alpha, beta=0.0, lam=complex(mu, nu))
-            samples.append(
-                resolvent_sample(profile, params, "rayleigh_shifted", **ladder_kwargs)
-            )
+            samples.append(resolvent_sample(profile, params, "rayleigh_shifted"))
     return tuple(samples)

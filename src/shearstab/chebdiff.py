@@ -27,7 +27,8 @@ __all__ = [
 ]
 
 N_MIN = 8
-N_MAX = 2048
+N_MAX = 2048            # also the cap of every grid ladder
+LADDER_FLOOR = 64       # smallest starting degree of a ladder or degree rule
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ def profile_from_config(config: dict) -> Profile:
     if not isinstance(config, dict):
         raise ValueError("profile config must be a JSON object")
     family = config.get("family")
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ValueError(
             f"unknown profile family {family!r}; expected one of {sorted(_FAMILIES)}"
         )
@@ -96,7 +96,10 @@ def _load_profile(source: str) -> tuple[Profile, dict]:
     if not source.lstrip().startswith("{"):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    config = json.loads(text)
+    try:
+        config = json.loads(text)
+    except RecursionError:
+        raise ValueError("profile JSON is nested too deeply") from None
     return profile_from_config(config), config
 
 

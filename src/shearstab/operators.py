@@ -10,8 +10,8 @@ Five assemblers, all returning dense matrices with their boundary treatment:
 * Orr-Sommerfeld        (-d2 + i*b*(U+i*lam))(-d2 + a^2) + i*b*U''  (clamped)
 
 The certificate potential U''/(U - nu) has a removable singularity at the
-critical point; within a small window the quotient switches to its Taylor
-form so that no digits are lost to 0/0 cancellation.
+critical point; within ``_TAYLOR_WINDOW`` of it the quotient switches to its
+Taylor form so that no digits are lost to 0/0 cancellation.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import inv
 
-from .chebdiff import ChebGrid, clamped_reduce
+from .chebdiff import LADDER_FLOOR, N_MAX, ChebGrid, clamped_reduce
 from .profile import DomainError, Profile, x_of_nu
 
 __all__ = [
@@ -38,6 +38,13 @@ __all__ = [
     "assemble_schrodinger",
     "assemble_orr_sommerfeld",
 ]
+
+
+# half-width of the Taylor window around the critical point
+_TAYLOR_WINDOW = 1e-4
+# largest |U''| at the critical point, relative to max(1, max |U''|), that
+# still counts as an inflection
+_INFLECTION_TOL = 1e-8
 
 
 class InflectionError(ValueError):
@@ -98,23 +105,17 @@ class AssembledOperator:
         )
 
 
-def grid_degree_for(beta: float, floor: int = 64, cap: int = 2048) -> int:
+def grid_degree_for(beta: float) -> int:
     """Resolution rule of thumb: boundary layers of width beta^(-1/3) need
     a handful of nodes, and Chebyshev clustering gives ~n^2 wall density."""
-    n = max(floor, math.ceil(8.0 * float(beta) ** (1.0 / 3.0)))
-    return min(n, cap)
+    n = max(LADDER_FLOOR, math.ceil(8.0 * float(beta) ** (1.0 / 3.0)))
+    return min(n, N_MAX)
 
 
-def certificate_potential(
-    profile: Profile,
-    nu: float,
-    x: np.ndarray,
-    singular_window: float = 1e-4,
-    inflection_tol: float = 1e-8,
-) -> np.ndarray:
+def certificate_potential(profile: Profile, nu: float, x: np.ndarray) -> np.ndarray:
     """U''/(U - nu) with the removable singularity filled by its Taylor form.
 
-    Within |x - x_nu| <= singular_window the quotient is evaluated as
+    Within |x - x_nu| <= _TAYLOR_WINDOW the quotient is evaluated as
     U'''/U' + (x - x_nu) * [U''''/(2 U') - U''' U''/(2 U'^2)] at the critical
     point, the first two terms of the expansion that survives U''(x_nu) = 0.
     """
@@ -125,7 +126,7 @@ def certificate_potential(
     u3c = profile.deriv(xc, 3)
     u4c = profile.deriv(xc, 4)
     scale = max(1.0, abs(float(np.max(np.abs(profile.deriv(x, 2))))))
-    if abs(u2c) > inflection_tol * scale:
+    if abs(u2c) > _INFLECTION_TOL * scale:
         raise InflectionError(
             f"velocity {nu}: curvature {u2c:.3e} at critical point x={xc:.6f} "
             "does not vanish"
@@ -133,7 +134,7 @@ def certificate_potential(
     x = np.asarray(x, dtype=float)
     u = profile.u(x)
     u2 = profile.deriv(x, 2)
-    near = np.abs(x - xc) <= singular_window
+    near = np.abs(x - xc) <= _TAYLOR_WINDOW
     den = u - nu
     den_safe = np.where(near, 1.0, den)
     q = np.where(near, 0.0, u2 / den_safe)
@@ -161,14 +162,10 @@ def _helmholtz(grid: ChebGrid, alpha: float) -> np.ndarray:
 
 
 def assemble_certificate_operator(
-    profile: Profile,
-    nu: float,
-    grid: ChebGrid,
-    singular_window: float = 1e-4,
+    profile: Profile, nu: float, grid: ChebGrid
 ) -> AssembledOperator:
     """-d2 + diag(U''/(U - nu)) on interior nodes, homogeneous Dirichlet."""
-    xi = grid.nodes[1:-1]
-    q = certificate_potential(profile, nu, xi, singular_window=singular_window)
+    q = certificate_potential(profile, nu, grid.nodes[1:-1])
     mat = _minus_d2(grid)
     mat[np.diag_indices_from(mat)] += q
     return AssembledOperator(matrix=mat, kind="certificate", bc="dirichlet", grid=grid)

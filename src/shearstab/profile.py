@@ -2,17 +2,16 @@
 
 A profile is the base velocity U with derivatives up to fourth order.  The
 toolkit only certifies strictly increasing profiles, so construction checks a
-positive lower bound on U' by default.  Inflection analysis locates the
-velocity values at which U'' vanishes: isolated crossings and whole intervals
-(identically vanishing curvature) are both supported, since the linear
-profile's inflection set is all of [U(-1), U(1)].
+positive lower bound on U'.  Inflection analysis locates the velocity values
+at which U'' vanishes: isolated points, or the whole range [U(-1), U(1)] when
+the curvature vanishes identically, as for the linear profile.
 
 Parameters must be finite and inside their family's range, which keeps U
 through U'''' and the Taylor form of the certificate potential finite:
 
 * cubic: -1/3 < a <= 1e6 (the lower bound is monotonicity);
-* tanh_shear: K > 0; from K of about 355.58 on, U'(+-1) underflows to 0 and
-  the monotonicity check rejects the profile;
+* tanh_shear: 0 < K <= 1e6; from K of about 355.58 on, U'(+-1) underflows
+  to 0 and the monotonicity check rejects the profile;
 * polynomial: every |c_k| <= 1e6, and U' >= 1e-6 on [-1, 1].
 """
 
@@ -40,8 +39,14 @@ __all__ = [
 ]
 
 MAX_POLY_DEGREE = 12
-MAX_COEFF = 1e6          # largest cubic a and polynomial |c_k|
+MAX_COEFF = 1e6          # largest cubic a, tanh_shear K and polynomial |c_k|
 MIN_POLY_SLOPE = 1e-6    # smallest U' of a polynomial on [-1, 1]
+# scan cells of the monotonicity check and of the inflection search, and the
+# largest |U''| at a polished root, relative to max(1, max |U''|), that still
+# counts as an inflection (a degenerate one when |U'''| is that small too)
+_MONOTONE_CELLS = 256
+_INFLECTION_CELLS = 512
+_ROOT_TOL = 1e-11
 
 
 class DomainError(ValueError):
@@ -120,22 +125,21 @@ class Profile:
         return p
 
     @staticmethod
-    def tanh_shear(k: float, check_monotone: bool = True) -> "Profile":
+    def tanh_shear(k: float) -> "Profile":
         """U(x) = tanh(Kx)/tanh(K), the normalized hyperbolic shear layer."""
         (k,) = _params("tanh_shear", (k,))
         if not k > 0:
             raise ValueError(f"steepness must be positive, got {k}")
+        if k > MAX_COEFF:
+            raise ValueError(f"steepness K = {k!r} exceeds {MAX_COEFF:g}")
         p = Profile(family="tanh_shear", params=(("K", k),))
-        if check_monotone:
-            p._check_monotone()
+        p._check_monotone()
         return p
 
     @staticmethod
-    def polynomial(coeffs, check_monotone: bool = True) -> "Profile":
-        """U(x) = sum coeffs[k] x^k, degree <= 12, every |coeffs[k]| <= 1e6.
-
-        With check_monotone, U' must also be at least 1e-6 on [-1, 1].
-        """
+    def polynomial(coeffs) -> "Profile":
+        """U(x) = sum coeffs[k] x^k, degree <= 12, every |coeffs[k]| <= 1e6,
+        and U' at least 1e-6 on [-1, 1]."""
         coeffs = _params("polynomial", coeffs)
         if len(coeffs) == 0:
             raise ValueError("empty coefficient list")
@@ -150,8 +154,7 @@ class Profile:
             params=tuple((f"c{i}", c) for i, c in enumerate(coeffs)),
             _polys=tuple(_poly_derivs(coeffs)),
         )
-        if check_monotone:
-            p._check_monotone(MIN_POLY_SLOPE)
+        p._check_monotone(MIN_POLY_SLOPE)
         return p
 
     # -- evaluation --------------------------------------------------------
@@ -216,13 +219,13 @@ def eval_derivatives(profile: Profile, x):
     return tuple(profile.deriv(x, k) for k in range(5))
 
 
-def monotonicity_margin(profile: Profile, refinement: int = 256) -> float:
+def monotonicity_margin(profile: Profile) -> float:
     """min over [-1,1] of U', from a scan grid polished at interior critical points.
 
     Interior minima of U' sit where U'' crosses zero; each scan-cell sign
     change of U'' is bracketed and refined, and endpoints are always included.
     """
-    xs = np.linspace(-1.0, 1.0, refinement + 1)
+    xs = np.linspace(-1.0, 1.0, _MONOTONE_CELLS + 1)
     u1 = profile.deriv(xs, 1)
     candidates = [u1[0], u1[-1], float(u1.min())]
     u2 = profile.deriv(xs, 2)
@@ -280,55 +283,28 @@ class InflectionSet:
         return np.array(sorted(vals))
 
 
-def inflection_values(
-    profile: Profile,
-    tol_root: float = 1e-11,
-    scan_points: int = 512,
-) -> InflectionSet:
+def inflection_values(profile: Profile) -> InflectionSet:
     """Locate the inflection set of U in velocity coordinates.
 
-    A run of at least three scan nodes where U'' is exactly zero is reported
-    as an interval.  Every family is analytic, so U'' vanishes on an
-    interval only where it vanishes identically; a small nonzero U'' (about
-    1e-11 at the walls of tanh_shear(16)) is no interval.  Isolated sign
-    changes are polished by bisection plus one Newton step and flagged as
-    degenerate when U''' also vanishes there.
+    Every family is analytic, so U'' vanishes on an interval only where it
+    vanishes identically: the set is all of [U(-1), U(1)] when U'' is
+    exactly zero at every scan node.  Otherwise each node where U'' is
+    exactly zero is an isolated root, and so is each sign change between
+    neighbouring nodes, polished by bisection plus one Newton step.  A root
+    is flagged degenerate when U''' also vanishes there.
     """
-    xs = np.linspace(-1.0, 1.0, scan_points + 1)
+    xs = np.linspace(-1.0, 1.0, _INFLECTION_CELLS + 1)
     u2 = profile.deriv(xs, 2)
-    scale = float(np.max(np.abs(u2)))
-    flat = u2 == 0.0
-
-    intervals: list[tuple[float, float]] = []
-    runs: list[tuple[int, int]] = []
-    i = 0
-    while i <= scan_points:
-        if flat[i]:
-            j = i
-            while j + 1 <= scan_points and flat[j + 1]:
-                j += 1
-            if j - i >= 2:  # at least three consecutive flat nodes
-                runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    for i, j in runs:
-        intervals.append((float(profile.u(xs[i])), float(profile.u(xs[j]))))
-
-    def inside_run(idx: int) -> bool:
-        return any(i <= idx <= j for i, j in runs)
-
-    sign = np.sign(np.where(flat, 0.0, u2))
-    roots: list[float] = []
-    # scan nodes sitting exactly on a root (outside flat runs) are roots
-    for i in range(scan_points + 1):
-        if flat[i] and not inside_run(i):
-            roots.append(float(xs[i]))
-    for i in range(scan_points):
-        if sign[i] * sign[i + 1] < 0 and not (inside_run(i) or inside_run(i + 1)):
-            roots.append(
-                brentq(lambda t: profile.deriv(t, 2), xs[i], xs[i + 1], xtol=1e-14)
-            )
+    if not np.any(u2):
+        interval = (float(profile.u(xs[0])), float(profile.u(xs[-1])))
+        return InflectionSet(points=(), intervals=(interval,))
+    tol = _ROOT_TOL * max(1.0, float(np.max(np.abs(u2))))
+    sign = np.sign(u2)
+    roots = [float(x) for x in xs[u2 == 0.0]]
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+        roots.append(
+            brentq(lambda t: profile.deriv(t, 2), xs[i], xs[i + 1], xtol=1e-14)
+        )
 
     points: list[InflectionPoint] = []
     for r in sorted(roots):
@@ -336,7 +312,7 @@ def inflection_values(
         if u3 != 0.0:
             r = min(1.0, max(-1.0, r - profile.deriv(r, 2) / u3))
             u3 = profile.deriv(r, 3)
-        if abs(profile.deriv(r, 2)) > tol_root * max(1.0, scale):
+        if abs(profile.deriv(r, 2)) > tol:
             continue
         if points and abs(r - points[-1].x) <= 1e-9:
             continue
@@ -345,14 +321,7 @@ def inflection_values(
                 nu=float(profile.u(r)),
                 x=float(r),
                 u3=float(u3),
-                degenerate=bool(abs(u3) <= tol_root * max(1.0, scale)),
+                degenerate=bool(abs(u3) <= tol),
             )
         )
-
-    # points swallowed by an interval are duplicates of its sampling
-    pruned = tuple(
-        p
-        for p in points
-        if not any(lo - 1e-12 <= p.nu <= hi + 1e-12 for lo, hi in intervals)
-    )
-    return InflectionSet(points=pruned, intervals=tuple(intervals))
+    return InflectionSet(points=tuple(points), intervals=())

@@ -36,7 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvals, get_lapack_funcs, svdvals
 
-from .chebdiff import _derivative, _derivative_t, _resample, build_grid
+from .chebdiff import (
+    LADDER_FLOOR,
+    N_MAX,
+    _derivative,
+    _derivative_t,
+    _resample,
+    build_grid,
+)
 from .operators import (
     AssembledOperator,
     SpectralParams,
@@ -75,6 +82,11 @@ _GKL_RTOL = 1e-13
 _GKL_MAX_STEPS = 60
 # solve norms beyond this are treated as a resonance hit (clamped systems)
 _SOLVE_NORM_CAP = 1e12
+# Consecutive rungs agree when their resolvent norms (or a direct-solve
+# metric) differ by at most this fraction, or their certificate eigenvalues
+# by at most _EIG_RTOL, absolute below 1 and relative above.
+RESOLVENT_RTOL = 1e-3
+_EIG_RTOL = 1e-9
 
 
 def _check_threads(threads: int | None) -> None:
@@ -394,9 +406,9 @@ _ASSEMBLERS = {
 }
 
 
-def ladder_start(beta: float, floor: int = 64) -> int:
+def ladder_start(beta: float) -> int:
     """Initial grid degree: one doubling brings it to ~8 beta^(1/3)."""
-    return max(floor, math.ceil(4.0 * float(beta) ** (1.0 / 3.0)))
+    return max(LADDER_FLOOR, math.ceil(4.0 * float(beta) ** (1.0 / 3.0)))
 
 
 def _refine(evaluate, n0: int, n_cap: int, agree):
@@ -420,22 +432,18 @@ def _refine(evaluate, n0: int, n_cap: int, agree):
 
 
 def resolvent_sample(
-    profile: Profile,
-    params: SpectralParams,
-    kind: str,
-    n0: int | None = None,
-    rel_tol: float = 1e-3,
-    n_cap: int = 2048,
+    profile: Profile, params: SpectralParams, kind: str
 ) -> ResolventSample:
     """Resolvent norms refined by grid doubling until they settle.
 
-    Successive degrees n and 2n must agree on norm_inv + norm_d_inv within
-    rel_tol; the accepted value is the finer one.  Hitting n_cap without
-    agreement returns the last value flagged unconverged.
+    The ladder starts at ``ladder_start(beta)``.  Successive degrees n and
+    2n must agree on norm_inv + norm_d_inv within ``RESOLVENT_RTOL``; the
+    accepted value is the finer one.  Hitting ``N_MAX`` without agreement
+    returns the last value flagged unconverged.
     """
     if kind not in _ASSEMBLERS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    n_start = min(n0 if n0 is not None else ladder_start(params.beta), n_cap)
+    n_start = min(ladder_start(params.beta), N_MAX)
     start = _StartVectors()
 
     def evaluate(n):
@@ -446,9 +454,9 @@ def resolvent_sample(
         ref = prev["norm_inv"] + prev["norm_d_inv"]
         val = cur["norm_inv"] + cur["norm_d_inv"]
         finite = math.isfinite(ref) and ref > 0.0 and math.isfinite(val)
-        return finite and abs(val - ref) <= rel_tol * ref
+        return finite and abs(val - ref) <= RESOLVENT_RTOL * ref
 
-    nums, n_used, converged = _refine(evaluate, n_start, n_cap, agree)
+    nums, n_used, converged = _refine(evaluate, n_start, N_MAX, agree)
     return ResolventSample(
         kind=kind,
         alpha=params.alpha,
@@ -462,19 +470,13 @@ def resolvent_sample(
 
 
 def eig_floor_ladder(
-    profile: Profile,
-    nu: float,
-    n0: int = 64,
-    rel_tol: float = 1e-9,
-    n_cap: int = 2048,
-    singular_window: float = 1e-4,
-    *,
-    memo: dict | None = None,
+    profile: Profile, nu: float, *, memo: dict | None = None
 ) -> tuple[float, int, bool]:
     """Smallest certificate eigenvalue at velocity nu, grid-doubled to rest.
 
-    Returns (eigenvalue, degree used, converged flag); agreement between
-    consecutive degrees is absolute below 1, relative above.
+    Returns (eigenvalue, degree used, converged flag).  The ladder runs from
+    ``LADDER_FLOOR`` to ``N_MAX``; consecutive degrees agree within
+    ``_EIG_RTOL``, absolute below 1, relative above.
 
     ``memo``, private to ``certify_profile``, maps the SHA-256 digest and
     shape of an assembled matrix to its smallest eigenvalue, so a rung whose
@@ -483,9 +485,7 @@ def eig_floor_ladder(
     """
 
     def evaluate(n):
-        op = assemble_certificate_operator(
-            profile, nu, build_grid(n), singular_window=singular_window
-        )
+        op = assemble_certificate_operator(profile, nu, build_grid(n))
         if memo is None:
             return min_eig_selfadjoint(op)
         key = (op.matrix.shape, hashlib.sha256(op.matrix.tobytes()).digest())
@@ -494,9 +494,9 @@ def eig_floor_ladder(
         return memo[key]
 
     def agree(prev, cur):
-        return abs(cur - prev) <= rel_tol * max(1.0, abs(cur))
+        return abs(cur - prev) <= _EIG_RTOL * max(1.0, abs(cur))
 
-    return _refine(evaluate, n0, n_cap, agree)
+    return _refine(evaluate, LADDER_FLOOR, N_MAX, agree)
 
 
 @dataclass(frozen=True)
@@ -520,7 +520,6 @@ def pseudospectrum_grid(
     mu_values,
     nu_values,
     threads: int | None = None,
-    **ladder_kwargs,
 ) -> PseudospectrumGrid:
     """Map (mu, nu) -> resolvent norm at shifts lam = mu + i nu.
 
@@ -533,9 +532,7 @@ def pseudospectrum_grid(
     mu_values = np.asarray(mu_values, dtype=float)
     nu_values = np.asarray(nu_values, dtype=float)
     samples = [
-        resolvent_sample(
-            profile, SpectralParams(alpha, beta, complex(mu, nu)), kind, **ladder_kwargs
-        )
+        resolvent_sample(profile, SpectralParams(alpha, beta, complex(mu, nu)), kind)
         for nu in nu_values
         for mu in mu_values
     ]

@@ -23,10 +23,16 @@ import numpy as np
 from scipy.linalg import solve
 
 from .airy import airy_zeros, tail_zero_margin
-from .chebdiff import build_grid
+from .chebdiff import N_MAX, build_grid
 from .operators import SpectralParams, assemble_schrodinger
 from .profile import Profile, x_of_nu
-from .spectral import _refine, ladder_start, resolvent_sample, weighted_norm
+from .spectral import (
+    RESOLVENT_RTOL,
+    _refine,
+    ladder_start,
+    resolvent_sample,
+    weighted_norm,
+)
 
 __all__ = [
     "SlopeFit",
@@ -259,12 +265,12 @@ def _finish(kind, profile, rows, meta, fit_on=None, span_limit=None, **extra):
     )
 
 
-def _sample_rows(profile, kind, points, measure, ladder_kwargs) -> list[SweepRow]:
+def _sample_rows(profile, kind, points, measure) -> list[SweepRow]:
     """One row per operating point from its resolvent ladder;
     measure(params, sample) -> (metric, bound_ratio)."""
     rows = []
     for params in points:
-        s = resolvent_sample(profile, params, kind, **ladder_kwargs)
+        s = resolvent_sample(profile, params, kind)
         rows.append(_row(params, s.n_used, s.converged, *measure(params, s)))
     return rows
 
@@ -273,13 +279,13 @@ def _solve_rows(profile, betas, lam, rhs_of, metric_of, data_norm):
     """One row per beta from a direct solve of the advective operator.
 
     (-d2 + i*b*U - b*lam) w = rhs_of(nodes) is solved on the grid ladder
-    until metric_of(grid, w, beta) settles to a relative 1e-3, with w
+    until metric_of(grid, w, beta) settles to RESOLVENT_RTOL, with w
     zero-extended to the full grid.  The bound ratio is metric * beta /
     data_norm(grid) on the accepted grid.  Returns the rows and those norms.
     """
 
     def agree(prev, cur):
-        return abs(cur[0] - prev[0]) <= 1e-3 * max(prev[0], 1e-300)
+        return abs(cur[0] - prev[0]) <= RESOLVENT_RTOL * max(prev[0], 1e-300)
 
     rows, norms = [], []
     for beta in betas:
@@ -294,7 +300,7 @@ def _solve_rows(profile, betas, lam, rhs_of, metric_of, data_norm):
             return metric_of(grid, w, params.beta), grid
 
         start = ladder_start(params.beta)
-        (metric, grid), n_used, converged = _refine(evaluate, start, 2048, agree)
+        (metric, grid), n_used, converged = _refine(evaluate, start, N_MAX, agree)
         norms.append(data_norm(grid))
         ratio = metric * params.beta / norms[-1]
         rows.append(_row(params, n_used, converged, metric, ratio))
@@ -304,6 +310,13 @@ def _solve_rows(profile, betas, lam, rhs_of, metric_of, data_norm):
 _DEFAULT_SCHRODINGER_BETAS = tuple(np.logspace(3.0, 7.0, 9))
 _DEFAULT_OS_BETAS = tuple(np.logspace(4.0, 7.0, 7))
 _SCHRODINGER_BAND = (-0.72, -0.61)
+# The fourth-order sweeps' ranges: boundary-shift wavenumbers in
+# (0, _ALPHA_MAX] and slopes at most _SLOPE_LIMIT, short-wave wavenumbers
+# from _ALPHA_MIN on, far shifts with |lam| from _LAM_MIN on.
+_ALPHA_MAX = 5.0
+_SLOPE_LIMIT = -5.0 / 6.0 + 0.08
+_ALPHA_MIN = 2.0
+_LAM_MIN = 5.0
 
 
 def schrodinger_sweep(
@@ -311,7 +324,6 @@ def schrodinger_sweep(
     betas=_DEFAULT_SCHRODINGER_BETAS,
     lam: complex = 0.0,
     margin_fraction: float = 0.5,
-    **ladder_kwargs,
 ) -> SweepResult:
     """Resolvent norm of -d2 + i*b*U - b*lam across beta.
 
@@ -336,7 +348,7 @@ def schrodinger_sweep(
         return s.norm_inv, (s.norm_inv + math.sqrt(r) * s.norm_d_inv) / r
 
     points = [SpectralParams(0.0, beta, lam) for beta in betas]
-    rows = _sample_rows(profile, "schrodinger", points, measure, ladder_kwargs)
+    rows = _sample_rows(profile, "schrodinger", points, measure)
     lo, hi = _SCHRODINGER_BAND
     return _finish(
         "schrodinger",
@@ -427,20 +439,17 @@ def os_boundary_sweep(
     alpha: float = 1.0,
     betas=_DEFAULT_OS_BETAS,
     margin_fraction: float = 0.5,
-    alpha_max: float = 5.0,
-    slope_limit: float = -5.0 / 6.0 + 0.08,
-    **ladder_kwargs,
 ) -> SweepResult:
     """Fourth-order operator norms at the boundary-layer shift.
 
     Sets lam = (margin constant) * b^(-1/3), where wall modes still decay,
     and sweeps b.  The combined solve + derivative norm should fall like
-    b^(-5/6); the fitted slope must not exceed slope_limit, and every row
+    b^(-5/6); the fitted slope must not exceed _SLOPE_LIMIT, and every row
     must converge within a single grid doubling.
     """
     alpha = float(alpha)
-    if not 0.0 < alpha <= alpha_max:
-        raise ValueError(f"wavenumber {alpha} outside (0, {alpha_max}]")
+    if not 0.0 < alpha <= _ALPHA_MAX:
+        raise ValueError(f"wavenumber {alpha} outside (0, {_ALPHA_MAX}]")
     betas = _betas(betas)
     upsilon = margin_constant(margin_fraction)
 
@@ -448,17 +457,21 @@ def os_boundary_sweep(
         return s.combined, s.combined * params.beta ** (5.0 / 6.0)
 
     points = [SpectralParams(alpha, b, upsilon * b ** (-1.0 / 3.0)) for b in betas]
-    rows = _sample_rows(profile, "orr_sommerfeld", points, measure, ladder_kwargs)
+    rows = _sample_rows(profile, "orr_sommerfeld", points, measure)
     return _finish(
         "os_boundary",
         profile,
         rows,
-        {"upsilon_eff": upsilon, "fraction": margin_fraction, "slope_limit": slope_limit},
+        {
+            "upsilon_eff": upsilon,
+            "fraction": margin_fraction,
+            "slope_limit": _SLOPE_LIMIT,
+        },
         fit_on="beta",
         single_doubling=all(
             r.converged and r.n_used <= 2 * ladder_start(r.beta) for r in rows
         ),
-        slope_at_most=lambda slope: slope <= slope_limit,
+        slope_at_most=lambda slope: slope <= _SLOPE_LIMIT,
     )
 
 
@@ -467,20 +480,18 @@ def os_large_alpha_sweep(
     alphas,
     beta: float,
     margin_fraction: float = 0.5,
-    alpha_min: float = 2.0,
-    **ladder_kwargs,
 ) -> SweepResult:
     """Short-wave regime: solve norm times alpha^(1/2) b^(5/6) should flatten.
 
-    Requires strictly increasing wavenumbers, all at least alpha_min, so the
+    Requires strictly increasing wavenumbers, all at least _ALPHA_MIN, so the
     sweep actually probes the short-wave asymptotics.
     """
     alphas = [float(a) for a in alphas]
     (beta,) = _betas([beta])
     if not alphas or any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("wavenumbers must be strictly increasing")
-    if alphas[0] < alpha_min:
-        raise ValueError(f"short-wave sweep needs alpha >= {alpha_min}")
+    if alphas[0] < _ALPHA_MIN:
+        raise ValueError(f"short-wave sweep needs alpha >= {_ALPHA_MIN}")
     upsilon = margin_constant(margin_fraction)
     lam = upsilon * beta ** (-1.0 / 3.0)
 
@@ -489,7 +500,7 @@ def os_large_alpha_sweep(
         return metric, metric
 
     points = [SpectralParams(a, beta, lam) for a in alphas]
-    rows = _sample_rows(profile, "orr_sommerfeld", points, measure, ladder_kwargs)
+    rows = _sample_rows(profile, "orr_sommerfeld", points, measure)
     return _finish(
         "os_large_alpha",
         profile,
@@ -505,18 +516,16 @@ def os_large_lambda_check(
     alpha: float = 1.0,
     beta: float = 1e5,
     lams=(-10.0, complex(-30.0, 5.0), 40.0j),
-    lam_min: float = 5.0,
-    **ladder_kwargs,
 ) -> SweepResult:
     """Far-shift regime: combined norm times b |lam| should be O(1).
 
-    Every shift must satisfy |lam| >= lam_min and Re(lam) < 1, keeping the
+    Every shift must satisfy |lam| >= _LAM_MIN and Re(lam) < 1, keeping the
     check inside the falloff region of the resolvent.
     """
     lams = [complex(v) for v in lams]
     for lam in lams:
-        if abs(lam) < lam_min:
-            raise ValueError(f"|{lam}| below the far-shift threshold {lam_min}")
+        if abs(lam) < _LAM_MIN:
+            raise ValueError(f"|{lam}| below the far-shift threshold {_LAM_MIN}")
         if lam.real >= 1.0:
             raise ValueError(f"shift {lam} has real part >= 1")
     (beta,) = _betas([beta])
@@ -526,5 +535,5 @@ def os_large_lambda_check(
         return metric, metric
 
     points = [SpectralParams(alpha, beta, lam) for lam in lams]
-    rows = _sample_rows(profile, "orr_sommerfeld", points, measure, ladder_kwargs)
+    rows = _sample_rows(profile, "orr_sommerfeld", points, measure)
     return _finish("os_large_lambda", profile, rows, {"beta": beta}, span_limit=10)

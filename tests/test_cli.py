@@ -443,3 +443,39 @@ def test_certify_very_steep_tanh_exits_one(capsys):
     assert code == 1
     assert "verdict=not_certified" in out and "velocities=1" in out
     assert err == ""
+
+
+def test_certify_roots_on_adjacent_scan_nodes_exit_zero(capsys):
+    # U'' = x (x^2 - 2^-16) is zero at the scan nodes -2^-8, 0 and 2^-8:
+    # three inflection values, not a flat interval sampled where U'' != 0
+    config = (
+        '{"family": "polynomial", "coeffs": [0, 1, 0, -2.5431315104166665e-06, 0, 0.05]}'
+    )
+    code, out, err = run(capsys, "certify", config)
+    assert code == 0
+    assert out == (
+        "verdict=certified sigma0=2.5960512154164737 margin=1e-06 velocities=3\n"
+    )
+    assert err == ""
+
+
+def test_deeply_nested_profile_json_exits_three(capsys):
+    code, out, err = run(capsys, "certify", '{"family": ' + "[" * 100_000)
+    assert code == 3
+    assert out == ""
+    assert err == "shearstab: error: profile JSON is nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        '{"family": ["couette"]}',
+        '{"family": {}}',
+        '{"family": "tanh_shear", "K": 1e300}',
+    ],
+)
+def test_unhashable_family_and_huge_steepness_exit_three(capsys, config):
+    code, out, err = run(capsys, "rayleigh-scan", config, "--n-list", "16,32")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("shearstab: error:") and err.count("\n") == 1

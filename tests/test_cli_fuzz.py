@@ -1,0 +1,101 @@
+"""Hypothesis fuzz of the CLI's profile JSON.
+
+Each case runs ``rayleigh-scan <json> --n-list 16,32``, which is cheap on
+any valid profile.  ``main`` must return an exit code in 0-3 without
+raising, and 3 with a one-line error for every config that is invalid by
+construction.  A config of in-range numbers may still fail the
+monotonicity check, so only its exit code range is asserted.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shearstab.cli import main
+
+_KEYS = {
+    "couette": (),
+    "cubic": ("a",),
+    "tanh_shear": ("K",),
+    "polynomial": ("coeffs",),
+}
+
+# values no parameter accepts: non-finite, out of range, or not a number
+_BAD_SCALARS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e300, -1e300, 10**400, "1", "", True, False, None]
+)
+_BAD_VALUES = _BAD_SCALARS | st.lists(st.floats(-1.0, 1.0), max_size=2) | st.just({})
+_NUMBERS = st.floats(min_value=-1e6, max_value=1e6) | st.integers(-10, 10)
+
+
+@st.composite
+def _parameter(draw, key):
+    """(value, invalid) for one parameter slot."""
+    if not draw(st.integers(0, 3)):
+        return draw(_BAD_SCALARS if key == "coeffs" else _BAD_VALUES), True
+    if key != "coeffs":
+        return draw(_NUMBERS), False
+    coeffs = draw(st.lists(_NUMBERS, max_size=14))
+    invalid = not 1 <= len(coeffs) <= 13
+    if coeffs and not draw(st.integers(0, 3)):
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] = draw(_BAD_VALUES)
+        invalid = True
+    return coeffs, invalid
+
+
+@st.composite
+def _config(draw):
+    """(profile JSON text, invalid by construction)."""
+    family = draw(
+        st.sampled_from(sorted(_KEYS))
+        if draw(st.integers(0, 4))
+        else st.text(max_size=6)
+        | st.none()
+        | st.integers()
+        | st.lists(st.sampled_from(sorted(_KEYS)), max_size=1)
+    )
+    known = isinstance(family, str) and family in _KEYS
+    keys = _KEYS[family] if known else ("a",)
+    config, invalid = {}, not known
+    if draw(st.integers(0, 9)):
+        config["family"] = family
+    else:
+        invalid = True
+    for key in keys:
+        if draw(st.integers(0, 9)):
+            config[key], bad = draw(_parameter(key))
+            invalid = invalid or bad
+        else:
+            invalid = True
+    stray = draw(st.sampled_from(["a", "K", "coeffs", "Re", "family2"]))
+    if stray not in keys and not draw(st.integers(0, 4)):
+        config[stray], invalid = 1.0, True
+    return json.dumps(config), invalid
+
+
+@st.composite
+def _nested(draw):
+    """A family nested in brackets, closed or not: always invalid."""
+    depth = draw(st.sampled_from([1, 50, 100_000]))
+    closing = "]" * depth + "}" if draw(st.booleans()) else ""
+    return '{"family": ' + "[" * depth + closing, True
+
+
+@given(case=_config() | _nested())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_rayleigh_scan_profile_fuzz(case):
+    text, invalid = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["rayleigh-scan", text, "--n-list", "16,32"])
+    assert code in (0, 1, 2, 3)
+    if invalid:
+        assert code == 3
+    if code == 3:
+        message = err.getvalue()
+        assert message.startswith("shearstab: error:") and message.count("\n") == 1
+        assert out.getvalue() == ""

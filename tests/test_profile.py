@@ -267,3 +267,13 @@ def test_tiny_cubic_term_is_one_point_not_an_interval():
     assert info.intervals == ()
     assert [(p.x, p.nu) for p in info.points] == [(0.0, 0.0)]
     assert not info.points[0].degenerate
+
+
+def test_roots_on_adjacent_scan_nodes_are_points_not_an_interval():
+    # U'' = x (x^2 - 2^-16) vanishes exactly at three neighbouring scan
+    # nodes; only U'' == 0 at every node makes an interval
+    prof = ss.polynomial((0.0, 1.0, 0.0, -2.5431315104166665e-06, 0.0, 0.05))
+    info = inflection_values(prof)
+    assert info.intervals == ()
+    assert [p.x for p in info.points] == [-(2.0**-8), 0.0, 2.0**-8]
+    assert not any(p.degenerate for p in info.points)
