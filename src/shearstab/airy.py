@@ -53,7 +53,6 @@ __all__ = [
     "airy_zeros",
     "rotation_identity_residual",
     "airy_tail_integral",
-    "airy_tail_integral_prime",
     "TailZeroResult",
     "tail_zero_margin",
     "smooth_step",
@@ -186,11 +185,6 @@ def airy_tail_integral(z: complex) -> complex:
             complex_func=True,
         )
     return complex(val)
-
-
-def airy_tail_integral_prime(z: complex) -> complex:
-    """d/dz of the tail integral: -e^{i pi/6} Ai(e^{i pi/6} z)."""
-    return -_ROT6 * complex(special.airy(_ROT6 * complex(z))[0])
 
 
 # ---------------------------------------------------------------------------

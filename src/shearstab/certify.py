@@ -21,15 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebdiff import build_grid
-from .operators import SpectralParams, assemble_rayleigh
-from .profile import InflectionSet, Profile, inflection_values
-from .spectral import (
-    ResolventSample,
-    _check_threads,
-    eig_floor_ladder,
-    eigenvalues,
-    resolvent_sample,
-)
+from .operators import assemble_rayleigh
+from .profile import Profile, inflection_values
+from .spectral import _check_threads, eig_floor_ladder, eigenvalues
 
 __all__ = [
     "CertificateEntry",
@@ -37,7 +31,6 @@ __all__ = [
     "certify_profile",
     "RayleighScan",
     "rayleigh_spectrum_scan",
-    "rayleigh_resolvent_probe",
 ]
 
 
@@ -85,13 +78,11 @@ def certify_profile(
     Velocities come from the profile's inflection set: isolated inflection
     values directly, flat curvature intervals (where U'' is exactly zero on
     the scan) through an inclusive linspace of `interval_density` points
-    each.  Each velocity gets its own eigenvalue ladder, run one after
-    another, and every distinct rung operator is solved once: a rung whose
-    assembled matrix is bit-identical to one solved earlier in this call
-    reuses its eigenvalue.  On a flat interval U'' = 0 makes the operator
-    -d2 at every velocity, so Couette takes two eigen-solves (n = 64 and
-    128) at any density.  `threads` is validated (at least 1) and has no
-    effect: a thread pool here bought at most 1.10x on 2 cores.
+    each.  Each isolated value gets its own eigenvalue ladder.  A flat
+    interval has U'' = 0, so the operator is -d2 at every velocity: one
+    ladder serves all of its samples, and Couette takes two eigen-solves
+    (n = 64 and 128) at any density.  `threads` is validated (at least 1)
+    and has no effect: a thread pool here bought at most 1.10x on 2 cores.
     """
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"margin must be finite and nonnegative, got {margin}")
@@ -107,13 +98,13 @@ def certify_profile(
             vacuous=True,
             interval_density=interval_density,
         )
-    memo: dict = {}
+    nus = infset.sample(interval_density=interval_density)
+    if infset.intervals:
+        ladders = [eig_floor_ladder(profile, nus[0])] * len(nus)
+    else:
+        ladders = [eig_floor_ladder(profile, nu) for nu in nus]
     entries = tuple(
-        CertificateEntry(
-            float(nu),
-            *eig_floor_ladder(profile, nu, memo=memo),
-        )
-        for nu in infset.sample(interval_density=interval_density)
+        CertificateEntry(float(nu), *ladder) for nu, ladder in zip(nus, ladders)
     )
 
     sigma0 = min(e.lam_min for e in entries)
@@ -210,22 +201,3 @@ def rayleigh_spectrum_scan(
         monotone=monotone,
         persistent_offsets=tuple(persistent),
     )
-
-
-def rayleigh_resolvent_probe(
-    profile: Profile,
-    alpha: float,
-    mu_values,
-    nu_values,
-) -> tuple[ResolventSample, ...]:
-    """Resolvent norms of (U + i lam)(-d2 + alpha^2) + U'' at shifts off the
-    imaginary axis: lam = mu + i nu with every mu nonzero, since at mu = 0
-    the advective factor may vanish inside the channel."""
-    samples = []
-    for mu in mu_values:
-        if mu == 0.0:
-            raise ValueError("shift real parts must be nonzero")
-        for nu in nu_values:
-            params = SpectralParams(alpha=alpha, beta=0.0, lam=complex(mu, nu))
-            samples.append(resolvent_sample(profile, params, "rayleigh_shifted"))
-    return tuple(samples)

@@ -155,8 +155,6 @@ def _format_cell(value) -> str:
         return "1" if value else "0"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
@@ -309,7 +307,7 @@ def _run_certify(args) -> int:
 
 def _run_rayleigh_scan(args) -> int:
     profile, config = _load_profile(args.profile)
-    n_list = tuple(int(v) for v in args.n_list.split(",") if v.strip())
+    n_list = tuple(_parse_list(args.n_list, int))
     result = rayleigh_spectrum_scan(profile, args.alpha, n_list=n_list)
     distances = ", ".join(repr(d) for d in result.max_distances)
     print(

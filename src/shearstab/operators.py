@@ -23,14 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import inv
 
-from .chebdiff import LADDER_FLOOR, N_MAX, ChebGrid, clamped_reduce
+from .chebdiff import ChebGrid, clamped_reduce
 from .profile import DomainError, Profile, x_of_nu
 
 __all__ = [
     "SpectralParams",
     "AssembledOperator",
     "InflectionError",
-    "grid_degree_for",
     "certificate_potential",
     "assemble_certificate_operator",
     "assemble_rayleigh_shifted",
@@ -40,6 +39,8 @@ __all__ = [
 ]
 
 
+# largest wavenumber: alpha^2 stays far from overflow in every assembler
+MAX_WAVENUMBER = 1e6
 # half-width of the Taylor window around the critical point
 _TAYLOR_WINDOW = 1e-4
 # largest |U''| at the critical point, relative to max(1, max |U''|), that
@@ -65,6 +66,8 @@ class SpectralParams:
         object.__setattr__(self, "lam", complex(self.lam))
         if not 0.0 <= self.alpha < math.inf:
             raise ValueError(f"wavenumber must be finite and >= 0, got {self.alpha}")
+        if self.alpha > MAX_WAVENUMBER:
+            raise ValueError(f"wavenumber {self.alpha!r} exceeds {MAX_WAVENUMBER:g}")
         if not 0.0 <= self.beta < math.inf:
             raise ValueError(
                 f"rescaled Reynolds number must be finite and >= 0, got {self.beta}"
@@ -96,20 +99,12 @@ class AssembledOperator:
     bc: str             # dirichlet | clamped
     grid: ChebGrid
     bc_rows: np.ndarray | None = None   # mask of bordered rows (clamped only)
-    params: SpectralParams | None = None
 
     def __repr__(self) -> str:
         return (
             f"AssembledOperator(kind={self.kind!r}, bc={self.bc!r}, "
             f"n={self.grid.n}, shape={self.matrix.shape})"
         )
-
-
-def grid_degree_for(beta: float) -> int:
-    """Resolution rule of thumb: boundary layers of width beta^(-1/3) need
-    a handful of nodes, and Chebyshev clustering gives ~n^2 wall density."""
-    n = max(LADDER_FLOOR, math.ceil(8.0 * float(beta) ** (1.0 / 3.0)))
-    return min(n, N_MAX)
 
 
 def certificate_potential(profile: Profile, nu: float, x: np.ndarray) -> np.ndarray:
@@ -184,7 +179,7 @@ def assemble_rayleigh_shifted(
     mat += 0.0
     mat[np.diag_indices_from(mat)] += profile.deriv(xi, 2)
     return AssembledOperator(
-        matrix=mat, kind="rayleigh_shifted", bc="dirichlet", grid=grid, params=params
+        matrix=mat, kind="rayleigh_shifted", bc="dirichlet", grid=grid
     )
 
 
@@ -205,6 +200,8 @@ def assemble_rayleigh(
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValueError(f"wavenumber must be positive, got {alpha}")
+    if alpha > MAX_WAVENUMBER:
+        raise ValueError(f"wavenumber {alpha!r} exceeds {MAX_WAVENUMBER:g}")
     xi = grid.nodes[1:-1]
     mat = inv(_helmholtz(grid, alpha), overwrite_a=True)
     mat *= profile.deriv(xi, 2)[:, None]
@@ -223,9 +220,7 @@ def assemble_schrodinger(
     mat[np.diag_indices_from(mat)] += (
         1j * params.beta * profile.u(xi) - params.beta * params.lam
     )
-    return AssembledOperator(
-        matrix=mat, kind="schrodinger", bc="dirichlet", grid=grid, params=params
-    )
+    return AssembledOperator(matrix=mat, kind="schrodinger", bc="dirichlet", grid=grid)
 
 
 def assemble_orr_sommerfeld(
@@ -252,10 +247,5 @@ def assemble_orr_sommerfeld(
     full[np.diag_indices_from(full)] += a2 * c + 1j * params.beta * profile.deriv(x, 2)
     mat, mask = clamped_reduce(full, grid)
     return AssembledOperator(
-        matrix=mat,
-        kind="orr_sommerfeld",
-        bc="clamped",
-        grid=grid,
-        bc_rows=mask,
-        params=params,
+        matrix=mat, kind="orr_sommerfeld", bc="clamped", grid=grid, bc_rows=mask
     )

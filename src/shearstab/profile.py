@@ -10,8 +10,9 @@ Parameters must be finite and inside their family's range, which keeps U
 through U'''' and the Taylor form of the certificate potential finite:
 
 * cubic: -1/3 < a <= 1e6 (the lower bound is monotonicity);
-* tanh_shear: 0 < K <= 1e6; from K of about 355.58 on, U'(+-1) underflows
-  to 0 and the monotonicity check rejects the profile;
+* tanh_shear: 1e-6 <= K <= 1e6; a subnormal K x would cost tanh(Kx)/tanh(K)
+  its digits, and from K of about 355.58 on, U'(+-1) underflows to 0 and
+  the monotonicity check rejects the profile;
 * polynomial: every |c_k| <= 1e6, and U' >= 1e-6 on [-1, 1].
 """
 
@@ -39,7 +40,8 @@ __all__ = [
 ]
 
 MAX_POLY_DEGREE = 12
-MAX_COEFF = 1e6          # largest cubic a, tanh_shear K and polynomial |c_k|
+MAX_COEFF = 1e6          # largest cubic a, tanh_shear K and polynomial |c_k|,
+                         # and 1 / MAX_COEFF the smallest tanh_shear K
 MIN_POLY_SLOPE = 1e-6    # smallest U' of a polynomial on [-1, 1]
 # scan cells of the monotonicity check and of the inflection search, and the
 # largest |U''| at a polished root, relative to max(1, max |U''|), that still
@@ -128,10 +130,10 @@ class Profile:
     def tanh_shear(k: float) -> "Profile":
         """U(x) = tanh(Kx)/tanh(K), the normalized hyperbolic shear layer."""
         (k,) = _params("tanh_shear", (k,))
-        if not k > 0:
-            raise ValueError(f"steepness must be positive, got {k}")
-        if k > MAX_COEFF:
-            raise ValueError(f"steepness K = {k!r} exceeds {MAX_COEFF:g}")
+        if not 1.0 / MAX_COEFF <= k <= MAX_COEFF:
+            raise ValueError(
+                f"steepness K = {k!r} outside [{1.0 / MAX_COEFF:g}, {MAX_COEFF:g}]"
+            )
         p = Profile(family="tanh_shear", params=(("K", k),))
         p._check_monotone()
         return p
@@ -195,9 +197,6 @@ class Profile:
         inner = ",".join(f"{k}={v!r}" for k, v in self.params)
         return f"{self.family}({inner})"
 
-    def param_dict(self) -> dict:
-        return {"family": self.family, **{k: v for k, v in self.params}}
-
     def _check_monotone(self, floor: float = 0.0) -> None:
         m = monotonicity_margin(self)
         if not (m > 0.0 and m >= floor):
@@ -212,11 +211,6 @@ couette = Profile.couette
 cubic = Profile.cubic
 tanh_shear = Profile.tanh_shear
 polynomial = Profile.polynomial
-
-
-def eval_derivatives(profile: Profile, x):
-    """(U, U', U'', U''', U'''') at x."""
-    return tuple(profile.deriv(x, k) for k in range(5))
 
 
 def monotonicity_margin(profile: Profile) -> float:

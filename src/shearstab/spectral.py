@@ -29,7 +29,6 @@ that produced it.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -169,15 +168,6 @@ def _factor(mat: np.ndarray, overwrite: bool = False):
     return (lu, piv), info > 0
 
 
-def _real_matmul(d: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """d @ z for a real matrix d, without forming a complex copy of d."""
-    if not np.iscomplexobj(z):
-        return d @ z
-    z = np.ascontiguousarray(z)
-    out = d @ z.view(np.float64).reshape(z.shape[0], -1)
-    return out.view(np.complex128).reshape((d.shape[0],) + z.shape[1:])
-
-
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """w minus its projection on the orthonormal rows of basis, applied twice
     so the result is orthogonal to working precision."""
@@ -277,7 +267,7 @@ def _solution_norms(
         u = np.zeros((grid.n + 1, k), dtype=dtype)
         u[sol_rows] = backsolve(rhs, 0)
         norm_inv = svdvals(ws[:, None] * u)[0]
-        norm_d_inv = svdvals(ws[:, None] * _real_matmul(grid.d1, u))[0]
+        norm_d_inv = svdvals(ws[:, None] * (grid.d1 @ u))[0]
         return float(norm_inv), float(norm_d_inv)
 
     if start is not None and start.values is not None:
@@ -407,25 +397,29 @@ _ASSEMBLERS = {
 
 
 def ladder_start(beta: float) -> int:
-    """Initial grid degree: one doubling brings it to ~8 beta^(1/3)."""
-    return max(LADDER_FLOOR, math.ceil(4.0 * float(beta) ** (1.0 / 3.0)))
+    """The one degree rule: boundary layers of width beta^(-1/3) need a
+    handful of nodes, and Chebyshev clustering gives ~n^2 wall density, so
+    ladders start at 4 beta^(1/3) and one doubling reaches ~8 beta^(1/3);
+    never below ``LADDER_FLOOR`` nor above ``N_MAX``."""
+    return min(N_MAX, max(LADDER_FLOOR, math.ceil(4.0 * float(beta) ** (1.0 / 3.0))))
 
 
-def _refine(evaluate, n0: int, n_cap: int, agree):
-    """The grid ladder: evaluate(n) at n = min(n0, n_cap), 2n, 4n, ...
+def _refine(evaluate, n0: int, agree):
+    """The grid ladder: evaluate(n) at n = n0, 2n, 4n, ...
 
     Returns (value, n, True) for the finer value of the first consecutive
     pair with agree(prev, cur), or the last rung as (value, n, False) once
-    another doubling would pass n_cap.  Callers look up the grid, assembler
-    and solver inside ``evaluate``, so each rung sees the current bindings.
+    another doubling would pass ``N_MAX``.  Callers look up the grid,
+    assembler and solver inside ``evaluate``, so each rung sees the current
+    bindings.
     """
-    n = min(n0, n_cap)
+    n = n0
     prev = None
     while True:
         cur = evaluate(n)
         if prev is not None and agree(prev, cur):
             return cur, n, True
-        if 2 * n > n_cap:
+        if 2 * n > N_MAX:
             return cur, n, False
         prev = cur
         n *= 2
@@ -443,7 +437,7 @@ def resolvent_sample(
     """
     if kind not in _ASSEMBLERS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    n_start = min(ladder_start(params.beta), N_MAX)
+    n_start = ladder_start(params.beta)
     start = _StartVectors()
 
     def evaluate(n):
@@ -456,7 +450,7 @@ def resolvent_sample(
         finite = math.isfinite(ref) and ref > 0.0 and math.isfinite(val)
         return finite and abs(val - ref) <= RESOLVENT_RTOL * ref
 
-    nums, n_used, converged = _refine(evaluate, n_start, N_MAX, agree)
+    nums, n_used, converged = _refine(evaluate, n_start, agree)
     return ResolventSample(
         kind=kind,
         alpha=params.alpha,
@@ -469,34 +463,22 @@ def resolvent_sample(
     )
 
 
-def eig_floor_ladder(
-    profile: Profile, nu: float, *, memo: dict | None = None
-) -> tuple[float, int, bool]:
+def eig_floor_ladder(profile: Profile, nu: float) -> tuple[float, int, bool]:
     """Smallest certificate eigenvalue at velocity nu, grid-doubled to rest.
 
     Returns (eigenvalue, degree used, converged flag).  The ladder runs from
     ``LADDER_FLOOR`` to ``N_MAX``; consecutive degrees agree within
     ``_EIG_RTOL``, absolute below 1, relative above.
-
-    ``memo``, private to ``certify_profile``, maps the SHA-256 digest and
-    shape of an assembled matrix to its smallest eigenvalue, so a rung whose
-    operator another ladder already solved reuses that value.  A digest, not
-    the bytes: at n = 2048 the matrix alone is 33 MB.
     """
 
     def evaluate(n):
         op = assemble_certificate_operator(profile, nu, build_grid(n))
-        if memo is None:
-            return min_eig_selfadjoint(op)
-        key = (op.matrix.shape, hashlib.sha256(op.matrix.tobytes()).digest())
-        if key not in memo:
-            memo[key] = min_eig_selfadjoint(op)
-        return memo[key]
+        return min_eig_selfadjoint(op)
 
     def agree(prev, cur):
         return abs(cur - prev) <= _EIG_RTOL * max(1.0, abs(cur))
 
-    return _refine(evaluate, LADDER_FLOOR, N_MAX, agree)
+    return _refine(evaluate, LADDER_FLOOR, agree)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve
 
 from .airy import airy_zeros, tail_zero_margin
-from .chebdiff import N_MAX, build_grid
+from .chebdiff import build_grid
 from .operators import SpectralParams, assemble_schrodinger
 from .profile import Profile, x_of_nu
 from .spectral import (
@@ -300,7 +300,7 @@ def _solve_rows(profile, betas, lam, rhs_of, metric_of, data_norm):
             return metric_of(grid, w, params.beta), grid
 
         start = ladder_start(params.beta)
-        (metric, grid), n_used, converged = _refine(evaluate, start, N_MAX, agree)
+        (metric, grid), n_used, converged = _refine(evaluate, start, agree)
         norms.append(data_norm(grid))
         ratio = metric * params.beta / norms[-1]
         rows.append(_row(params, n_used, converged, metric, ratio))

@@ -29,7 +29,6 @@ from shearstab import (
     certify_profile,
     couette,
     cubic,
-    grid_degree_for,
     l1_approximation_sweep,
     os_boundary_sweep,
     os_large_lambda_check,
@@ -133,7 +132,7 @@ def test_04_quasimode_residual(report):
         shifts = [("lower", complex(0.02, -0.95)), ("upper", complex(0.02, 0.95))]
         for profile, tol in ((couette(), 1e-8), (cubic(0.1), 1e-6)):
             for beta in (1e4, 1e6):
-                grid = build_grid(grid_degree_for(beta))
+                grid = build_grid(2 * ladder_start(beta))
                 for side, lam in shifts:
                     params = SpectralParams(alpha=1.0, beta=beta, lam=lam)
                     res = quasimode_residual(profile, params, side, grid)

@@ -7,11 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import shearstab as ss
-from shearstab.certify import (
-    certify_profile,
-    rayleigh_resolvent_probe,
-    rayleigh_spectrum_scan,
-)
+from shearstab.certify import certify_profile, rayleigh_spectrum_scan
 from shearstab.profile import inflection_values
 from shearstab.spectral import eig_floor_ladder
 
@@ -140,23 +136,6 @@ def test_rayleigh_scan_validation(couette):
         rayleigh_spectrum_scan(couette, 1.0, n_list=(256, 128, 512))
 
 
-def test_rayleigh_probe_rejects_zero_real_shift(couette):
-    with pytest.raises(ValueError):
-        rayleigh_resolvent_probe(couette, 1.0, (0.3, 0.0), (0.1,))
-
-
-def test_rayleigh_probe_samples(couette):
-    probe = rayleigh_resolvent_probe(couette, 1.0, (0.5, -2.0), (0.0, 0.1))
-    assert len(probe) == 4
-    assert all(s.kind == "rayleigh_shifted" for s in probe)
-    assert all(s.beta == 0.0 for s in probe)
-    assert all(s.converged for s in probe)
-    lams = [s.lam for s in probe]
-    assert lams == [0.5 + 0.0j, 0.5 + 0.1j, -2.0 + 0.0j, -2.0 + 0.1j]
-    # shifts further from the spectrum have smaller resolvent norm
-    assert probe[2].norm_inv < probe[0].norm_inv
-
-
 @pytest.fixture
 def eig_calls(monkeypatch):
     """Count the eigen-solves behind the certificate ladders."""
@@ -191,6 +170,34 @@ def test_distinct_rung_operators_are_never_merged(eig_calls):
     assert len(res.entries) == 3
     rungs = sum(int(math.log2(e.n_used // 64)) + 1 for e in res.entries)
     assert len(eig_calls) == rungs
+
+
+@pytest.fixture
+def ladder_calls(monkeypatch):
+    """Record the velocity of every certificate ladder a certificate runs."""
+    from shearstab import certify
+
+    calls = []
+    ladder = certify.eig_floor_ladder
+
+    def counted(profile, nu):
+        calls.append(nu)
+        return ladder(profile, nu)
+
+    monkeypatch.setattr(certify, "eig_floor_ladder", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "profile, density, ladders",
+    [(ss.couette(), 33, 1), (ss.couette(), 129, 1), (ss.polynomial(_QUINTIC3), 33, 3)],
+    ids=["couette33", "couette129", "quintic3"],
+)
+def test_one_ladder_per_flat_set_and_per_point(ladder_calls, profile, density, ladders):
+    # a flat set has U'' = 0: one ladder serves every sampled velocity
+    res = certify_profile(profile, interval_density=density)
+    assert len(ladder_calls) == ladders
+    assert ladder_calls == [e.nu for e in res.entries[:ladders]]
 
 
 @pytest.mark.parametrize(

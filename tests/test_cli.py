@@ -479,3 +479,28 @@ def test_unhashable_family_and_huge_steepness_exit_three(capsys, config):
     assert code == 3
     assert out == ""
     assert err.startswith("shearstab: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rayleigh-scan", _COUETTE, "--alpha", "1e200"),
+        ("pseudo", _COUETTE, "--kind", "rayleigh_shifted", "--alpha", "1e300"),
+        ("pseudo", _COUETTE, "--kind", "orr_sommerfeld", "--alpha", "1e200"),
+        ("sweep", "os-lambda", _COUETTE, "--alpha", "1e200"),
+    ],
+)
+def test_wavenumber_above_ceiling_exits_three(capsys, argv):
+    # one error line, no OverflowError traceback or RuntimeWarning from alpha^2
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("shearstab: error: wavenumber ")
+    assert err.endswith(" exceeds 1e+06\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, k", [("rayleigh-scan", 1e-320), ("certify", 5e-7)])
+def test_steepness_below_floor_exits_three(capsys, command, k):
+    code, out, err = run(capsys, command, '{"family": "tanh_shear", "K": %r}' % k)
+    assert (code, out) == (3, "")
+    expected = f"steepness K = {k!r} outside [1e-06, 1e+06]"
+    assert err == f"shearstab: error: {expected}\n"

@@ -9,11 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 import shearstab as ss
 from shearstab.chebdiff import clamped_reduce, dirichlet_reduce
-from shearstab.operators import (
-    InflectionError,
-    certificate_potential,
-    grid_degree_for,
-)
+from shearstab.operators import InflectionError, certificate_potential
 
 
 def test_certificate_potential_cubic_closed_form(cubic01):
@@ -165,11 +161,15 @@ def test_orr_sommerfeld_requires_positive_beta(couette, grid32):
         ss.assemble_orr_sommerfeld(couette, ss.SpectralParams(1.0, 0.0, 0.0), grid32)
 
 
-def test_grid_degree_rule():
-    assert grid_degree_for(1e4) == 173
-    assert grid_degree_for(1e6) == 800
-    assert grid_degree_for(1.0) == 64
-    assert grid_degree_for(1e12) == 2048
+def test_wavenumber_ceiling(couette, grid32):
+    # alpha^2 overflows past about 1e154; the ceiling keeps far below that
+    ss.SpectralParams(1e6, 1.0, 0.0)
+    ss.assemble_rayleigh(couette, 1e6, grid32)
+    for alpha in (1.000001e6, 1e200):
+        with pytest.raises(ValueError, match="exceeds 1e"):
+            ss.SpectralParams(alpha, 1.0, 0.0)
+        with pytest.raises(ValueError, match="exceeds 1e"):
+            ss.assemble_rayleigh(couette, alpha, grid32)
 
 
 def test_orr_sommerfeld_expansion_matches_product_form(cubic01):

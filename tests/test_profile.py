@@ -13,7 +13,6 @@ import shearstab as ss
 from shearstab.profile import (
     DomainError,
     MonotonicityError,
-    eval_derivatives,
     inflection_values,
     monotonicity_margin,
     x_of_nu,
@@ -47,12 +46,6 @@ def test_tanh_derivatives_against_mpmath(tanh3):
             exact = float(mpmath.diff(f, mpmath.mpf(x), order))
             got = float(tanh3.deriv(x, order))
             assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact)), (x, order)
-
-
-def test_eval_derivatives_tuple(cubic01):
-    vals = eval_derivatives(cubic01, 0.5)
-    assert len(vals) == 5
-    assert vals[0] == pytest.approx(0.5 + 0.1 * 0.125, rel=1e-15)
 
 
 def test_deriv_rejects_outside_domain(couette):
@@ -161,6 +154,15 @@ def test_parameter_ranges():
                 ss.polynomial(coeffs)
 
 
+def test_tanh_steepness_floor():
+    # a subnormal K x costs tanh(K x)/tanh(K) its digits while U' still reads
+    # 1, so a tiny K would pass the monotonicity check with a wrong U
+    assert ss.tanh_shear(1e-6).u(0.3) == pytest.approx(0.3, rel=1e-12)
+    for k in (1e-320, 1e-300, 9.99e-7):
+        with pytest.raises(ValueError, match=r"outside \[1e-06, 1e\+06\]"):
+            ss.tanh_shear(k)
+
+
 def test_polynomial_validation():
     with pytest.raises(ValueError):
         ss.polynomial(())
@@ -240,7 +242,6 @@ def test_sample_density_validation(couette):
 
 def test_id_string_and_params(cubic01, tanh1):
     assert cubic01.id_string() == "cubic(a=0.1)"
-    assert cubic01.param_dict() == {"family": "cubic", "a": 0.1}
     assert tanh1.id_string() == "tanh_shear(K=1.0)"
 
 

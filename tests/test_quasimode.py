@@ -12,8 +12,7 @@ from shearstab.airy import (
     quasimode,
     quasimode_residual,
 )
-from shearstab.operators import grid_degree_for
-from shearstab.spectral import weighted_norm
+from shearstab.spectral import ladder_start, weighted_norm
 
 mpmath.mp.dps = 40
 
@@ -103,7 +102,7 @@ def test_samples_are_read_only(couette, grid64):
 
 @pytest.mark.parametrize("side,params", [("lower", LOWER), ("upper", UPPER)])
 def test_couette_residual_small(couette, side, params):
-    grid = ss.build_grid(grid_degree_for(params.beta))
+    grid = ss.build_grid(2 * ladder_start(params.beta))
     res = quasimode_residual(couette, params, side, grid)
     assert res.backward_relative <= 1e-8
     # linear profile: the closed-form image vanishes identically
@@ -112,7 +111,7 @@ def test_couette_residual_small(couette, side, params):
 
 @pytest.mark.parametrize("side,params", [("lower", LOWER), ("upper", UPPER)])
 def test_cubic_residual_small(cubic01, side, params):
-    grid = ss.build_grid(grid_degree_for(params.beta))
+    grid = ss.build_grid(2 * ladder_start(params.beta))
     res = quasimode_residual(cubic01, params, side, grid)
     assert res.backward_relative <= 1e-6
     assert res.forward_relative <= 1e-2
@@ -152,7 +151,7 @@ def test_norm_scaling_with_beta(couette):
     # oscillatory plateau of width |lam_side| and the norm saturates.
     norms = []
     for beta in (1e4, 1e6):
-        grid = ss.build_grid(grid_degree_for(beta))
+        grid = ss.build_grid(2 * ladder_start(beta))
         params = ss.SpectralParams(1.0, beta, 0.002 - 1.0j)
         qm = quasimode(couette, params, "lower", grid, cutoff=False)
         norms.append(weighted_norm(grid, qm.samples))

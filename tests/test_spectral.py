@@ -11,6 +11,7 @@ from scipy.linalg import eigvals
 from scipy.optimize import brentq
 
 import shearstab as ss
+from shearstab.chebdiff import N_MAX
 from shearstab.operators import certificate_potential
 from shearstab.spectral import (
     eig_floor_ladder,
@@ -95,6 +96,12 @@ def test_ladder_start_rule():
     assert ladder_start(1e4) == 87
     assert ladder_start(1e6) == 400
     assert ladder_start(1.0) == 64
+
+
+def test_ladder_start_caps_at_n_max():
+    # 4 * 1e9^(1/3) = 4000 lies above the grid cap
+    assert ladder_start(1e9) == N_MAX
+    assert ladder_start(1e300) == N_MAX
 
 
 def test_schrodinger_resolvent_frozen_value(couette):
@@ -190,6 +197,20 @@ def test_pseudospectrum_grid_layout(couette):
         i, j = divmod(k, len(mus))
         assert grid.norms[i, j] == s.norm_inv
     assert all(s.converged for s in grid.samples)
+
+
+def test_rayleigh_shifted_pseudospectrum_samples(couette):
+    grid = pseudospectrum_grid(
+        couette, "rayleigh_shifted", 1.0, 0.0, (0.5, -2.0), (0.0, 0.1)
+    )
+    assert len(grid.samples) == 4
+    assert all(s.kind == "rayleigh_shifted" for s in grid.samples)
+    assert all(s.beta == 0.0 for s in grid.samples)
+    assert all(s.converged for s in grid.samples)
+    lams = [s.lam for s in grid.samples]
+    assert lams == [0.5 + 0.0j, -2.0 + 0.0j, 0.5 + 0.1j, -2.0 + 0.1j]
+    # shifts further from the spectrum have smaller resolvent norm
+    assert grid.norms[0, 1] < grid.norms[0, 0]
 
 
 def test_pseudospectrum_threads_agree(couette):
@@ -376,16 +397,16 @@ def test_refine_ladder_rules():
         return 1.0 / n
 
     # agreement on the second pair returns the finer rung, converged
-    value, n, converged = _refine(evaluate, 16, 2048, lambda p, c: abs(c - p) < 0.02)
+    value, n, converged = _refine(evaluate, 16, lambda p, c: abs(c - p) < 0.02)
     assert (seen, value, n, converged) == ([16, 32, 64], 1.0 / 64, 64, True)
-    # no agreement: the last rung below the cap comes back unconverged
+    # no agreement: the ladder stops at N_MAX, its last rung unconverged
     seen.clear()
-    assert _refine(evaluate, 16, 100, lambda p, c: False) == (1.0 / 64, 64, False)
-    assert seen == [16, 32, 64]
-    # a start above the cap is clamped to it: one rung, unconverged
+    assert _refine(evaluate, 16, lambda p, c: False) == (1.0 / N_MAX, N_MAX, False)
+    assert seen == [16, 32, 64, 128, 256, 512, 1024, 2048]
+    # a start whose doubling would pass N_MAX: one rung, unconverged
     seen.clear()
-    assert _refine(evaluate, 4000, 2048, lambda p, c: True) == (1.0 / 2048, 2048, False)
-    assert seen == [2048]
+    assert _refine(evaluate, 1536, lambda p, c: True) == (1.0 / 1536, 1536, False)
+    assert seen == [1536]
 
 
 # --- Golub-Kahan-Lanczos on operators with known singular values -------------

@@ -159,8 +159,9 @@ def test_sweep_result_shape(couette):
 
 
 def test_direct_solve_ladder_start_is_clamped_to_the_grid_cap(couette):
-    # ladder_start(1e9) = 4000 lies above the 2048 cap: the row is solved
-    # once at the cap and reported unconverged, so the sweep is degraded
+    # 4 * 1e9^(1/3) = 4000 lies above the 2048 cap, so ladder_start(1e9) is
+    # the cap: the row is solved once there and reported unconverged, so the
+    # sweep is degraded
     res = l1_approximation_sweep(couette, betas=(1e9,))
     (row,) = res.rows
     assert (row.n_used, row.converged) == (2048, False)
