@@ -9,12 +9,16 @@ naive (x_j - x_k) formulation.
 Node values and Chebyshev coefficients are related by a type-1 DCT, which
 gives the first derivative and its transpose in O(n log n) without the
 matrix, and resamples a function from one degree to another.
+
+``build_grid`` makes nodes and weights only; a grid's differentiation
+matrices are built on first access, all three at once.  The banded resolvent
+rungs never touch them.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dct
@@ -33,17 +37,42 @@ LADDER_FLOOR = 64       # smallest starting degree of a ladder or degree rule
 
 @dataclass(frozen=True)
 class ChebGrid:
-    """Degree-n collocation grid: n+1 nodes, descending from +1 to -1."""
+    """Degree-n collocation grid: n+1 nodes, descending from +1 to -1.
+
+    The differentiation matrices ``d1``, ``d2`` and ``d4``, each
+    (n+1) x (n+1), are built together on first access to any of them.
+    """
 
     n: int
     nodes: np.ndarray    # shape (n+1,), nodes[0] = 1, nodes[n] = -1
-    d1: np.ndarray       # first-derivative matrix, (n+1) x (n+1)
-    d2: np.ndarray
-    d4: np.ndarray
     weights: np.ndarray  # Clenshaw-Curtis weights, sum = 2
+    _mats: list = field(default_factory=list, repr=False, compare=False)
 
-    def __repr__(self) -> str:  # keep dataclass repr from dumping matrices
+    def __repr__(self) -> str:  # keep dataclass repr from dumping arrays
         return f"ChebGrid(n={self.n})"
+
+    def _matrix(self, i: int) -> np.ndarray:
+        if not self._mats:
+            with _cache_lock:
+                if not self._mats:
+                    _, mats = _chebdif(self.n, 4, keep=(1, 2, 4))
+                    for arr in mats:
+                        arr.setflags(write=False)
+                    self._mats.extend(mats)
+        return self._mats[i]
+
+    @property
+    def d1(self) -> np.ndarray:
+        """First-derivative matrix."""
+        return self._matrix(0)
+
+    @property
+    def d2(self) -> np.ndarray:
+        return self._matrix(1)
+
+    @property
+    def d4(self) -> np.ndarray:
+        return self._matrix(2)
 
 
 # rows of the differentiation matrices built together in ``_chebdif``
@@ -73,8 +102,7 @@ def _chebdif(
     n = n_deg + 1
     k = np.arange(n)
     th = k * np.pi / n_deg
-    # identical to cos(k pi / N) but symmetric about 0 to the last bit
-    x = np.sin(np.pi * (n_deg - 2 * k) / (2 * n_deg))
+    x = _nodes(n_deg)
     h = th / 2
     c_row, c_col = (-1.0) ** k, (-1.0) ** k
     c_row[[0, -1]] *= 2.0
@@ -114,6 +142,13 @@ def _chebdif(
         # rows n - b .. n - 1 - a: the same rows flipped both ways, negated
         rows_from(-dx[::-1, ::-1], n - b)
     return x, [mats[ell] for ell in keep]
+
+
+def _nodes(n_deg: int) -> np.ndarray:
+    """The degree-n_deg CGL nodes, descending: identical to cos(k pi / N)
+    but symmetric about 0 to the last bit."""
+    k = np.arange(n_deg + 1)
+    return np.sin(np.pi * (n_deg - 2 * k) / (2 * n_deg))
 
 
 def _clencurt(n_deg: int) -> np.ndarray:
@@ -174,28 +209,40 @@ def _parity_cumsum(t: np.ndarray, reverse: bool) -> np.ndarray:
     return out
 
 
-def _derivative(values: np.ndarray) -> np.ndarray:
-    """grid.d1 @ values in O(n log n): coefficients, the derivative recurrence
-    b_k = sum_{j > k, j - k odd} 2 j a_j (b_0 halved), then values."""
-    j = np.arange(values.shape[0]).reshape((-1,) + (1,) * (values.ndim - 1))
-    s = _parity_cumsum(2 * j * _coefficients(values), reverse=True)
+def _coef_derivative(a: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients (along axis 0) of the derivative of the series
+    a: b_k = sum_{j > k, j - k odd} 2 j a_j, b_0 halved."""
+    j = np.arange(a.shape[0]).reshape((-1,) + (1,) * (a.ndim - 1))
+    s = _parity_cumsum(2 * j * a, reverse=True)
     b = np.zeros_like(s)
     b[:-1] = s[1:]
     b[0] /= 2
-    return _values(b)
+    return b
+
+
+def _coef_derivative_t(g: np.ndarray) -> np.ndarray:
+    """The transpose of ``_coef_derivative``: its suffix sums become prefix
+    sums."""
+    j = np.arange(g.shape[0]).reshape((-1,) + (1,) * (g.ndim - 1))
+    g = np.array(g)
+    g[0] /= 2
+    q = _parity_cumsum(g, reverse=False)
+    h = np.zeros_like(q)
+    h[1:] = 2 * j[1:] * q[:-1]
+    return h
+
+
+def _derivative(values: np.ndarray) -> np.ndarray:
+    """grid.d1 @ values in O(n log n): coefficients, their derivative, then
+    values."""
+    return _values(_coef_derivative(_coefficients(values)))
 
 
 def _derivative_t(values: np.ndarray) -> np.ndarray:
     """grid.d1.T @ values: the steps of ``_derivative`` transposed in reverse
     order.  The value map cos(pi j k / n) and the coefficient map are both
-    symmetric, and the recurrence turns into prefix sums."""
-    j = np.arange(values.shape[0]).reshape((-1,) + (1,) * (values.ndim - 1))
-    g = _values(values)
-    g[0] /= 2
-    q = _parity_cumsum(g, reverse=False)
-    h = np.zeros_like(q)
-    h[1:] = 2 * j[1:] * q[:-1]
-    return _coefficients(h)
+    symmetric."""
+    return _coefficients(_coef_derivative_t(_values(values)))
 
 
 def _resample(values: np.ndarray, n: int) -> np.ndarray:
@@ -222,11 +269,10 @@ def build_grid(n: int) -> ChebGrid:
     with _cache_lock:
         grid = _cache.get(n)
         if grid is None:
-            x, (d1, d2, d4) = _chebdif(n, 4, keep=(1, 2, 4))
-            w = _clencurt(n)
-            for arr in (x, d1, d2, d4, w):
+            x, w = _nodes(n), _clencurt(n)
+            for arr in (x, w):
                 arr.setflags(write=False)
-            grid = ChebGrid(n=n, nodes=x, d1=d1, d2=d2, d4=d4, weights=w)
+            grid = ChebGrid(n=n, nodes=x, weights=w)
             _cache[n] = grid
     return grid
 

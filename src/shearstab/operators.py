@@ -41,6 +41,10 @@ __all__ = [
 
 # largest wavenumber: alpha^2 stays far from overflow in every assembler
 MAX_WAVENUMBER = 1e6
+# largest rescaled Reynolds number and largest |shift|: every product of
+# alpha^2, beta and lam in an operator stays below 1e30
+MAX_BETA = 1e12
+MAX_SHIFT = 1e6
 # half-width of the Taylor window around the critical point
 _TAYLOR_WINDOW = 1e-4
 # largest |U''| at the critical point, relative to max(1, max |U''|), that
@@ -72,8 +76,14 @@ class SpectralParams:
             raise ValueError(
                 f"rescaled Reynolds number must be finite and >= 0, got {self.beta}"
             )
+        if self.beta > MAX_BETA:
+            raise ValueError(
+                f"rescaled Reynolds number {self.beta!r} exceeds {MAX_BETA:g}"
+            )
         if not cmath.isfinite(self.lam):
             raise ValueError(f"spectral shift must be finite, got {self.lam}")
+        if abs(self.lam) > MAX_SHIFT:
+            raise ValueError(f"spectral shift {self.lam} exceeds {MAX_SHIFT:g} in modulus")
 
     @property
     def mu(self) -> float:

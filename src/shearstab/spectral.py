@@ -5,21 +5,28 @@ a matrix M acting between node-value spaces is measured as
 ``diag(sqrt(w_out)) M diag(1/sqrt(w_in))`` in the spectral norm, so reported
 operator norms converge to their integral counterparts as the grid grows.
 
-Resolvent norms take one LU factorization per rung.  From the measured
-crossover degree ``_LANCZOS_MIN_DEGREE`` on, each norm is the top singular
-value found by Golub-Kahan-Lanczos bidiagonalization (``_top_singular``) on
-the LU solves and their adjoints (LAPACK ``getrs``), with full
-reorthogonalization.  The recurrence stops once the gap bound
-r^2 / (theta_1 - theta_2) on its top Ritz value is at most 1e-13 theta_1,
-r = beta_k |e_k^T p| the residual.  D1 and D1^T reach the solutions through a
-type-1 DCT, O(n log n) per application.  The first Lanczos rung of a ladder
-starts from a fixed ramp, so repeated runs agree bit for bit; each later
-rung starts from the previous rung's top right singular vectors, resampled
-through their Chebyshev coefficients, and never from another shift.  A
-resolvent call on the sweep rungs of the benchmark takes about 13 solves,
-against 36 with ARPACK's ``svds``.  Below the crossover, the explicit
-solution operator is formed from the same LU and its singular values are
-taken densely.
+A resolvent rung of the kinds ``schrodinger`` and ``orr_sommerfeld`` from
+degree ``_BANDED_MIN_DEGREE`` on solves a banded ultraspherical tau system in
+Chebyshev coefficients (``ultraspherical``), factored in O(n) by LAPACK
+``gbtrf``; data and solutions reach it through type-1 DCTs, so the norms are
+measured on the same nodes and weights as on the collocation route.  Every
+other rung, and every ``rayleigh_shifted`` rung, factors a dense collocation
+matrix (``resolvent_numbers``).
+
+From the measured crossover degree ``_LANCZOS_MIN_DEGREE`` on, each norm is
+the top singular value found by Golub-Kahan-Lanczos bidiagonalization
+(``_top_singular``) on the solves and their adjoints (LAPACK ``getrs`` or
+``gbtrs``), with full reorthogonalization.  The recurrence stops once the gap
+bound r^2 / (theta_1 - theta_2) on its top Ritz value is at most
+1e-13 theta_1, r = beta_k |e_k^T p| the residual.  D1 and D1^T reach the
+solutions through a type-1 DCT, O(n log n) per application.  The first
+Lanczos rung of a ladder starts from a fixed ramp, so repeated runs agree bit
+for bit; each later rung starts from the previous rung's top right singular
+vectors, resampled through their Chebyshev coefficients, and never from
+another shift.  A resolvent call on the sweep rungs of the benchmark takes
+about 13 solves, against 36 with ARPACK's ``svds``.  Below the crossover, the
+explicit solution operator is formed from the same factorization and its
+singular values are taken densely.
 
 Every quantity of interest is wrapped in the one grid ladder ``_refine``,
 which doubles the degree until two consecutive rungs agree under the
@@ -38,9 +45,13 @@ from scipy.linalg import eigvals, get_lapack_funcs, svdvals
 from .chebdiff import (
     LADDER_FLOOR,
     N_MAX,
+    _coef_derivative,
+    _coef_derivative_t,
+    _coefficients,
     _derivative,
     _derivative_t,
     _resample,
+    _values,
     build_grid,
 )
 from .operators import (
@@ -52,6 +63,7 @@ from .operators import (
     assemble_schrodinger,
 )
 from .profile import Profile
+from .ultraspherical import ORDERS, TauSystem
 
 __all__ = [
     "weighted_norm",
@@ -168,6 +180,10 @@ def _factor(mat: np.ndarray, overwrite: bool = False):
     return (lu, piv), info > 0
 
 
+class _NoConvergence(RuntimeError):
+    """``_top_singular`` reached its step cap."""
+
+
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """w minus its projection on the orthonormal rows of basis, applied twice
     so the result is orthogonal to working precision."""
@@ -215,13 +231,48 @@ def _top_singular(apply, apply_h, v0: np.ndarray):
             return float(theta), right_h[0].conj() @ vs[: j + 1]
         vs[j + 1] = p / betas[j]
         u = apply(vs[j + 1])
-    raise RuntimeError(f"Golub-Kahan-Lanczos did not converge in {steps} steps")
+    raise _NoConvergence(f"Golub-Kahan-Lanczos did not converge in {steps} steps")
+
+
+def _lanczos_norms(n, data_nodes, ws_in, maps, dtype, start) -> tuple[float, float]:
+    """Top singular values of the two weighted solution maps ``maps``, each a
+    pair (apply, apply_h) of the map from weighted data on ``data_nodes`` and
+    its adjoint: the solve and its derivative.  A recurrence that reaches
+    ``_GKL_MAX_STEPS`` without meeting its bound, as on a tight cluster of
+    top singular values, leaves both norms infinite: the rung is
+    unmeasurable, and ``_numbers`` reports it singular.
+
+    ``start`` carries the top right singular vectors from one rung of a
+    ladder to the next, as node values; without them each recurrence starts
+    from a fixed ramp.
+    """
+    if start is not None and start.values is not None:
+        v0s = [_resample(f, n)[data_nodes] * ws_in for f in start.values]
+    else:
+        # A fixed ramp keeps repeated runs bit-identical; it has both even
+        # and odd parts, so a parity symmetry of the profile cannot make it
+        # orthogonal to the top singular vector.
+        v0s = [np.linspace(1.0, 2.0, len(ws_in))] * 2
+    try:
+        found = [
+            _top_singular(apply, apply_h, v0.astype(dtype))
+            for (apply, apply_h), v0 in zip(maps, v0s)
+        ]
+    except _NoConvergence:
+        return math.inf, math.inf
+    if start is not None:
+        start.values = []
+        for _, v in found:
+            f = np.zeros(n + 1, dtype=v.dtype)
+            f[data_nodes] = v / ws_in
+            start.values.append(f)
+    return found[0][0], found[1][0]
 
 
 def _solution_norms(
     grid, factors, size: int, data_rows, row_scale, sol_rows, start
 ) -> tuple[float, float]:
-    """Weighted norms of a solution map and of its derivative.
+    """Weighted norms of a collocation solution map and of its derivative.
 
     Unknowns of the system of order ``size`` sit on the grid nodes
     ``sol_rows``, equation i on the node of unknown i.  Data f on the nodes
@@ -229,10 +280,9 @@ def _solution_norms(
     ``row_scale * f`` on those rows, zero elsewhere; the LU ``factors`` give
     u, zero off ``sol_rows``.  Returns (||W u||, ||W D1 u||) over unit ||x||,
     W the square-root quadrature weights.  Below ``_LANCZOS_MIN_DEGREE`` both
-    come from SVDs of the explicit solution operator; from there on, each
-    from ``_top_singular`` on the solves and their adjoints, with D1 and D1^T
-    applied by DCT, and ``start`` carries the top right singular vectors from
-    one rung of a ladder to the next.
+    come from SVDs of the explicit solution operator; from there on, from
+    ``_lanczos_norms`` on the solves and their adjoints, with D1 and D1^T
+    applied by DCT.
     """
     ws = np.sqrt(grid.weights)
     data_nodes = np.arange(grid.n + 1)[sol_rows][data_rows]
@@ -270,28 +320,11 @@ def _solution_norms(
         norm_d_inv = svdvals(ws[:, None] * (grid.d1 @ u))[0]
         return float(norm_inv), float(norm_d_inv)
 
-    if start is not None and start.values is not None:
-        v0s = [_resample(f, grid.n)[data_nodes] * ws_in for f in start.values]
-    else:
-        # A fixed ramp keeps repeated runs bit-identical; it has both even
-        # and odd parts, so a parity symmetry of the profile cannot make it
-        # orthogonal to the top singular vector.
-        v0s = [np.linspace(1.0, 2.0, k)] * 2
-    norm_inv, v_inv = _top_singular(
-        lambda x: ws * solve(x), lambda y: solve_h(ws * y), v0s[0].astype(dtype)
+    maps = (
+        (lambda x: ws * solve(x), lambda y: solve_h(ws * y)),
+        (lambda x: ws * _derivative(solve(x)), lambda y: solve_h(_derivative_t(ws * y))),
     )
-    norm_d_inv, v_d_inv = _top_singular(
-        lambda x: ws * _derivative(solve(x)),
-        lambda y: solve_h(_derivative_t(ws * y)),
-        v0s[1].astype(dtype),
-    )
-    if start is not None:
-        start.values = []
-        for v in (v_inv, v_d_inv):
-            f = np.zeros(grid.n + 1, dtype=v.dtype)
-            f[data_nodes] = v / ws_in
-            start.values.append(f)
-    return norm_inv, norm_d_inv
+    return _lanczos_norms(grid.n, data_nodes, ws_in, maps, dtype, start)
 
 
 _SINGULAR = {
@@ -300,6 +333,28 @@ _SINGULAR = {
     "norm_inv": math.inf,
     "norm_d_inv": math.inf,
 }
+
+
+def _numbers(bc: str, norm_inv: float, norm_d_inv: float) -> dict:
+    """The result of a rung from its two norms.  A non-finite norm is
+    singular; so is, for clamped operators, a solve norm above
+    ``_SOLVE_NORM_CAP``, which still reports its norms."""
+    finite = math.isfinite(norm_inv) and math.isfinite(norm_d_inv)
+    if bc == "dirichlet":
+        if not finite:
+            return dict(_SINGULAR)
+        return {
+            "sigma_min": 1.0 / norm_inv,
+            "singular": False,
+            "norm_inv": norm_inv,
+            "norm_d_inv": norm_d_inv,
+        }
+    return {
+        "sigma_min": 1.0 / norm_inv if norm_inv > 0.0 else math.inf,
+        "singular": not finite or norm_inv > _SOLVE_NORM_CAP,
+        "norm_inv": norm_inv,
+        "norm_d_inv": norm_d_inv,
+    }
 
 
 def _dirichlet_numbers(op: AssembledOperator, start) -> dict:
@@ -314,17 +369,10 @@ def _dirichlet_numbers(op: AssembledOperator, start) -> dict:
     rcond, _ = gecon(factors[0], np.linalg.norm(mat, 1), norm="1")
     if rcond < _SINGULAR_RTOL:
         return dict(_SINGULAR)
-    norm_inv, norm_d_inv = _solution_norms(
+    norms = _solution_norms(
         op.grid, factors, mat.shape[0], slice(None), 1.0, slice(1, -1), start
     )
-    if not (math.isfinite(norm_inv) and math.isfinite(norm_d_inv)):
-        return dict(_SINGULAR)
-    return {
-        "sigma_min": 1.0 / norm_inv,
-        "singular": False,
-        "norm_inv": norm_inv,
-        "norm_d_inv": norm_d_inv,
-    }
+    return _numbers("dirichlet", *norms)
 
 
 def _clamped_numbers(op: AssembledOperator, start) -> dict:
@@ -350,20 +398,56 @@ def _clamped_numbers(op: AssembledOperator, start) -> dict:
     factors, exact = _factor(d[:, None] * op.matrix, overwrite=True)
     if exact:
         return dict(_SINGULAR)
-    norm_inv, norm_d_inv = _solution_norms(
+    norms = _solution_norms(
         op.grid, factors, op.matrix.shape[0], keep, d[keep], slice(None), start
     )
-    bad = (
-        not math.isfinite(norm_inv)
-        or not math.isfinite(norm_d_inv)
-        or norm_inv > _SOLVE_NORM_CAP
+    return _numbers("clamped", *norms)
+
+
+def _banded_numbers(
+    profile: Profile, params: SpectralParams, kind: str, grid, start
+) -> dict:
+    """Resolvent numbers of one rung of a banded kind, from its tau system.
+
+    Norms are measured as on the collocation route: weighted data x = W f
+    on the same nodes (the interior for Dirichlet, nodes 2..n-2 for clamped
+    walls), f zero on the others, goes to coefficients by DCT; the solution
+    comes back to node values by DCT, and its derivative through the
+    coefficient recurrence.  Both norms come from ``_lanczos_norms``: these
+    rungs start at ``_BANDED_MIN_DEGREE``, above ``_LANCZOS_MIN_DEGREE``.
+    A Dirichlet system is singular at an exactly
+    zero pivot or a ``gbcon`` estimate below ``_SINGULAR_RTOL``; a clamped
+    one at a zero pivot or by the rule of ``_numbers``.
+    """
+    system = TauSystem(kind, profile, params, grid)
+    bc = "dirichlet" if kind == "schrodinger" else "clamped"
+    if system.singular or (bc == "dirichlet" and system.rcond() < _SINGULAR_RTOL):
+        return dict(_SINGULAR)
+    n, edge = grid.n, system.order // 2
+    ws = np.sqrt(grid.weights)
+    data_nodes = np.arange(edge, n + 1 - edge)
+    ws_in = ws[data_nodes]
+
+    def forcing(x):
+        f = np.zeros((n + 1,) + x.shape[1:], dtype=x.dtype)
+        f[data_nodes] = (x.T / ws_in).T
+        return _coefficients(f)
+
+    def data(a):
+        # the adjoint of forcing: the coefficient map is symmetric
+        return _coefficients(a)[data_nodes] / ws_in
+
+    maps = (
+        (
+            lambda x: ws * _values(system.solve(forcing(x))),
+            lambda y: data(system.solve_h(_values(ws * y))),
+        ),
+        (
+            lambda x: ws * _values(_coef_derivative(system.solve(forcing(x)))),
+            lambda y: data(system.solve_h(_coef_derivative_t(_values(ws * y)))),
+        ),
     )
-    return {
-        "sigma_min": 1.0 / norm_inv if norm_inv > 0.0 else math.inf,
-        "singular": bad,
-        "norm_inv": norm_inv,
-        "norm_d_inv": norm_d_inv,
-    }
+    return _numbers(bc, *_lanczos_norms(n, data_nodes, ws_in, maps, complex, start))
 
 
 class _StartVectors:
@@ -388,6 +472,13 @@ def resolvent_numbers(
         return _clamped_numbers(op, start)
     raise ValueError(f"unknown boundary treatment {op.bc!r}")
 
+
+# Rungs of the banded kinds (ultraspherical.ORDERS) from this degree on take
+# the banded tau route; below it the dense collocation rung is faster.
+# Measured crossover (see CHANGES.md): medians of 9 runs over 3 shifts per
+# kind put the banded rung at 1.0-1.5x the dense time for n = 80-140 and at
+# 0.6-0.97x from n = 160 on.
+_BANDED_MIN_DEGREE = 160
 
 _ASSEMBLERS = {
     "schrodinger": assemble_schrodinger,
@@ -433,7 +524,10 @@ def resolvent_sample(
     The ladder starts at ``ladder_start(beta)``.  Successive degrees n and
     2n must agree on norm_inv + norm_d_inv within ``RESOLVENT_RTOL``; the
     accepted value is the finer one.  Hitting ``N_MAX`` without agreement
-    returns the last value flagged unconverged.
+    returns the last value flagged unconverged.  Rungs of the kinds
+    ``schrodinger`` and ``orr_sommerfeld`` from ``_BANDED_MIN_DEGREE`` on
+    solve banded tau systems; the others assemble a collocation matrix.
+    Each rung starts at its ``build_grid`` call.
     """
     if kind not in _ASSEMBLERS:
         raise ValueError(f"unknown operator kind {kind!r}")
@@ -441,7 +535,10 @@ def resolvent_sample(
     start = _StartVectors()
 
     def evaluate(n):
-        op = _ASSEMBLERS[kind](profile, params, build_grid(n))
+        grid = build_grid(n)
+        if kind in ORDERS and n >= _BANDED_MIN_DEGREE:
+            return _banded_numbers(profile, params, kind, grid, start)
+        op = _ASSEMBLERS[kind](profile, params, grid)
         return resolvent_numbers(op, start=start)
 
     def agree(prev, cur):

@@ -24,7 +24,7 @@ from scipy.linalg import solve
 
 from .airy import airy_zeros, tail_zero_margin
 from .chebdiff import build_grid
-from .operators import SpectralParams, assemble_schrodinger
+from .operators import MAX_BETA, SpectralParams, assemble_schrodinger
 from .profile import Profile, x_of_nu
 from .spectral import (
     RESOLVENT_RTOL,
@@ -203,11 +203,14 @@ class SweepResult:
 
 
 def _betas(betas) -> list[float]:
-    """Sweep betas as floats; each must be finite and positive."""
+    """Sweep betas as floats; each must be finite, positive and at most
+    ``MAX_BETA``, checked before any row is computed."""
     betas = [float(b) for b in betas]
     for beta in betas:
         if not (math.isfinite(beta) and beta > 0.0):
             raise ValueError(f"beta must be finite and positive, got {beta}")
+        if beta > MAX_BETA:
+            raise ValueError(f"beta {beta!r} exceeds {MAX_BETA:g}")
     return betas
 
 

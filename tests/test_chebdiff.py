@@ -1,6 +1,7 @@
 """Differentiation matrices, quadrature weights, and boundary reductions."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -126,6 +127,20 @@ def test_build_grid_caches(grid64):
 def test_grid_arrays_are_read_only(grid64):
     for arr in (grid64.nodes, grid64.weights, grid64.d1, grid64.d2, grid64.d4):
         assert not arr.flags.writeable
+
+
+def test_grid_matrices_are_built_once_on_first_access():
+    # a degree no other test builds, so the cached grid is fresh here
+    n = 211
+    grid = ss.build_grid(n)
+    assert grid._mats == []
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        firsts = list(pool.map(lambda name: getattr(grid, name), ["d4", "d1"]))
+    assert firsts[0] is grid.d4 and firsts[1] is grid.d1
+    _, want = _chebdif(n, 4, keep=(1, 2, 4))
+    for got, ref in zip((grid.d1, grid.d2, grid.d4), want):
+        assert np.array_equal(got, ref)
+        assert not got.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [7, 2049, 0, -4])

@@ -504,3 +504,51 @@ def test_steepness_below_floor_exits_three(capsys, command, k):
     assert (code, out) == (3, "")
     expected = f"steepness K = {k!r} outside [1e-06, 1e+06]"
     assert err == f"shearstab: error: {expected}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("pseudo", _COUETTE, "--kind", "schrodinger", "--mu-range", "1e300", "1e300", "1",
+          "--nu-range", "0", "0", "1"), "spectral shift (1e+300+0j) exceeds 1e+06 in modulus"),
+        (("pseudo", _COUETTE, "--kind", "schrodinger", "--mu-range", "0", "0", "1",
+          "--nu-range", "1e300", "1e300", "1"), "spectral shift 1e+300j exceeds 1e+06 in modulus"),
+        (("pseudo", _COUETTE, "--kind", "orr_sommerfeld", "--alpha", "1", "--beta", "1e300"),
+         "rescaled Reynolds number 1e+300 exceeds 1e+12"),
+        (("pseudo", _COUETTE, "--kind", "orr_sommerfeld", "--alpha", "1", "--mu-range",
+          "1e300", "1e300", "1", "--nu-range", "0", "0", "1"),
+         "spectral shift (1e+300+0j) exceeds 1e+06 in modulus"),
+        (("pseudo", _COUETTE, "--kind", "schrodinger", "--beta", "1e300"),
+         "rescaled Reynolds number 1e+300 exceeds 1e+12"),
+        (("pseudo", _COUETTE, "--kind", "rayleigh_shifted", "--beta", "2e12"),
+         "rescaled Reynolds number 2000000000000.0 exceeds 1e+12"),
+        (("sweep", "schrodinger", _COUETTE, "--betas", "1e300,1e301,1e302,1e303"),
+         "beta 1e+300 exceeds 1e+12"),
+        (("sweep", "os-boundary", _COUETTE, "--betas", "1e4,1e300"), "beta 1e+300 exceeds 1e+12"),
+        (("sweep", "os-alpha", _COUETTE, "--alphas", "2,4", "--beta", "2e12"),
+         "beta 2000000000000.0 exceeds 1e+12"),
+        (("sweep", "os-lambda", _COUETTE, "--lams=-10,-2e6"),
+         "spectral shift (-2000000+0j) exceeds 1e+06 in modulus"),
+        (("sweep", "l1-approx", _COUETTE, "--betas", "1e4,1e300"), "beta 1e+300 exceeds 1e+12"),
+        (("sweep", "weighted", _COUETTE, "--betas", "1e300"), "beta 1e+300 exceeds 1e+12"),
+    ],
+    ids=[
+        "pseudo-schr-mu", "pseudo-schr-nu", "pseudo-os-beta", "pseudo-os-mu", "pseudo-schr-beta",
+        "pseudo-rayleigh-beta", "sweep-schr", "sweep-os-boundary", "sweep-os-alpha",
+        "sweep-os-lambda", "sweep-l1", "sweep-weighted",
+    ],
+)
+def test_beta_and_shift_above_ceiling_exit_three(capsys, argv, message):
+    # one error line: no ZeroDivisionError traceback, RuntimeWarning or inf
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"shearstab: error: {message}\n"
+
+
+def test_pseudo_point_lanczos_cannot_resolve_exits_two(capsys):
+    code, out, err = run(
+        capsys, "pseudo", _COUETTE, "--kind", "schrodinger", "--beta", "1",
+        "--mu-range", "-1000", "-1000", "1", "--nu-range", "0", "0", "1",
+    )
+    assert (code, err) == (2, "")
+    assert out == "kind=schrodinger points=1 converged=0 max_norm=inf\n"

@@ -1,4 +1,4 @@
-"""Hypothesis fuzz of the CLI's profile JSON.
+"""Hypothesis fuzz of the CLI's profile JSON and of the ``pseudo`` ranges.
 
 Each case runs ``rayleigh-scan <json> --n-list 16,32``, which is cheap on
 any valid profile.  ``main`` must return an exit code in 0-3 without
@@ -11,6 +11,9 @@ import contextlib
 import io
 import json
 import math
+import warnings
+
+import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,3 +102,50 @@ def test_rayleigh_scan_profile_fuzz(case):
         message = err.getvalue()
         assert message.startswith("shearstab: error:") and message.count("\n") == 1
         assert out.getvalue() == ""
+
+
+# --- pseudo: wavenumber, beta and shift ranges of 1x1 maps -------------------
+
+_EDGE_BETAS = [0.0, 5e-324, 1e-300, 1.0, 1e4, 1e12, 1.000001e12, 1e300, math.inf, math.nan, -1.0]
+_EDGE_ALPHAS = [0.0, 1e-300, 1e6, 1.000001e6, 1e300, math.inf, math.nan, -1.0]
+_EDGE_SHIFTS = [0.0, 1e-300, 1e6, -1e6, 1.000001e6, -1e300, math.inf, -math.inf, math.nan]
+
+
+def _number(draw, edges, lo, hi):
+    """An edge value, or a log-uniform magnitude in [lo, hi] with a sign."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(edges))
+    value = 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+    return -value if draw(st.booleans()) else value
+
+
+def _arg(value: float) -> str:
+    # positional form, so argparse reads a negative value as a number
+    return np.format_float_positional(value, trim="-")
+
+
+@st.composite
+def _pseudo_argv(draw):
+    kind = draw(st.sampled_from(["schrodinger", "orr_sommerfeld"]))
+    profile = draw(st.sampled_from(['{"family": "couette"}', '{"family": "cubic", "a": 0.1}']))
+    beta = abs(_number(draw, _EDGE_BETAS, 1e-3, 1e12))
+    alpha = abs(_number(draw, _EDGE_ALPHAS, 1e-3, 1e6))
+    mu, nu = (_number(draw, _EDGE_SHIFTS, 1e-6, 1e6) for _ in range(2))
+    return [
+        "pseudo", profile, "--kind", kind, "--alpha", _arg(alpha), "--beta", _arg(beta),
+        "--mu-range", _arg(mu), _arg(mu), "1", "--nu-range", _arg(nu), _arg(nu), "1",
+    ]
+
+
+@given(argv=_pseudo_argv())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_pseudo_range_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+    if code == 3:
+        assert err.getvalue().startswith("shearstab: error:") and out.getvalue() == ""

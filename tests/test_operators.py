@@ -172,6 +172,18 @@ def test_wavenumber_ceiling(couette, grid32):
             ss.assemble_rayleigh(couette, alpha, grid32)
 
 
+def test_beta_and_shift_ceilings():
+    from shearstab.operators import MAX_BETA, MAX_SHIFT
+
+    ss.SpectralParams(1.0, MAX_BETA, complex(0.0, MAX_SHIFT))
+    for beta in (1.000001e12, 1e300):
+        with pytest.raises(ValueError, match="rescaled Reynolds number .* exceeds 1e"):
+            ss.SpectralParams(1.0, beta, 0.0)
+    for lam in (1.000001e6, -1e300, 1e300j, complex(8e5, 8e5)):
+        with pytest.raises(ValueError, match="spectral shift .* exceeds 1e"):
+            ss.SpectralParams(1.0, 1.0, lam)
+
+
 def test_orr_sommerfeld_expansion_matches_product_form(cubic01):
     # The O(n^2) expansion against the dense product (-d2 + i b (U + i lam))
     # (-d2 + a^2) + i b U'' it replaces, at a degree where D4 and D2 D2 differ

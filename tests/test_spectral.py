@@ -476,6 +476,17 @@ def test_top_singular_stops_on_breakdown(in_range):
     assert steps == (3 if in_range else 4)
 
 
+def test_lanczos_at_the_step_cap_leaves_the_rung_unmeasurable(couette):
+    # A dominant real shift clusters the top singular values of the solve
+    # (1/1002.5, 1/1009.9, ...), and 60 steps cannot meet the gap bound from
+    # n = 128 on: those rungs are singular, and the ladder ends unconverged
+    # at the cap instead of raising.
+    sample = resolvent_sample(couette, ss.SpectralParams(0.0, 1.0, -1000.0), "schrodinger")
+    assert sample.singular and not sample.converged
+    assert sample.n_used == N_MAX
+    assert sample.norm_inv == sample.norm_d_inv == math.inf
+
+
 def test_top_singular_raises_at_the_step_cap(monkeypatch):
     from shearstab import spectral
 
@@ -490,20 +501,20 @@ def test_top_singular_raises_at_the_step_cap(monkeypatch):
     [("schrodinger", ss.couette(), 0.0), ("orr_sommerfeld", ss.cubic(0.1), 1.0)],
 )
 def test_warm_start_matches_cold_start_on_the_top_rung(kind, profile, alpha):
-    # The 862 -> 1724 rung pair of a beta = 1e7 ladder.
-    from shearstab.spectral import _ASSEMBLERS, _StartVectors
+    # The 862 -> 1724 rung pair of a beta = 1e7 ladder, both on the banded
+    # route.
+    from shearstab.spectral import _BANDED_MIN_DEGREE, _StartVectors, _banded_numbers
 
     beta = 1e7
-    assert ladder_start(beta) == 862
+    assert _BANDED_MIN_DEGREE <= ladder_start(beta) == 862
     lam = 0.0 if kind == "schrodinger" else ss.margin_constant() * beta ** (-1.0 / 3.0)
     params = ss.SpectralParams(alpha, beta, lam)
     start = _StartVectors()
-    assemble = _ASSEMBLERS[kind]
-    lower, top = (assemble(profile, params, ss.build_grid(n)) for n in (862, 1724))
-    resolvent_numbers(lower, start=start)
+    _banded_numbers(profile, params, kind, ss.build_grid(862), start)
     assert [f.shape for f in start.values] == [(863,), (863,)]
-    warm = resolvent_numbers(top, start=start)
-    cold = resolvent_numbers(top)
+    top = ss.build_grid(1724)
+    warm = _banded_numbers(profile, params, kind, top, start)
+    cold = _banded_numbers(profile, params, kind, top, None)
     assert set(warm) == set(cold)
     assert warm["singular"] == cold["singular"] is False
     for key in ("norm_inv", "norm_d_inv"):

@@ -182,3 +182,27 @@ def test_direct_solve_ladder_start_is_clamped_to_the_grid_cap(couette):
 def test_empty_sweep_is_rejected(couette, sweep, empty):
     with pytest.raises(ValueError, match="at least one operating point"):
         sweep(couette, **empty)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda p, b: schrodinger_sweep(p, betas=b),
+        lambda p, b: os_boundary_sweep(p, betas=b),
+        lambda p, b: l1_approximation_sweep(p, betas=b),
+        lambda p, b: weighted_data_sweep(p, betas=b),
+        lambda p, b: os_large_alpha_sweep(p, [2.0, 4.0], b[-1]),
+        lambda p, b: os_large_lambda_check(p, beta=b[-1]),
+    ],
+    ids=["schrodinger", "os-boundary", "l1-approx", "weighted", "os-alpha", "os-lambda"],
+)
+def test_sweeps_refuse_beta_above_ceiling_before_any_row(couette, monkeypatch, sweep):
+    from shearstab import sweeps
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(sweeps, "resolvent_sample", no_rows)
+    monkeypatch.setattr(sweeps, "_refine", no_rows)
+    with pytest.raises(ValueError, match="beta 1e\\+300 exceeds 1e\\+12"):
+        sweep(couette, [1e4, 1e5, 1e6, 1e300])
