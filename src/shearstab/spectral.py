@@ -63,7 +63,7 @@ from .operators import (
     assemble_schrodinger,
 )
 from .profile import Profile
-from .ultraspherical import ORDERS, TauSystem
+from .ultraspherical import ORDERS, TauSystem, velocity_series
 
 __all__ = [
     "weighted_norm",
@@ -405,9 +405,10 @@ def _clamped_numbers(op: AssembledOperator, start) -> dict:
 
 
 def _banded_numbers(
-    profile: Profile, params: SpectralParams, kind: str, grid, start
+    series: np.ndarray, params: SpectralParams, kind: str, grid, start
 ) -> dict:
-    """Resolvent numbers of one rung of a banded kind, from its tau system.
+    """Resolvent numbers of one rung of a banded kind, from its tau system
+    for U's Chebyshev ``series``.
 
     Norms are measured as on the collocation route: weighted data x = W f
     on the same nodes (the interior for Dirichlet, nodes 2..n-2 for clamped
@@ -419,7 +420,7 @@ def _banded_numbers(
     zero pivot or a ``gbcon`` estimate below ``_SINGULAR_RTOL``; a clamped
     one at a zero pivot or by the rule of ``_numbers``.
     """
-    system = TauSystem(kind, profile, params, grid)
+    system = TauSystem(kind, series, params, grid.n)
     bc = "dirichlet" if kind == "schrodinger" else "clamped"
     if system.singular or (bc == "dirichlet" and system.rcond() < _SINGULAR_RTOL):
         return dict(_SINGULAR)
@@ -479,6 +480,11 @@ def resolvent_numbers(
 # kind put the banded rung at 1.0-1.5x the dense time for n = 80-140 and at
 # 0.6-0.97x from n = 160 on.
 _BANDED_MIN_DEGREE = 160
+# ... and only while U's chopped Chebyshev series has degree d <= n / 16: the
+# multiplication recurrence costs O(d^2 n).  Measured (see CHANGES.md) on
+# tanh_shear profiles at n = 174-1600, the banded rung takes 0.2-0.6x the
+# dense time at n/d = 16-33 and 1.0-1.1x at n/d = 12-14.
+_BANDED_DEGREE_PER_TERM = 16
 
 _ASSEMBLERS = {
     "schrodinger": assemble_schrodinger,
@@ -526,7 +532,8 @@ def resolvent_sample(
     accepted value is the finer one.  Hitting ``N_MAX`` without agreement
     returns the last value flagged unconverged.  Rungs of the kinds
     ``schrodinger`` and ``orr_sommerfeld`` from ``_BANDED_MIN_DEGREE`` on
-    solve banded tau systems; the others assemble a collocation matrix.
+    solve banded tau systems, unless U's series is too long for the degree
+    (``_BANDED_DEGREE_PER_TERM``); the others assemble a collocation matrix.
     Each rung starts at its ``build_grid`` call.
     """
     if kind not in _ASSEMBLERS:
@@ -537,7 +544,9 @@ def resolvent_sample(
     def evaluate(n):
         grid = build_grid(n)
         if kind in ORDERS and n >= _BANDED_MIN_DEGREE:
-            return _banded_numbers(profile, params, kind, grid, start)
+            series = velocity_series(profile, grid)
+            if n >= _BANDED_DEGREE_PER_TERM * (len(series) - 1):
+                return _banded_numbers(series, params, kind, grid, start)
         op = _ASSEMBLERS[kind](profile, params, grid)
         return resolvent_numbers(op, start=start)
 

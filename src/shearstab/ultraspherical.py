@@ -191,7 +191,6 @@ class _Structure(NamedTuple):
     """The parts of an order-m, degree-n system that no parameter changes."""
 
     size: int           # unknowns and kept rows, n + 1 - m
-    pad: int            # size of the bands, past every degree kept
     jacobi: _Band       # J_m
     top: _Band          # D_m Q, Q the basis phi in T coefficients
     conv: _Band         # S Q, S the conversion T -> C^(m)
@@ -219,7 +218,6 @@ def _structure(m: int, n: int, d: int) -> _Structure:
         second = _matmul(_matmul(_conversion(2, 4, pad), _differentiation(2, pad)), q)
     st = _Structure(
         size=size,
-        pad=pad,
         jacobi=_jacobi(m, pad),
         top=_matmul(_differentiation(m, pad), q),
         conv=_matmul(conv, q),
@@ -275,7 +273,8 @@ def _tau_matrix(kind: str, series: np.ndarray, params: SpectralParams, n: int) -
 
 
 class TauSystem:
-    """The factored degree-``grid.n`` tau system of ``kind`` at ``params``.
+    """The factored degree-``n`` tau system of ``kind`` at ``params``, for
+    U's Chebyshev ``series`` (``velocity_series``).
 
     ``solve`` maps the T coefficients of a forcing (degree n, along axis 0)
     to those of the solution; ``solve_h`` is its adjoint.  ``singular`` is
@@ -283,18 +282,17 @@ class TauSystem:
     meaningless.
     """
 
-    def __init__(self, kind: str, profile: Profile, params: SpectralParams, grid: ChebGrid):
+    def __init__(self, kind: str, series: np.ndarray, params: SpectralParams, n: int):
         if kind == "orr_sommerfeld" and not params.beta > 0.0:
             raise ValueError("fourth-order operator needs beta > 0")
-        series = velocity_series(profile, grid)
-        self.n, self.order = grid.n, ORDERS[kind]
-        ab, self._kl, self._ku = _tau_matrix(kind, series, params, grid.n)
+        self.n, self.order = n, ORDERS[kind]
+        ab, self._kl, self._ku = _tau_matrix(kind, series, params, n)
         if not np.all(np.isfinite(ab)):
             raise ValueError("operator matrix must not contain infs or NaNs")
         self._anorm = float(np.max(np.sum(np.abs(ab), axis=0)))
         self._lu, self._piv, info = lapack.zgbtrf(ab, self._kl, self._ku, overwrite_ab=True)
         self.singular = info > 0
-        st = _structure(self.order, grid.n, max(series.shape[0] - 1, 1))
+        st = _structure(self.order, n, max(series.shape[0] - 1, 1))
         self._conv, self._basis = st.conv_map, st.basis_map
 
     def rcond(self) -> float:

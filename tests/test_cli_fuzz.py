@@ -5,6 +5,11 @@ any valid profile.  ``main`` must return an exit code in 0-3 without
 raising, and 3 with a one-line error for every config that is invalid by
 construction.  A config of in-range numbers may still fail the
 monotonicity check, so only its exit code range is asserted.
+
+The ``pseudo`` cases run 1x1 maps of both banded kinds with drawn
+``--alpha``, ``--beta``, ``--mu-range`` and ``--nu-range`` values, edge
+values included: an exit code in 0-3, at most one stderr line, and no
+``RuntimeWarning``.
 """
 
 import contextlib

@@ -504,17 +504,19 @@ def test_warm_start_matches_cold_start_on_the_top_rung(kind, profile, alpha):
     # The 862 -> 1724 rung pair of a beta = 1e7 ladder, both on the banded
     # route.
     from shearstab.spectral import _BANDED_MIN_DEGREE, _StartVectors, _banded_numbers
+    from shearstab.ultraspherical import velocity_series
 
     beta = 1e7
     assert _BANDED_MIN_DEGREE <= ladder_start(beta) == 862
     lam = 0.0 if kind == "schrodinger" else ss.margin_constant() * beta ** (-1.0 / 3.0)
     params = ss.SpectralParams(alpha, beta, lam)
+    lower, top = ss.build_grid(862), ss.build_grid(1724)
+    series = velocity_series(profile, top)
     start = _StartVectors()
-    _banded_numbers(profile, params, kind, ss.build_grid(862), start)
+    _banded_numbers(velocity_series(profile, lower), params, kind, lower, start)
     assert [f.shape for f in start.values] == [(863,), (863,)]
-    top = ss.build_grid(1724)
-    warm = _banded_numbers(profile, params, kind, top, start)
-    cold = _banded_numbers(profile, params, kind, top, None)
+    warm = _banded_numbers(series, params, kind, top, start)
+    cold = _banded_numbers(series, params, kind, top, None)
     assert set(warm) == set(cold)
     assert warm["singular"] == cold["singular"] is False
     for key in ("norm_inv", "norm_d_inv"):

@@ -84,14 +84,16 @@ def test_solve_inverts_the_operator_on_a_known_solution(kind, alpha):
         d2u = grid.d2 @ u
         f = grid.d4 @ u - (alpha**2 + c) * d2u
         f += (alpha**2 * c + 1j * params.beta * profile.deriv(x, 2)) * u
-    got = _values(TauSystem(kind, profile, params, grid).solve(_coefficients(f)))
+    system = TauSystem(kind, velocity_series(profile, grid), params, 128)
+    got = _values(system.solve(_coefficients(f)))
     np.testing.assert_allclose(got, u, atol=1e-9)
 
 
 @pytest.mark.parametrize("kind, alpha", KINDS)
 def test_adjoint_solve_is_the_adjoint(kind, alpha):
     rng = np.random.default_rng(3)
-    system = TauSystem(kind, ss.tanh_shear(1.0), _params(kind, alpha, 1e5), ss.build_grid(200))
+    series = velocity_series(ss.tanh_shear(1.0), ss.build_grid(200))
+    system = TauSystem(kind, series, _params(kind, alpha, 1e5), 200)
     a, b = (rng.standard_normal((201, 2)) @ np.array([1.0, 1j]) for _ in range(2))
     lhs = np.vdot(b, system.solve(a))
     assert np.vdot(system.solve_h(b), a) == pytest.approx(lhs, rel=1e-13)
@@ -109,7 +111,7 @@ DUAL = [(n, beta) for n in (512, 1024, 2048) for beta in (1e5, 1e7) if n >= ladd
 def test_banded_rung_matches_dense_rung(kind, alpha, name, n, beta):
     profile, params, grid = PROFILES[name], _params(kind, alpha, beta), ss.build_grid(n)
     dense = resolvent_numbers(_ASSEMBLERS[kind](profile, params, grid))
-    banded = _banded_numbers(profile, params, kind, grid, None)
+    banded = _banded_numbers(velocity_series(profile, grid), params, kind, grid, None)
     assert set(banded) == set(dense)
     assert banded["singular"] is dense["singular"] is False
     for key in ("norm_inv", "norm_d_inv"):
@@ -147,9 +149,30 @@ def test_shift_on_the_discrete_spectrum_is_singular(kind, alpha, n):
     x = np.linalg.solve(b0 + lam * c, c @ right[:, i])
     y = np.linalg.solve((b0 + lam * c).conj().T, c.conj().T @ left[:, i])
     lam = -(y.conj() @ b0 @ x) / (y.conj() @ c @ x)
-    on = _banded_numbers(profile, ss.SpectralParams(alpha, beta, lam), kind, grid, None)
-    near = _banded_numbers(profile, ss.SpectralParams(alpha, beta, lam + 0.1), kind, grid, None)
+    on = _banded_numbers(series, ss.SpectralParams(alpha, beta, lam), kind, grid, None)
+    near = _banded_numbers(series, ss.SpectralParams(alpha, beta, lam + 0.1), kind, grid, None)
     assert on["singular"] and not near["singular"]
+
+
+def test_long_velocity_series_keep_the_dense_rung(monkeypatch):
+    # tanh_shear(1) keeps 30 terms: n = 372 < 16 * 29 stays dense, n = 744
+    # goes banded; Couette's two terms go banded from n = 160 on.
+    from shearstab import spectral
+
+    routes = []
+    real = spectral._banded_numbers
+
+    def banded(series, *args):
+        routes.append(len(series))
+        return real(series, *args)
+
+    monkeypatch.setattr(spectral, "_banded_numbers", banded)
+    sample = ss.resolvent_sample(ss.tanh_shear(1.0), ss.SpectralParams(0.0, 8e5, 0.0), "schrodinger")
+    assert (ladder_start(8e5), sample.n_used, sample.converged) == (372, 744, True)
+    assert routes == [30]
+    routes.clear()
+    ss.resolvent_sample(ss.couette(), ss.SpectralParams(0.0, 8e5, 0.0), "schrodinger")
+    assert routes == [2, 2]
 
 
 def test_ladders_keep_their_rungs():
@@ -162,4 +185,4 @@ def test_ladders_keep_their_rungs():
 
 def test_orr_sommerfeld_needs_positive_beta(couette):
     with pytest.raises(ValueError, match="needs beta > 0"):
-        TauSystem("orr_sommerfeld", couette, ss.SpectralParams(1.0, 0.0, 0.0), ss.build_grid(64))
+        TauSystem("orr_sommerfeld", np.array([0.0, 1.0]), ss.SpectralParams(1.0, 0.0, 0.0), 64)
