@@ -481,9 +481,11 @@ def resolvent_numbers(
 # 0.6-0.97x from n = 160 on.
 _BANDED_MIN_DEGREE = 160
 # ... and only while U's chopped Chebyshev series has degree d <= n / 16: the
-# multiplication recurrence costs O(d^2 n).  Measured (see CHANGES.md) on
-# tanh_shear profiles at n = 174-1600, the banded rung takes 0.2-0.6x the
-# dense time at n/d = 16-33 and 1.0-1.1x at n/d = 12-14.
+# tau matrix has about 2d + 3m diagonals, so ``gbtrf`` costs O(d^2 n) and
+# each ``gbtrs`` O(dn).  Measured (see CHANGES.md) on tanh_shear profiles,
+# the banded rung takes 0.33-0.56x the dense time at n/d = 13-16, 0.55-0.92x
+# at n/d = 7-8 and 0.9-1.3x at n/d = 3.7; a new constant would move routes
+# that no benchmark workload measures.
 _BANDED_DEGREE_PER_TERM = 16
 
 _ASSEMBLERS = {
@@ -607,16 +609,13 @@ def pseudospectrum_grid(
     beta: float,
     mu_values,
     nu_values,
-    threads: int | None = None,
 ) -> PseudospectrumGrid:
     """Map (mu, nu) -> resolvent norm at shifts lam = mu + i nu.
 
-    Each shift runs its own grid ladder, one after another.  `threads` is
-    validated (at least 1) and has no effect: a thread pool here ran 0.79x
-    as fast as one thread on 2 cores, because the Lanczos steps between
-    solves run in Python.
+    Each shift runs its own grid ladder, one after another: a thread pool
+    here ran 0.79x as fast as one thread on 2 cores, because the Lanczos
+    steps between solves run in Python.
     """
-    _check_threads(threads)
     mu_values = np.asarray(mu_values, dtype=float)
     nu_values = np.asarray(nu_values, dtype=float)
     samples = [

@@ -9,9 +9,11 @@ and well-conditioned spectral method" (SIAM Review 55, 2013):
   T_k^(m) = 2^(m-1) (m-1)! k C^(m)_(k-m).
 * S_0 converts T to C^(1) and S_l converts C^(l) to C^(l+1); each has two
   diagonals, at offsets 0 and 2.
-* M_l[f] multiplies by a Chebyshev series f in C^(l): it is
-  sum_j f_j T_j(J_l), J_l the Jacobi matrix of x in C^(l), taken by the
-  three-term recurrence T_(j+1) = 2 J T_j - T_(j-1).
+* M[f] multiplies by a Chebyshev series f on T coefficients, before any
+  conversion: a Toeplitz-plus-Hankel band, M_ij = (f_|i-j| + f_(i+j)) / 2
+  (their section 2).  The Orr-Sommerfeld rows take U u'' - U'' u in the
+  conservative form (U u)'' - 2 (U' u)', so the i*b*U'' term cancels and U''
+  is never formed.
 
 The walls are built into the basis, as in Shen, "Efficient spectral-Galerkin
 method II" (SIAM J. Sci. Comput. 16, 1995): phi_k = T_k - T_(k+2) vanishes at
@@ -25,8 +27,8 @@ adjoint.
 U enters as its Chebyshev series on the rung's nodes, chopped at
 ``_CHOP_RTOL`` relative: 2 terms for Couette flow, 4 for a cubic, 30 for
 ``tanh_shear(1)``.  With d its degree, the system has d + m lower and
-d + 2m upper diagonals.  Bands are built with numpy straight into LAPACK
-band storage.
+d + 2m upper diagonals, and building it costs O(dn).  Bands are built with
+numpy straight into LAPACK band storage.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ def _band(size: int, diagonals: dict) -> _Band:
 
 def _matmul(a: _Band, b: _Band) -> _Band:
     """a @ b, one vectorized update per diagonal of b:
-    C[i, j] += A[i, j - o] B[j - o, j] for the diagonal at offset o."""
+    C[i, j] += A[i, j - o] B[j - o, j] for the diagonal at offset o.  Only
+    the entries of b inside the matrix are read."""
     size = a.ab.shape[1]
     kl, ku = a.kl + b.kl, a.ku + b.ku
     out = np.zeros((kl + ku + 1, size), dtype=np.result_type(a.ab, b.ab))
@@ -83,20 +86,23 @@ def _matmul(a: _Band, b: _Band) -> _Band:
     for offset in range(-b.kl, b.ku + 1):
         shift = b.ku - offset
         diag = b.ab[shift]
-        if not diag.any():
+        if not np.count_nonzero(diag):
             continue
         lo, hi = max(0, offset), min(size, size + offset)
         out[shift : shift + rows, lo:hi] += a.ab[:, lo - offset : hi - offset] * diag[lo:hi]
     return _Band(out, kl, ku)
 
 
-def _combine(*terms) -> _Band:
-    """sum c * band over (c, band) pairs, complex."""
+def _combine(*terms, fill: bool = False) -> _Band:
+    """sum c * band over (c, band) pairs; with ``fill``, under kl rows of
+    zeros for the fill-in of pivoting, the storage ``gbtrf`` factors."""
     kl = max(b.kl for _, b in terms)
     ku = max(b.ku for _, b in terms)
-    out = np.zeros((kl + ku + 1, terms[0][1].ab.shape[1]), dtype=complex)
+    top = kl if fill else 0
+    dtype = np.result_type(*(c for c, _ in terms), *(b.ab for _, b in terms))
+    out = np.zeros((top + kl + ku + 1, terms[0][1].ab.shape[1]), dtype=dtype)
     for c, b in terms:
-        out[ku - b.ku : ku - b.ku + b.ab.shape[0]] += c * b.ab
+        out[top + ku - b.ku : top + ku - b.ku + b.ab.shape[0]] += c * b.ab
     return _Band(out, kl, ku)
 
 
@@ -106,49 +112,45 @@ def _differentiation(m: int, size: int) -> _Band:
     return _band(size, {m: 2.0 ** (m - 1) * math.factorial(m - 1) * k})
 
 
-def _conversion(lo: int, hi: int, size: int) -> _Band:
-    """S_(hi-1) ... S_lo: C^(lo) coefficients to C^(hi), C^(0) meaning T."""
+def _conversion(lam: int, size: int) -> _Band:
+    """S_lam: C^(lam) coefficients to C^(lam+1), C^(0) meaning T."""
+    if lam == 0:
+        diag = np.full(size, 0.5)
+        diag[0] = 1.0
+        return _band(size, {0: diag, 2: np.full(size, -0.5)})
     k = np.arange(size, dtype=float)
-    out = None
-    for lam in range(lo, hi):
-        if lam == 0:
-            diag = np.full(size, 0.5)
-            diag[0] = 1.0
-            step = _band(size, {0: diag, 2: np.full(size, -0.5)})
-        else:
-            step = _band(size, {0: lam / (lam + k), 2: -lam / (lam + k)})
-        out = step if out is None else _matmul(step, out)
-    return out
+    return _band(size, {0: lam / (lam + k), 2: -lam / (lam + k)})
 
 
-def _jacobi(lam: int, size: int) -> _Band:
-    """J_lam: multiplication by x in C^(lam) coefficients, lam >= 1."""
-    k = np.arange(size, dtype=float)
-    return _band(size, {-1: (k + 1) / (2 * (k + lam)), 1: (k + 2 * lam - 1) / (2 * (k + lam))})
+def _multiplication(f: np.ndarray, size: int) -> _Band:
+    """M[f]: multiplication by the Chebyshev series f (degree d) on T
+    coefficients, M_ij = (f_|i-j| + f_(i+j)) / 2: the Hankel term enters
+    from row 1 on, and f_0 sits whole on the diagonal.  kl = ku = d.
+
+    The storage entries outside the matrix hold Toeplitz values, not zeros:
+    M is only ever the right factor of ``_matmul``, which reads none of
+    them."""
+    d = f.shape[0] - 1
+    toeplitz = 0.5 * np.concatenate((f[::-1], f[1:]))
+    toeplitz[d] = f[0]
+    ab = np.repeat(toeplitz[:, None], size, axis=1)
+    rows, cols, terms = _hankel(d)
+    ab[rows, cols] += 0.5 * f[terms]
+    return _Band(ab, d, d)
 
 
-def _multiplication(series: np.ndarray, jacobi: _Band) -> list[np.ndarray]:
-    """Band storage of M[f] = sum_j f_j T_j(J) for each row f of ``series``
-    (Chebyshev coefficients, one common length d + 1), each with kl = ku = d.
+@functools.lru_cache(maxsize=64)
+def _hankel(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Storage rows, columns and series terms of M[f]'s Hankel entries:
+    rows i = 1..d of the matrix, columns j with i + j <= d."""
+    i, j = np.nonzero(np.add.outer(np.arange(1, d + 1), np.arange(d + 1)) <= d)
+    return d + 1 + i - j, j, i + j + 1
 
-    T_j(J) has bandwidth j and commutes with J, so the recurrence multiplies
-    by J on the right, one diagonal at a time.  Entries within d/2 of the
-    last row and column differ from the infinite operator's, so callers pad
-    the size past the degrees they keep.
-    """
-    d, size = series.shape[1] - 1, jacobi.ab.shape[1]
-    outs = [np.zeros((2 * d + 1, size)) for _ in series]
-    prev, cur = _Band(np.ones((1, size)), 0, 0), jacobi
-    for j in range(d + 1):
-        if j >= 2:
-            nxt = _matmul(cur, jacobi)
-            nxt.ab[:] *= 2.0
-            nxt.ab[2 : 2 + prev.ab.shape[0]] -= prev.ab
-            prev, cur = cur, nxt
-        term = prev if j == 0 else cur
-        for out, f in zip(outs, series):
-            out[d - term.ku : d + term.kl + 1] += f[j] * term.ab
-    return outs
+
+def _kept(band: _Band, rows: int) -> _Band:
+    """band with every row from ``rows`` on set to zero."""
+    i = np.arange(band.ab.shape[0])[:, None] - band.ku + np.arange(band.ab.shape[1])
+    return _Band(np.where(i < rows, band.ab, 0.0), band.kl, band.ku)
 
 
 class _Sparse:
@@ -188,47 +190,53 @@ def velocity_series(profile: Profile, grid: ChebGrid) -> np.ndarray:
 
 
 class _Structure(NamedTuple):
-    """The parts of an order-m, degree-n system that no parameter changes."""
+    """The parts of an order-m, degree-n system that no parameter changes.
+    Bands are square, n + m + 1 wide: the T coefficients that the kept rows
+    of the conversion reach.  The maps into C^(m) have every row past the
+    kept ones zeroed, and so has every product they start."""
 
     size: int           # unknowns and kept rows, n + 1 - m
-    jacobi: _Band       # J_m
-    top: _Band          # D_m Q, Q the basis phi in T coefficients
-    conv: _Band         # S Q, S the conversion T -> C^(m)
-    second: _Band       # S_3 S_2 D_2 Q (clamped only)
+    basis: _Band        # Q, the basis phi in T coefficients
+    conv: _Band         # S, the conversion T -> C^(m)
+    second: _Band       # S_3 S_2 D_2 (clamped only)
+    first: _Band        # S_3 S_2 S_1 D_1 (clamped only)
+    on_basis: tuple     # D_m Q, S Q and S_3 S_2 D_2 Q (clamped only)
     conv_map: _Sparse   # forcing coefficients to the kept rows of S f
     basis_map: _Sparse  # phi coefficients to T coefficients
 
 
 @functools.lru_cache(maxsize=64)
-def _structure(m: int, n: int, d: int) -> _Structure:
-    """The parameter-free parts of an order-m, degree-n system whose velocity
-    series has degree d, cached: the rungs of every shift of a map share
-    them.  Bands run to ``pad`` columns, past the n + m the conversion rows
-    reach and the n + d/2 the multiplication recurrence needs exact."""
-    size, pad = n + 1 - m, n + m + d + 2
+def _structure(m: int, n: int) -> _Structure:
+    """The parameter-free parts of an order-m, degree-n system, cached: the
+    rungs of every shift of a map share them."""
+    size, pad = n + 1 - m, n + m + 1
     k = np.arange(size, dtype=float)
     if m == 2:
         basis = {0: np.ones(size), 2: -np.ones(size)}
     else:
         basis = {0: np.ones(size), 2: -2.0 * (k + 2) / (k + 3), 4: (k + 1) / (k + 3)}
+    # to_top[lam] = S_(m-1) ... S_lam, C^(lam) to C^(m)
+    to_top = {m - 1: _kept(_conversion(m - 1, pad), size)}
+    for lam in range(m - 2, -1, -1):
+        to_top[lam] = _matmul(to_top[lam + 1], _conversion(lam, pad))
+    conv = to_top[0]
     q = _band(pad, {-o: np.pad(w, (0, pad - size)) for o, w in basis.items()})
-    conv = _conversion(0, m, pad)
-    second = None
-    if m == 4:
-        second = _matmul(_matmul(_conversion(2, 4, pad), _differentiation(2, pad)), q)
+    top = _kept(_differentiation(m, pad), size)
+    second = _matmul(to_top[2], _differentiation(2, pad)) if m == 4 else None
     st = _Structure(
         size=size,
-        jacobi=_jacobi(m, pad),
-        top=_matmul(_differentiation(m, pad), q),
-        conv=_matmul(conv, q),
+        basis=q,
+        conv=conv,
         second=second,
+        first=_matmul(to_top[1], _differentiation(1, pad)) if m == 4 else None,
+        on_basis=tuple(_matmul(a, q) for a in (top, conv, second) if a is not None),
         conv_map=_Sparse(
             size, n + 1, {o: conv.ab[conv.ku - o, o : o + size] for o in range(0, conv.ku + 1, 2)}
         ),
         basis_map=_Sparse(n + 1, size, {-o: np.pad(w, (o, m - o)) for o, w in basis.items()}),
     )
     # every rung of this shape shares these arrays
-    for band in (st.jacobi, st.top, st.conv, st.second):
+    for band in (q, conv, second, st.first, *st.on_basis):
         if band is not None:
             band.ab.setflags(write=False)
     return st
@@ -239,37 +247,28 @@ def _tau_matrix(kind: str, series: np.ndarray, params: SpectralParams, n: int) -
     ``series``, in the storage ``gbtrf`` factors: kl rows on top for the
     fill-in of pivoting."""
     m = ORDERS[kind]
-    d = max(series.shape[0] - 1, 1)
-    st = _structure(m, n, d)
-    u = np.zeros((2, d + 1))
-    u[0, : series.shape[0]] = series
+    st = _structure(m, n)
+    pad = st.conv.ab.shape[1]
     b, a2, shift = params.beta, params.alpha * params.alpha, params.beta * params.lam
+    mu = _multiplication(series, pad)
     if m == 2:
-        # -u'' + i b U u - b lam u in C^(2)
-        (mu,) = _multiplication(u[:1], st.jacobi)
-        op = _combine(
-            (-1.0, st.top),
-            (-shift, st.conv),
-            (1j * b, _matmul(_Band(mu, d, d), st.conv)),
-        )
+        # -D_2 Q - b lam S Q + i b S M[U] Q in C^(2), S = S_1 S_0
+        top_q, conv_q = st.on_basis
+        u_q = _matmul(_matmul(st.conv, mu), st.basis)
+        terms = ((-1.0, top_q), (-shift, conv_q), (1j * b, u_q))
     else:
-        # D4 + (b lam - a^2) S D2 - a^2 b lam S4
-        # + i b [(a^2 M[U] + M[U'']) S4 - M[U] S D2] in C^(4), S = S_3 S_2
-        u[1, : max(series.shape[0] - 2, 1)] = chebyshev.chebder(series, 2)
-        mu, mu2 = _multiplication(u, st.jacobi)
-        op = _combine(
-            (1.0, st.top),
-            (shift - a2, st.second),
-            (-a2 * shift, st.conv),
-            (1j * b, _matmul(_Band(a2 * mu + mu2, d, d), st.conv)),
-            (-1j * b, _matmul(_Band(mu, d, d), st.second)),
-        )
-    size, kl, ku = st.size, op.kl, op.ku
-    ab = np.zeros((2 * kl + ku + 1, size), dtype=complex)
-    ab[kl:] = op.ab[:, :size]
-    rows = np.arange(kl + ku + 1)[:, None] - ku + np.arange(size)[None, :]
-    ab[kl:][rows >= size] = 0.0
-    return _Band(ab, kl, ku)
+        # U u'' - U'' u = (U u)'' - 2 (U' u)' turns the operator into
+        # (D_4 + (b lam - a^2) S_3 S_2 D_2 - a^2 b lam S
+        #  + i b [(a^2 S - S_3 S_2 D_2) M[U] + 2 S_3 S_2 S_1 D_1 M[U']]) Q
+        # in C^(4), S = S_3 S_2 S_1 S_0
+        top_q, conv_q, second_q = st.on_basis
+        helm = _combine((a2, st.conv), (-1.0, st.second))
+        mu1 = _multiplication(chebyshev.chebder(series), pad)
+        flux = _combine((1.0, _matmul(helm, mu)), (2.0, _matmul(st.first, mu1)))
+        u_q = _matmul(flux, st.basis)
+        terms = ((1.0, top_q), (shift - a2, second_q), (-a2 * shift, conv_q), (1j * b, u_q))
+    ab, kl, ku = _combine(*terms, fill=True)
+    return _Band(ab[:, : st.size], kl, ku)
 
 
 class TauSystem:
@@ -292,7 +291,7 @@ class TauSystem:
         self._anorm = float(np.max(np.sum(np.abs(ab), axis=0)))
         self._lu, self._piv, info = lapack.zgbtrf(ab, self._kl, self._ku, overwrite_ab=True)
         self.singular = info > 0
-        st = _structure(self.order, n, max(series.shape[0] - 1, 1))
+        st = _structure(self.order, n)
         self._conv, self._basis = st.conv_map, st.basis_map
 
     def rcond(self) -> float:

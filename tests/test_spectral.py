@@ -213,16 +213,6 @@ def test_rayleigh_shifted_pseudospectrum_samples(couette):
     assert grid.norms[0, 1] < grid.norms[0, 0]
 
 
-def test_pseudospectrum_threads_agree(couette):
-    mus = np.array([-0.3])
-    nus = np.array([0.05, 0.15])
-    one = pseudospectrum_grid(couette, "schrodinger", 0.0, 1e4, mus, nus, threads=1)
-    two = pseudospectrum_grid(couette, "schrodinger", 0.0, 1e4, mus, nus, threads=2)
-    np.testing.assert_array_equal(one.norms, two.norms)
-    with pytest.raises(ValueError):
-        pseudospectrum_grid(couette, "schrodinger", 0.0, 1e4, mus, nus, threads=0)
-
-
 # --- one LU per rung: dense SVDs below the crossover, Lanczos above ----------
 
 DENSE_N = 64

@@ -32,15 +32,20 @@ def test_velocity_series_is_chopped(name, terms):
     assert len(velocity_series(PROFILES[name], ss.build_grid(1724))) == terms
 
 
+@pytest.mark.parametrize(
+    "profile", [ss.tanh_shear(4.0), ss.polynomial((0.2, 1.0, 0.25, 0.05))], ids=["tanh(4)", "poly"]
+)
 @pytest.mark.parametrize("kind, alpha", KINDS)
-def test_tau_matrix_matches_chebyshev_arithmetic(kind, alpha):
+def test_tau_matrix_matches_chebyshev_arithmetic(kind, alpha, profile):
     # Column j is the operator applied to phi_j, formed by numpy's Chebyshev
     # products and derivatives, in C^(m) coefficients: q = P^(m) with
     # P = sum_k b_k T_(k+m) / (2^(m-1) (m-1)! (k+m)), so b_k comes from the
     # m-fold antiderivative, to the rounding of those antiderivatives.  The
     # velocity series of tanh_shear(4) on this grid keeps all 40 terms, so
-    # the bands of M[U] reach past the last kept row.
-    n, profile = 40, ss.tanh_shear(4.0)
+    # the bands of M[U] reach past the last kept row.  That profile is odd;
+    # the polynomial's even coefficients reach M[U]'s diagonal and its even
+    # Hankel entries.
+    n = 40
     series = velocity_series(profile, ss.build_grid(n))
     params = ss.SpectralParams(alpha, 50.0, 0.3 - 0.2j)
     got = _dense(_tau_matrix(kind, series, params, n))
