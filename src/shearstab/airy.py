@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.integrate import IntegrationWarning, quad
 
 from .chebdiff import ChebGrid
 from .operators import SpectralParams
@@ -164,6 +163,8 @@ def airy_tail_integral(z: complex) -> complex:
     and imaginary parts at tolerance `_TAIL_QUAD_TOL`; it samples the
     integrand once per part, so each node's value is kept for the other part.
     """
+    # imported here, so that only the Airy margin paths load scipy.integrate
+    from scipy.integrate import IntegrationWarning, quad
     z = complex(z)
     cut = _decay_cut(z)
     memo: dict[float, complex] = {}

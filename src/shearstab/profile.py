@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.optimize import brentq
 
 __all__ = [
     "Profile",
@@ -49,6 +48,7 @@ MIN_POLY_SLOPE = 1e-6    # smallest U' of a polynomial on [-1, 1]
 _MONOTONE_CELLS = 256
 _INFLECTION_CELLS = 512
 _ROOT_TOL = 1e-11
+_ROOT_STEPS = 120        # cap on the steps of one bracketed root search
 
 
 class DomainError(ValueError):
@@ -213,22 +213,48 @@ tanh_shear = Profile.tanh_shear
 polynomial = Profile.polynomial
 
 
+def _roots(profile, order: int, target: float, xs: np.ndarray, xtol: float) -> list[float]:
+    """The t on the increasing nodes ``xs`` with U^(order)(t) = target: each
+    node where the difference is zero, and one root in each cell where it
+    changes sign, by Newton steps on U^(order + 1) that bisect instead when a
+    step would leave the shrinking bracket or not halve the step before
+    (``rtsafe``, Numerical Recipes 9.4).  A search stops at a Newton step of
+    at most ``xtol`` (taken, so it polishes the root), at a bracket 2 ``xtol``
+    wide or after ``_ROOT_STEPS`` steps."""
+    fs = profile.deriv(xs, order) - target
+    roots = [float(x) for x in xs[fs == 0.0]]
+    for i in np.nonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0)[0]:
+        lo, hi = xs[i], xs[i + 1]
+        x, step = 0.5 * (lo + hi), hi - lo
+        for _ in range(_ROOT_STEPS):
+            f = float(profile.deriv(x, order)) - target
+            lo, hi = (x, hi) if (f < 0.0) == (fs[i] < 0.0) else (lo, x)
+            slope = float(profile.deriv(x, order + 1))
+            newton = f / slope if slope else math.inf
+            if abs(newton) <= xtol:
+                x = min(max(x - newton, lo), hi)
+                break
+            if lo < x - newton < hi and 2.0 * abs(newton) <= step:
+                step, x = abs(newton), x - newton
+            else:
+                step = 0.5 * (hi - lo)
+                x = lo + step
+                if step <= xtol:
+                    break
+        roots.append(float(x))
+    return roots
+
+
 def monotonicity_margin(profile: Profile) -> float:
     """min over [-1,1] of U', from a scan grid polished at interior critical points.
 
     Interior minima of U' sit where U'' crosses zero; each scan-cell sign
-    change of U'' is bracketed and refined, and endpoints are always included.
+    change of U'' is refined by ``_roots``, and every scan node, the
+    endpoints included, is a candidate too.
     """
     xs = np.linspace(-1.0, 1.0, _MONOTONE_CELLS + 1)
-    u1 = profile.deriv(xs, 1)
-    candidates = [u1[0], u1[-1], float(u1.min())]
-    u2 = profile.deriv(xs, 2)
-    sign = np.sign(u2)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in flips:
-        r = brentq(lambda t: profile.deriv(t, 2), xs[i], xs[i + 1], xtol=1e-14)
-        candidates.append(float(profile.deriv(r, 1)))
-    return float(min(candidates))
+    roots = _roots(profile, 2, 0.0, xs, 1e-14)
+    return float(np.min(profile.deriv(np.append(xs, roots), 1)))
 
 
 def x_of_nu(profile: Profile, nu: float) -> float:
@@ -241,12 +267,7 @@ def x_of_nu(profile: Profile, nu: float) -> float:
         return -1.0
     if nu == hi:
         return 1.0
-    x = brentq(lambda t: profile.u(t) - nu, -1.0, 1.0, xtol=1e-15)
-    # one Newton step squeezes the residual to the last bit
-    d = profile.deriv(x, 1)
-    if d != 0.0:
-        x = min(1.0, max(-1.0, x - (profile.u(x) - nu) / d))
-    return float(x)
+    return _roots(profile, 0, nu, np.array([-1.0, 1.0]), 1e-15)[0]
 
 
 @dataclass(frozen=True)
@@ -284,8 +305,8 @@ def inflection_values(profile: Profile) -> InflectionSet:
     vanishes identically: the set is all of [U(-1), U(1)] when U'' is
     exactly zero at every scan node.  Otherwise each node where U'' is
     exactly zero is an isolated root, and so is each sign change between
-    neighbouring nodes, polished by bisection plus one Newton step.  A root
-    is flagged degenerate when U''' also vanishes there.
+    neighbouring nodes (``_roots``).  A root is flagged degenerate when
+    U''' also vanishes there.
     """
     xs = np.linspace(-1.0, 1.0, _INFLECTION_CELLS + 1)
     u2 = profile.deriv(xs, 2)
@@ -293,19 +314,9 @@ def inflection_values(profile: Profile) -> InflectionSet:
         interval = (float(profile.u(xs[0])), float(profile.u(xs[-1])))
         return InflectionSet(points=(), intervals=(interval,))
     tol = _ROOT_TOL * max(1.0, float(np.max(np.abs(u2))))
-    sign = np.sign(u2)
-    roots = [float(x) for x in xs[u2 == 0.0]]
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        roots.append(
-            brentq(lambda t: profile.deriv(t, 2), xs[i], xs[i + 1], xtol=1e-14)
-        )
-
     points: list[InflectionPoint] = []
-    for r in sorted(roots):
+    for r in sorted(_roots(profile, 2, 0.0, xs, 1e-14)):
         u3 = profile.deriv(r, 3)
-        if u3 != 0.0:
-            r = min(1.0, max(-1.0, r - profile.deriv(r, 2) / u3))
-            u3 = profile.deriv(r, 3)
         if abs(profile.deriv(r, 2)) > tol:
             continue
         if points and abs(r - points[-1].x) <= 1e-9:

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvals, get_lapack_funcs, svdvals
+from scipy.linalg.lapack import dstemr
 
 from .chebdiff import (
     LADDER_FLOOR,
@@ -192,6 +193,23 @@ def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return w
 
 
+def _top_ritz(alphas: np.ndarray, betas: np.ndarray):
+    """theta_1, theta_2 (for j >= 1), p_j and q of B = diag(alphas) +
+    diag(betas, 1), as in ``_top_singular``, from the top two eigenpairs of
+    the Golub-Kahan tridiagonal of [[0, B], [B^T, 0]]: zero diagonal,
+    off-diagonal (alpha_0, beta_0, ..., alpha_j), eigenvalues +-sigma_i and
+    top eigenvector (q_0, p_0, q_1, p_1, ...) / sqrt(2).  LAPACK ``dstemr``
+    computes just those two (range 2: eigenpairs n - 1 and n), O(j) each."""
+    n = 2 * alphas.shape[0]
+    off = np.zeros(n)                  # the last entry is dstemr's workspace
+    off[0::2], off[1:-1:2] = alphas, betas
+    _, vals, vecs, info = dstemr(np.zeros(n), off, 2, 0.0, 0.0, n - 1, n)
+    if info:
+        raise _NoConvergence(f"dstemr failed (info {info})")
+    top = math.sqrt(2.0) * vecs[:, 1]
+    return vals[1], vals[0], top[-1], top[0::2]
+
+
 def _top_singular(apply, apply_h, v0: np.ndarray):
     """Largest singular value and right singular vector of A by Golub-Kahan-
     Lanczos bidiagonalization with full reorthogonalization.
@@ -221,14 +239,12 @@ def _top_singular(apply, apply_h, v0: np.ndarray):
             betas[j] = np.linalg.norm(p)
         else:
             alphas[j] = 0.0
-        bidiag = np.diag(alphas[: j + 1]) + np.diag(betas[:j], 1)
-        left, sigma, right_h = np.linalg.svd(bidiag)
-        theta = sigma[0]
-        r = betas[j] * abs(left[j, 0])
+        theta, theta_2, p_j, q = _top_ritz(alphas[: j + 1], betas[:j])
+        r = betas[j] * abs(p_j)
         if betas[j] <= _GKL_RTOL * theta or (
-            j and r * r <= _GKL_RTOL * theta * (theta - sigma[1])
+            j and r * r <= _GKL_RTOL * theta * (theta - theta_2)
         ):
-            return float(theta), right_h[0].conj() @ vs[: j + 1]
+            return float(theta), q @ vs[: j + 1]
         vs[j + 1] = p / betas[j]
         u = apply(vs[j + 1])
     raise _NoConvergence(f"Golub-Kahan-Lanczos did not converge in {steps} steps")

@@ -1,4 +1,11 @@
-"""The package's public names: one list per module, gathered once."""
+"""The package's public names: one list per module, gathered once, and what a
+cold import loads."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import shearstab as ss
 
@@ -36,3 +43,43 @@ def test_names_left_out_of_all_stay_importable():
 
     assert (N_MIN, N_MAX) == (8, 2048)
     assert callable(monotonicity_margin)
+
+
+_FOOTPRINT = r"""
+import contextlib, io, json, sys
+
+def lazy():
+    return [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
+
+seen = {}
+import shearstab, shearstab.cli
+from shearstab.cli import main
+seen["import"] = lazy()
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["certify_code"] = main(["certify", '{"family": "tanh_shear", "K": 3.0}'])
+    seen["certify"] = lazy()
+    seen["pseudo_code"] = main(["pseudo", '{"family": "cubic", "a": 0.1}',
+                                "--mu-range", "0", "0", "1", "--nu-range", "0.5", "0.5", "1"])
+    seen["pseudo"] = lazy()
+value = shearstab.airy_tail_integral(0.0)
+seen["tail"] = [value.real, value.imag]
+seen["after_tail"] = lazy()
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_neither_scipy_optimize_nor_integrate():
+    # A fresh interpreter: this one has imported scipy.optimize already.
+    src = str(pathlib.Path(ss.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen["import"] == seen["certify"] == seen["pseudo"] == []
+    assert (seen["certify_code"], seen["pseudo_code"]) == (1, 0)
+    # the tail integral still works, and loads scipy.integrate on demand
+    assert abs(complex(*seen["tail"]) - 1.0 / 3.0) < 1e-10
+    assert "scipy.integrate" in seen["after_tail"]

@@ -278,3 +278,122 @@ def test_roots_on_adjacent_scan_nodes_are_points_not_an_interval():
     assert info.intervals == ()
     assert [p.x for p in info.points] == [-(2.0**-8), 0.0, 2.0**-8]
     assert not any(p.degenerate for p in info.points)
+
+
+# --- the bracketed root search against scipy's brentq -------------------------
+
+
+def _brentq_reference(profile, order, target, lo, hi, xtol):
+    from scipy.optimize import brentq
+
+    return brentq(lambda t: profile.deriv(t, order) - target, lo, hi, xtol=xtol)
+
+
+def _seeded_quintics(count=40, seed=11):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        c = (rng.uniform(-1.0, 1.0), 1.5, *rng.uniform(-0.3, 0.3, 4))
+        try:
+            out.append(ss.polynomial(c))
+        except MonotonicityError:
+            pass
+    return out
+
+
+_FAMILIES = [
+    ss.couette(),
+    ss.cubic(0.1),
+    ss.cubic(-0.3),
+    ss.tanh_shear(1.0),
+    ss.tanh_shear(3.0),
+    ss.tanh_shear(5.0),
+    ss.polynomial((0.2, 1.0, 0.25, 0.05)),
+]
+
+
+@pytest.mark.parametrize("prof", _FAMILIES, ids=lambda p: p.id_string())
+def test_x_of_nu_matches_brentq(prof):
+    lo, hi = float(prof.u(-1.0)), float(prof.u(1.0))
+    for nu in np.linspace(lo, hi, 41):
+        ref = _brentq_reference(prof, 0, nu, -1.0, 1.0, 1e-15)
+        assert abs(x_of_nu(prof, nu) - ref) <= 1e-14, nu
+    assert x_of_nu(prof, lo) == -1.0 and x_of_nu(prof, hi) == 1.0
+
+
+def test_inflection_roots_and_margins_match_brentq():
+    profiles = _seeded_quintics() + [ss.tanh_shear(k) for k in (0.5, 1.0, 3.0, 16.0)]
+    multiple = 0
+    for prof in profiles:
+        xs = np.linspace(-1.0, 1.0, 513)
+        u2 = prof.deriv(xs, 2)
+        flips = np.nonzero(np.sign(u2[:-1]) * np.sign(u2[1:]) < 0)[0]
+        ref = sorted(
+            [float(x) for x in xs[u2 == 0.0]]
+            + [_brentq_reference(prof, 2, 0.0, xs[i], xs[i + 1], 1e-14) for i in flips]
+        )
+        got = [p.x for p in inflection_values(prof).points]
+        assert len(got) == len(ref), prof.id_string()
+        assert np.max(np.abs(np.subtract(got, ref)), initial=0.0) <= 1e-14
+        multiple += len(got) > 1
+
+        xs = np.linspace(-1.0, 1.0, 257)
+        u2 = prof.deriv(xs, 2)
+        flips = np.nonzero(np.sign(u2[:-1]) * np.sign(u2[1:]) < 0)[0]
+        u1 = [prof.deriv(_brentq_reference(prof, 2, 0.0, xs[i], xs[i + 1], 1e-14), 1)
+              for i in flips]
+        ref_margin = min([*prof.deriv(xs, 1), *u1])
+        assert abs(monotonicity_margin(prof) - ref_margin) <= 1e-14, prof.id_string()
+    assert multiple >= 3
+
+
+class _Recorded:
+    """A stand-in profile that records where the root search evaluates."""
+
+    def __init__(self, *derivs):
+        self.derivs = derivs
+        self.calls = []
+
+    def deriv(self, x, order=0):
+        self.calls.append(np.atleast_1d(np.asarray(x, dtype=float)))
+        return self.derivs[order](x)
+
+
+def test_roots_on_scan_nodes_are_exact():
+    from shearstab.profile import _roots
+
+    line = _Recorded(lambda t: t, lambda t: 1.0)
+    assert _roots(line, 0, 0.5, np.array([-1.0, 0.5]), 1e-15) == [0.5]
+    assert _roots(line, 0, -1.0, np.array([-1.0, 0.5]), 1e-15) == [-1.0]
+    assert len(line.calls) == 2          # the node values alone: no search
+    # a root on the end of a cell is not searched for again inside it
+    assert _roots(ss.cubic(0.1), 2, 0.0, np.array([-0.5, 0.0, 0.5]), 1e-14) == [0.0]
+
+
+def _tanh_step(t):
+    return np.tanh(40.0 * (t - 0.3))
+
+
+def _tanh_step_slope(t):
+    return 40.0 / np.cosh(40.0 * (t - 0.3)) ** 2
+
+
+@pytest.mark.parametrize(
+    "derivs, steps",
+    [
+        ((lambda t: t - 0.3, lambda t: 1.0), 2),
+        ((_tanh_step, _tanh_step_slope), 10),                           # overshoots
+        ((lambda t: (t - 0.3) ** 3, lambda t: 3.0 * (t - 0.3) ** 2), 80),  # triple
+        ((lambda t: t - 0.3, lambda t: 0.0), 55),                       # bisection
+    ],
+)
+def test_root_search_stays_in_its_bracket_and_stops_early(derivs, steps):
+    from shearstab.profile import _ROOT_STEPS, _roots
+
+    f = _Recorded(*derivs)
+    (x,) = _roots(f, 0, 0.0, np.array([-1.0, 1.0]), 1e-15)
+    assert abs(x - 0.3) <= 4e-15
+    searched = np.concatenate(f.calls[1:])
+    assert np.all((-1.0 < searched) & (searched < 1.0))
+    # one value and one slope per step
+    assert len(searched) <= 2 * min(steps, _ROOT_STEPS - 1)

@@ -486,6 +486,29 @@ def test_top_singular_raises_at_the_step_cap(monkeypatch):
         spectral._top_singular(lambda x: a @ x, lambda y: a.conj().T @ y, RAMP)
 
 
+@pytest.mark.parametrize("breakdown", [False, True])
+def test_tridiagonal_ritz_step_matches_the_bidiagonal_svd(breakdown):
+    # The Golub-Kahan tridiagonal gives theta_1, theta_2, the last entry of
+    # the top left vector and the top right vector of the bidiagonal B.
+    from shearstab.spectral import _top_ritz
+
+    rng = np.random.default_rng(23)
+    for k in [1, 2, 3, *rng.integers(4, 62, size=20)]:
+        alphas, betas = rng.uniform(0.0, 2.0, k), rng.uniform(0.0, 2.0, k - 1)
+        if breakdown and k > 1:
+            alphas[-1] = 0.0        # the step where alpha broke down
+        left, sigma, right_h = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
+        theta, theta_2, p_j, q = _top_ritz(alphas, betas)
+        assert theta == pytest.approx(sigma[0], rel=1e-13, abs=1e-14)
+        if k > 1:
+            assert theta_2 == pytest.approx(sigma[1], rel=1e-13, abs=1e-14)
+        gap = sigma[0] - (sigma[1] if k > 1 else 0.0)
+        tol = 1e-14 / gap + 1e-13
+        assert abs(abs(p_j) - abs(left[-1, 0])) <= tol
+        sign = 1.0 if q @ right_h[0] > 0.0 else -1.0
+        assert np.max(np.abs(sign * q - right_h[0])) <= tol
+
+
 @pytest.mark.parametrize(
     "kind, profile, alpha",
     [("schrodinger", ss.couette(), 0.0), ("orr_sommerfeld", ss.cubic(0.1), 1.0)],
