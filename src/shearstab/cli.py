@@ -276,8 +276,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_list(text: str, cast=float) -> list:
-    return [cast(v) for v in text.split(",") if v.strip()]
+def _parse_list(flag: str, text: str | None, cast=float) -> list | None:
+    """The comma-separated values of ``flag``, None when it was not given."""
+    if text is None:
+        return None
+    values = [cast(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise _CliError(f"{flag} needs at least one value, got {text!r}")
+    return values
 
 
 def _run_certify(args) -> int:
@@ -307,7 +313,7 @@ def _run_certify(args) -> int:
 
 def _run_rayleigh_scan(args) -> int:
     profile, config = _load_profile(args.profile)
-    n_list = tuple(_parse_list(args.n_list, int))
+    n_list = tuple(_parse_list("--n-list", args.n_list, int))
     result = rayleigh_spectrum_scan(profile, args.alpha, n_list=n_list)
     distances = ", ".join(repr(d) for d in result.max_distances)
     print(
@@ -332,9 +338,9 @@ def _run_rayleigh_scan(args) -> int:
 
 
 def _parse_alphas(args) -> list[float]:
-    if not args.alphas:
+    if args.alphas is None:
         raise _CliError("os-alpha needs --alphas")
-    return _parse_list(args.alphas)
+    return _parse_list("--alphas", args.alphas)
 
 
 # sweep flag -> its parsed value, None when not given; --json records these
@@ -342,11 +348,11 @@ _SWEEP_FLAGS = {
     "alpha": lambda a: a.alpha,
     "alphas": _parse_alphas,
     "beta": lambda a: a.beta,
-    "betas": lambda a: _parse_list(a.betas) if a.betas else None,
+    "betas": lambda a: _parse_list("--betas", a.betas),
     "data": lambda a: a.data,
     "fraction": lambda a: a.fraction,
     "lam": lambda a: complex(a.lam),
-    "lams": lambda a: _parse_list(a.lams, complex) if a.lams else None,
+    "lams": lambda a: _parse_list("--lams", a.lams, complex),
     "seed": lambda a: a.seed,
 }
 

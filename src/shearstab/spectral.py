@@ -221,7 +221,9 @@ def _top_singular(apply, apply_h, v0: np.ndarray):
     r^2 / (theta_1 - theta_2) of a singular value of A (Larsen, PROPACK,
     1998); the loop stops once that bound is at most ``_GKL_RTOL`` theta_1.
     An alpha or beta that small is a breakdown: the Krylov space is
-    invariant to that accuracy, and the Ritz value is final.
+    invariant to that accuracy, and the Ritz value is final.  If A v0 = 0
+    exactly, theta is 0 and every vector is a top right singular vector;
+    the normalized start is returned, never the zero vector.
     """
     steps = min(_GKL_MAX_STEPS, v0.shape[0])
     vs = np.zeros((steps + 1, v0.shape[0]), dtype=v0.dtype)
@@ -244,7 +246,7 @@ def _top_singular(apply, apply_h, v0: np.ndarray):
         if betas[j] <= _GKL_RTOL * theta or (
             j and r * r <= _GKL_RTOL * theta * (theta - theta_2)
         ):
-            return float(theta), q @ vs[: j + 1]
+            return float(theta), (q @ vs[: j + 1] if theta else vs[0])
         vs[j + 1] = p / betas[j]
         u = apply(vs[j + 1])
     raise _NoConvergence(f"Golub-Kahan-Lanczos did not converge in {steps} steps")

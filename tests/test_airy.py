@@ -17,6 +17,7 @@ from shearstab.airy import (
     _f_prime,
     _hunt,
     _radial_values,
+    _tail_sum,
     airy_ai,
     airy_ai_prime,
     airy_tail_integral,
@@ -30,7 +31,8 @@ mpmath.mp.dps = 30
 
 # Verified locations of every zero of the rotated tail integral inside the
 # search rectangle (0.05, 10) x (-10, 10); the margin is the smallest real
-# part.  Found by winding-number bisection, verified by adaptive quadrature.
+# part.  Found by winding-number bisection on the Hankel kernel, verified by
+# the Gauss-Legendre panel sum of `airy_tail_integral` on the AMOS kernel.
 FROZEN_MARGIN = 1.0626257959756658
 FROZEN_ZEROS = (
     1.0626257959756658 + 4.1288430029031975j,
@@ -150,17 +152,20 @@ def test_tail_zeros_agree_across_kernels(monkeypatch):
     assert max(ours.residuals) <= 1e-10
 
 
-def test_tail_integral_evaluates_each_node_once(monkeypatch):
-    seen = []
-    amos = special.airy
-
-    def counted(w):
-        seen.append(complex(w))
-        return amos(w)
-
-    monkeypatch.setattr(special, "airy", counted)
-    airy_tail_integral(1.0 + 1.0j)
-    assert len(seen) == len(set(seen)) > 20
+def test_tail_integral_stable_under_panel_halving():
+    # The 0.7 rule against the 0.35 rule.  Next to a tail zero A0 cancels
+    # down from an integrand that reaches |Ai| ~ 7e3 on the path, so the
+    # rounding floor of any rule there is eps times the integral of |Ai|
+    # along the path; that integral joins the scale, and is below 1/2 at
+    # the first three points.
+    zeros = tail_zero_margin().zeros
+    for z in [0.0, 1.0 + 1.0j, 2.0 - 0.5j] + [1j * zk for zk in zeros]:
+        coarse, fine = _tail_sum(z, 0.7), _tail_sum(z, 0.35)
+        cut = airy._decay_cut(z)
+        path = airy._ROT6 * (z + np.linspace(0.0, cut, 4001))
+        mass = cut * np.mean(np.abs(airy_ai(path)))
+        assert abs(coarse - fine) <= 1e-13 * max(abs(coarse), 1.0 / 3.0, mass), z
+    assert airy_tail_integral(1.0 + 1.0j) == _tail_sum(1.0 + 1.0j, 0.7)
 
 
 def test_tail_integral_at_zero_is_one_third():
@@ -263,10 +268,11 @@ def test_tail_zero_margin_accepts_list_rectangle():
 
 
 def test_tail_zeros_verified_by_quadrature_route():
-    # Dual route: each reported zero must kill the integral computed by
-    # adaptive quadrature, measured as a Newton step length.
+    # Dual route: each reported zero must kill the integral computed by the
+    # AMOS panel sum along the +real path, measured as a Newton step length.
     res = tail_zero_margin()
-    for z in res.zeros[:3]:
+    assert len(res.zeros) == 7
+    for z in res.zeros:
         val = airy_tail_integral(1j * z)
         slope = abs(_f_prime(z))
         assert abs(val) / slope < 1e-10

@@ -10,6 +10,12 @@ The ``pseudo`` cases run 1x1 maps of both banded kinds with drawn
 ``--alpha``, ``--beta``, ``--mu-range`` and ``--nu-range`` values, edge
 values included: an exit code in 0-3, at most one stderr line, and no
 ``RuntimeWarning``.
+
+The ``sweep`` cases give each kind the flags it reads, each one either a
+cheap valid value (at most two betas, none above 1e3) or a hostile one:
+non-finite, zero, negative, above ``MAX_BETA`` or ``MAX_SHIFT``, an empty
+list or a malformed literal.  A case with a hostile flag must exit 3 with
+one stderr line; any other case exits 0-2.
 """
 
 import contextlib
@@ -23,7 +29,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearstab.cli import main
+from shearstab.cli import _SWEEPS, main
 
 _KEYS = {
     "couette": (),
@@ -154,3 +160,105 @@ def test_pseudo_range_fuzz(argv):
     assert err.getvalue().count("\n") <= 1
     if code == 3:
         assert err.getvalue().startswith("shearstab: error:") and out.getvalue() == ""
+
+
+# --- sweep: every flag a sweep kind reads --------------------------------------
+
+# flag -> (valid values, hostile values), as the text after "--flag="
+_SWEEP_VALUES = {
+    "betas": (
+        ["1", "1e3", "10,1e3", "1e2,1e2"],
+        ["", ",", "nan", "inf", "-inf", "0", "-1e3", "1e3,0", "10,nan",
+         "1.000001e12", "1e300", "1e400", "1e3;1e4", "abc"],
+    ),
+    "beta": (
+        ["1", "1e2", "1e3"],
+        ["", "nan", "inf", "-inf", "0", "-5", "1.000001e12", "1e300", "abc"],
+    ),
+    "alpha": (
+        ["0.5", "1", "5"],
+        ["", "nan", "inf", "-inf", "-1", "1.000001e6", "1e300", "abc"],
+    ),
+    "alphas": (
+        ["2", "2,4", "3,10"],
+        ["", ",", "nan", "inf", "0", "-2", "1", "4,2", "2,2", "1e300", "abc"],
+    ),
+    # a positive real part is outside every kind's range: l1-approx and
+    # weighted need Re(lam) <= 0, schrodinger Re(lam) beta^(1/3) < upsilon
+    "lam": (
+        ["0", "-1", "-0.1+0.2j", "0.5j"],
+        ["", "nan", "inf", "-inf", "nanj", "1", "-2e6", "1e300j", "1e400",
+         "1+", "j1", "(1", "1+2"],
+    ),
+    "lams": (
+        ["-10", "-30+5j", "40j", "-10,40j"],
+        ["", ",", "nan", "inf", "1", "2", "10", "-2e6", "1e300j", "1+",
+         "-10,abc"],
+    ),
+    "fraction": (
+        ["0.1", "0.5", "0.9"],
+        ["", "nan", "inf", "-inf", "0", "-0.5", "0.91", "1", "abc"],
+    ),
+}
+# the boundary sweep alone also rejects wavenumbers outside (0, 5]
+_HOSTILE_ALPHA = {"os-boundary": ["0", "5.5"]}
+
+
+def _hostile(kind, flag):
+    bad = _SWEEP_VALUES[flag][1]
+    return bad + _HOSTILE_ALPHA.get(kind, []) if flag == "alpha" else bad
+
+
+@st.composite
+def _sweep_argv(draw):
+    """(argv of one sweep, whether a flag it reads is hostile)."""
+    kind = draw(st.sampled_from(sorted(_SWEEPS)))
+    profile = draw(st.sampled_from(['{"family": "couette"}', '{"family": "cubic", "a": 0.1}']))
+    argv, hostile = ["sweep", kind, profile], False
+    for flag in _SWEEPS[kind][0]:
+        if flag not in _SWEEP_VALUES:
+            continue
+        if not draw(st.integers(0, 2)):
+            argv.append(f"--{flag}={draw(st.sampled_from(_hostile(kind, flag)))}")
+            hostile = True
+        else:
+            argv.append(f"--{flag}={draw(st.sampled_from(_SWEEP_VALUES[flag][0]))}")
+    return argv, hostile
+
+
+def _run_sweep(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert err.getvalue().count("\n") <= 1, argv
+    if code == 3:
+        assert err.getvalue().startswith("shearstab: error:") and out.getvalue() == ""
+    return code
+
+
+@given(case=_sweep_argv())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_sweep_flag_fuzz(case):
+    argv, hostile = case
+    code = _run_sweep(argv)
+    if hostile:
+        assert code == 3, argv
+    else:
+        assert code in (0, 1, 2), argv
+
+
+def test_each_hostile_sweep_flag_exits_three():
+    # every hostile value of every flag, the kind's other flags valid; an
+    # empty --betas= or --lams= must not fall back to the default sweep
+    missed = []
+    for kind, (flags, _) in sorted(_SWEEPS.items()):
+        read = [f for f in flags if f in _SWEEP_VALUES]
+        for flag in read:
+            for value in _hostile(kind, flag):
+                argv = ["sweep", kind, '{"family": "couette"}', f"--{flag}={value}"]
+                argv += [f"--{f}={_SWEEP_VALUES[f][0][0]}" for f in read if f != flag]
+                if _run_sweep(argv) != 3:
+                    missed.append(argv)
+    assert missed == []

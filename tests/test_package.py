@@ -61,9 +61,13 @@ with contextlib.redirect_stdout(io.StringIO()):
     seen["pseudo_code"] = main(["pseudo", '{"family": "cubic", "a": 0.1}',
                                 "--mu-range", "0", "0", "1", "--nu-range", "0.5", "0.5", "1"])
     seen["pseudo"] = lazy()
+seen["margin"] = shearstab.margin_constant()
+seen["zeros"] = len(shearstab.tail_zero_margin().zeros)
 value = shearstab.airy_tail_integral(0.0)
 seen["tail"] = [value.real, value.imag]
-seen["after_tail"] = lazy()
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["selftest_code"] = main(["airy-selftest"])
+seen["airy"] = lazy()
 print(json.dumps(seen))
 """
 
@@ -80,6 +84,8 @@ def test_cold_start_loads_neither_scipy_optimize_nor_integrate():
     seen = json.loads(out.stdout.splitlines()[-1])
     assert seen["import"] == seen["certify"] == seen["pseudo"] == []
     assert (seen["certify_code"], seen["pseudo_code"]) == (1, 0)
-    # the tail integral still works, and loads scipy.integrate on demand
+    # the Airy margin, its re-check and the self-test load neither module
+    assert seen["airy"] == []
+    assert (seen["zeros"], seen["selftest_code"]) == (7, 0)
+    assert abs(seen["margin"] - 0.5 * 1.0626257959756658) < 1e-9
     assert abs(complex(*seen["tail"]) - 1.0 / 3.0) < 1e-10
-    assert "scipy.integrate" in seen["after_tail"]

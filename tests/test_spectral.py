@@ -466,6 +466,16 @@ def test_top_singular_stops_on_breakdown(in_range):
     assert steps == (3 if in_range else 4)
 
 
+def test_top_singular_of_a_zero_operator_returns_the_unit_start():
+    # A v0 = 0 exactly: theta is 0, and the right vector is the normalized
+    # start, so a ladder never hands the next rung a zero warm start.
+    from shearstab.spectral import _top_singular
+
+    a = np.zeros((40, 30), dtype=complex)
+    theta, v = _top_singular(lambda x: a @ x, lambda y: a.conj().T @ y, RAMP)
+    assert (theta, v.tolist()) == (0.0, (RAMP / np.linalg.norm(RAMP)).tolist())
+
+
 def test_lanczos_at_the_step_cap_leaves_the_rung_unmeasurable(couette):
     # A dominant real shift clusters the top singular values of the solve
     # (1/1002.5, 1/1009.9, ...), and 60 steps cannot meet the gap bound from
