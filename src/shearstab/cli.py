@@ -234,19 +234,19 @@ def _build_parser() -> _Parser:
     sweep = sub.add_parser("sweep", help="scaling-law sweeps")
     sweep.add_argument("kind", choices=list(_SWEEPS))
     sweep.add_argument("profile")
-    sweep.add_argument("--betas", default=None, help="comma-separated")
-    sweep.add_argument("--beta", type=float, default=1e5)
-    sweep.add_argument("--alpha", type=float, default=1.0)
-    sweep.add_argument("--alphas", default=None, help="comma-separated")
+    # every sweep flag defaults to None, "not given": a kind rejects a given
+    # flag it does not read, and _SWEEP_FLAGS fills in the defaults
+    sweep.add_argument("--betas", help="comma-separated")
+    sweep.add_argument("--beta", type=float, help="default 1e5")
+    sweep.add_argument("--alpha", type=float, help="default 1")
+    sweep.add_argument("--alphas", help="comma-separated")
     sweep.add_argument(
-        "--lam", default="0", help="complex literal; a negative one as --lam=-0.1+0.2j"
+        "--lam", help="complex literal, default 0; a negative one as --lam=-0.1+0.2j"
     )
-    sweep.add_argument(
-        "--lams", default=None, help="comma-separated complex, e.g. --lams=-10,-20+3j"
-    )
-    sweep.add_argument("--fraction", type=float, default=0.5)
-    sweep.add_argument("--data", choices=["exp", "affine", "trig"], default="exp")
-    sweep.add_argument("--seed", type=int, default=None)
+    sweep.add_argument("--lams", help="comma-separated complex, e.g. --lams=-10,-20+3j")
+    sweep.add_argument("--fraction", type=float, help="default 0.5")
+    sweep.add_argument("--data", choices=["exp", "affine", "trig"], help="default exp")
+    sweep.add_argument("--seed", type=int)
     sweep.add_argument("--json", dest="json_path")
     sweep.add_argument("--csv", dest="csv_path")
     sweep.add_argument("--plot", dest="plot_path")
@@ -343,15 +343,20 @@ def _parse_alphas(args) -> list[float]:
     return _parse_list("--alphas", args.alphas)
 
 
-# sweep flag -> its parsed value, None when not given; --json records these
+def _or(value, default):
+    return default if value is None else value
+
+
+# sweep flag -> its parsed value, or its default when not given (None for a
+# flag without one); --json records these
 _SWEEP_FLAGS = {
-    "alpha": lambda a: a.alpha,
+    "alpha": lambda a: _or(a.alpha, 1.0),
     "alphas": _parse_alphas,
-    "beta": lambda a: a.beta,
+    "beta": lambda a: _or(a.beta, 1e5),
     "betas": lambda a: _parse_list("--betas", a.betas),
-    "data": lambda a: a.data,
-    "fraction": lambda a: a.fraction,
-    "lam": lambda a: complex(a.lam),
+    "data": lambda a: _or(a.data, "exp"),
+    "fraction": lambda a: _or(a.fraction, 0.5),
+    "lam": lambda a: complex(_or(a.lam, "0")),
     "lams": lambda a: _parse_list("--lams", a.lams, complex),
     "seed": lambda a: a.seed,
 }
@@ -380,8 +385,12 @@ _SWEEPS = {
 
 
 def _run_sweep(args) -> int:
-    profile, config = _load_profile(args.profile)
     flags, run = _SWEEPS[args.kind]
+    given = [f for f in _SWEEP_FLAGS if getattr(args, f) is not None]
+    unread = [f"--{f}" for f in given if f not in flags]
+    if unread:
+        raise _CliError(f"sweep {args.kind} does not read {', '.join(unread)}")
+    profile, config = _load_profile(args.profile)
     values = {f: v for f in flags if (v := _SWEEP_FLAGS[f](args)) is not None}
     result = run(profile, **values)
 

@@ -8,25 +8,31 @@ operator norms converge to their integral counterparts as the grid grows.
 A resolvent rung of the kinds ``schrodinger`` and ``orr_sommerfeld`` from
 degree ``_BANDED_MIN_DEGREE`` on solves a banded ultraspherical tau system in
 Chebyshev coefficients (``ultraspherical``), factored in O(n) by LAPACK
-``gbtrf``; data and solutions reach it through type-1 DCTs, so the norms are
-measured on the same nodes and weights as on the collocation route.  Every
-other rung, and every ``rayleigh_shifted`` rung, factors a dense collocation
-matrix (``resolvent_numbers``).
+``gbtrf``; data reach it, and solutions come back, through the maps between
+node values and coefficients, so the norms are measured on the same nodes
+and weights as on the collocation route.  Every other rung, and every
+``rayleigh_shifted`` rung, factors a dense collocation matrix
+(``resolvent_numbers``).
 
 From the measured crossover degree ``_LANCZOS_MIN_DEGREE`` on, each norm is
 the top singular value found by Golub-Kahan-Lanczos bidiagonalization
 (``_top_singular``) on the solves and their adjoints (LAPACK ``getrs`` or
-``gbtrs``), with full reorthogonalization.  The recurrence stops once the gap
-bound r^2 / (theta_1 - theta_2) on its top Ritz value is at most
-1e-13 theta_1, r = beta_k |e_k^T p| the residual.  D1 and D1^T reach the
-solutions through a type-1 DCT, O(n log n) per application.  The first
-Lanczos rung of a ladder starts from a fixed ramp, so repeated runs agree bit
-for bit; each later rung starts from the previous rung's top right singular
-vectors, resampled through their Chebyshev coefficients, and never from
-another shift.  A resolvent call on the sweep rungs of the benchmark takes
-about 13 solves, against 36 with ARPACK's ``svds``.  Below the crossover, the
-explicit solution operator is formed from the same factorization and its
-singular values are taken densely.
+``gbtrs``), with full reorthogonalization.  The recurrence stops once the
+gap bound r^2 / (theta_1 - theta_2) on its top Ritz value is at most
+1e-13 theta_1, r = beta_k |e_k^T p| the residual.  Up to the measured
+degree ``_MATRIX_STEP_MAX_DEGREE`` each step applies the maps between node
+values and the solves as cached dense real matrices, one BLAS product each
+(the grid's ``d1`` and its transpose on the collocation route,
+``ultraspherical.node_maps`` on the banded one), and reorthogonalizes with
+BLAS ``gemv``.  Above it the maps run through type-1 DCTs, O(n log n) per
+application, and the reorthogonalization through numpy products.  The first
+Lanczos rung of a ladder starts from a fixed ramp, so repeated runs agree
+bit for bit; each later rung starts from the previous rung's top right
+singular vectors, resampled through their Chebyshev coefficients, and never
+from another shift.  A Lanczos rung of the benchmark's sweeps takes about 15 solves for
+its two norms, and one of its shift maps about 16.  Below the crossover,
+the explicit solution operator is formed from the same factorization and
+its singular values are taken densely.
 
 Every quantity of interest is wrapped in the one grid ladder ``_refine``,
 which doubles the degree until two consecutive rungs agree under the
@@ -38,9 +44,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.linalg import eigvals, get_lapack_funcs, svdvals
+from scipy.linalg import eigvals, get_blas_funcs, get_lapack_funcs, svdvals
 from scipy.linalg.lapack import dstemr
 
 from .chebdiff import (
@@ -64,7 +71,7 @@ from .operators import (
     assemble_schrodinger,
 )
 from .profile import Profile
-from .ultraspherical import ORDERS, TauSystem, velocity_series
+from .ultraspherical import ORDERS, TauSystem, node_maps, velocity_series
 
 __all__ = [
     "weighted_norm",
@@ -86,6 +93,14 @@ _SINGULAR_RTOL = 1e3 * np.finfo(float).eps
 # are faster.  Measured crossover (see CHANGES.md): the dense route wins at
 # n = 64 and loses at n = 76.
 _LANCZOS_MIN_DEGREE = 80
+# Up to this degree every Lanczos step applies its node-coefficient maps as
+# dense real matrices, one BLAS call each (the grid's d1 on the dense route,
+# ``ultraspherical.node_maps`` on the banded one), and reorthogonalizes with
+# BLAS gemv; above it, type-1 DCTs and numpy products.
+# Measured (see CHANGES.md): the largest degree at which a banded rung that
+# builds its node maps, medians of 15 runs over 3 shifts per kind, is no
+# slower than the DCT step; dense rungs gain up to n = 300.
+_MATRIX_STEP_MAX_DEGREE = 192
 # Golub-Kahan-Lanczos for the resolvent norms: relative bound on the error
 # of the top Ritz value at which the recurrence stops, and the step cap past
 # which it gives up (the benchmark's sweeps and shift maps at beta 1e4 and
@@ -185,11 +200,16 @@ class _NoConvergence(RuntimeError):
     """``_top_singular`` reached its step cap."""
 
 
-def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _orthogonalize(w: np.ndarray, basis: np.ndarray, gemv=None) -> np.ndarray:
     """w minus its projection on the orthonormal rows of basis, applied twice
-    so the result is orthogonal to working precision."""
+    so the result is orthogonal to working precision.  With BLAS ``gemv``,
+    trans=2 takes the inner products straight from the rows, with no
+    conjugated copy of them."""
     for _ in range(2):
-        w = w - basis.T @ (basis.conj() @ w)
+        if gemv is None:
+            w = w - basis.T @ (basis.conj() @ w)
+        elif basis.shape[0]:
+            w = gemv(-1.0, basis.T, gemv(1.0, basis.T, w, trans=2), beta=1.0, y=w)
     return w
 
 
@@ -210,7 +230,7 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray):
     return vals[1], vals[0], top[-1], top[0::2]
 
 
-def _top_singular(apply, apply_h, v0: np.ndarray):
+def _top_singular(apply, apply_h, v0: np.ndarray, blas: bool = False):
     """Largest singular value and right singular vector of A by Golub-Kahan-
     Lanczos bidiagonalization with full reorthogonalization.
 
@@ -224,20 +244,26 @@ def _top_singular(apply, apply_h, v0: np.ndarray):
     invariant to that accuracy, and the Ritz value is final.  If A v0 = 0
     exactly, theta is 0 and every vector is a top right singular vector;
     the normalized start is returned, never the zero vector.
+
+    With ``blas`` the reorthogonalization runs on BLAS ``gemv``, as on the
+    matrix-step rungs; without it, on numpy products.  The DCT-step rungs
+    keep those: their top rungs can be ill-conditioned enough that another
+    rounding moves a norm by 1.4e-12 (an unconverged n = 2048 fuzz ladder).
     """
     steps = min(_GKL_MAX_STEPS, v0.shape[0])
     vs = np.zeros((steps + 1, v0.shape[0]), dtype=v0.dtype)
     vs[0] = v0 / np.linalg.norm(v0)
     u = apply(vs[0])
     us = np.zeros((steps, u.shape[0]), dtype=u.dtype)
+    gemv = get_blas_funcs(("gemv",), (vs, us))[0] if blas else None
     alphas, betas = np.zeros(steps), np.zeros(steps)
     theta = 0.0
     for j in range(steps):
-        u = _orthogonalize(u, us[:j])
+        u = _orthogonalize(u, us[:j], gemv)
         alphas[j] = np.linalg.norm(u)
         if alphas[j] > _GKL_RTOL * theta:
             us[j] = u / alphas[j]
-            p = _orthogonalize(apply_h(us[j]), vs[: j + 1])
+            p = _orthogonalize(apply_h(us[j]), vs[: j + 1], gemv)
             betas[j] = np.linalg.norm(p)
         else:
             alphas[j] = 0.0
@@ -250,6 +276,15 @@ def _top_singular(apply, apply_h, v0: np.ndarray):
         vs[j + 1] = p / betas[j]
         u = apply(vs[j + 1])
     raise _NoConvergence(f"Golub-Kahan-Lanczos did not converge in {steps} steps")
+
+
+def _real_matmul(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mat @ x for a real matrix: a complex vector goes through as its real
+    and imaginary parts side by side in one real product, where numpy would
+    first copy mat to complex."""
+    if x.dtype != np.complex128:
+        return mat @ x
+    return (mat @ x.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
 
 
 def _lanczos_norms(n, data_nodes, ws_in, maps, dtype, start) -> tuple[float, float]:
@@ -271,9 +306,10 @@ def _lanczos_norms(n, data_nodes, ws_in, maps, dtype, start) -> tuple[float, flo
         # and odd parts, so a parity symmetry of the profile cannot make it
         # orthogonal to the top singular vector.
         v0s = [np.linspace(1.0, 2.0, len(ws_in))] * 2
+    blas = n <= _MATRIX_STEP_MAX_DEGREE
     try:
         found = [
-            _top_singular(apply, apply_h, v0.astype(dtype))
+            _top_singular(apply, apply_h, v0.astype(dtype), blas)
             for (apply, apply_h), v0 in zip(maps, v0s)
         ]
     except _NoConvergence:
@@ -300,7 +336,8 @@ def _solution_norms(
     W the square-root quadrature weights.  Below ``_LANCZOS_MIN_DEGREE`` both
     come from SVDs of the explicit solution operator; from there on, from
     ``_lanczos_norms`` on the solves and their adjoints, with D1 and D1^T
-    applied by DCT.
+    applied as the grid's ``d1`` up to ``_MATRIX_STEP_MAX_DEGREE`` and by
+    DCT above it.
     """
     ws = np.sqrt(grid.weights)
     data_nodes = np.arange(grid.n + 1)[sol_rows][data_rows]
@@ -338,9 +375,14 @@ def _solution_norms(
         norm_d_inv = svdvals(ws[:, None] * (grid.d1 @ u))[0]
         return float(norm_inv), float(norm_d_inv)
 
+    if grid.n <= _MATRIX_STEP_MAX_DEGREE:
+        derivative = partial(_real_matmul, grid.d1)
+        derivative_t = partial(_real_matmul, grid.d1.T)
+    else:
+        derivative, derivative_t = _derivative, _derivative_t
     maps = (
         (lambda x: ws * solve(x), lambda y: solve_h(ws * y)),
-        (lambda x: ws * _derivative(solve(x)), lambda y: solve_h(_derivative_t(ws * y))),
+        (lambda x: ws * derivative(solve(x)), lambda y: solve_h(derivative_t(ws * y))),
     )
     return _lanczos_norms(grid.n, data_nodes, ws_in, maps, dtype, start)
 
@@ -430,13 +472,16 @@ def _banded_numbers(
 
     Norms are measured as on the collocation route: weighted data x = W f
     on the same nodes (the interior for Dirichlet, nodes 2..n-2 for clamped
-    walls), f zero on the others, goes to coefficients by DCT; the solution
-    comes back to node values by DCT, and its derivative through the
-    coefficient recurrence.  Both norms come from ``_lanczos_norms``: these
-    rungs start at ``_BANDED_MIN_DEGREE``, above ``_LANCZOS_MIN_DEGREE``.
-    A Dirichlet system is singular at an exactly
-    zero pivot or a ``gbcon`` estimate below ``_SINGULAR_RTOL``; a clamped
-    one at a zero pivot or by the rule of ``_numbers``.
+    walls), f zero on the others, goes to the kept rows; the solution comes
+    back to node values, and so does its derivative.  Up to
+    ``_MATRIX_STEP_MAX_DEGREE`` each of those maps is one product with a
+    cached matrix of ``node_maps``; above it, type-1 DCTs, the coefficient
+    recurrence and the system's sparse maps.  Both norms come from
+    ``_lanczos_norms``: these rungs start at ``_BANDED_MIN_DEGREE``, above
+    ``_LANCZOS_MIN_DEGREE``.  A Dirichlet system is singular at an exactly
+    zero pivot or a condition estimate (``TauSystem.rcond``) below
+    ``_SINGULAR_RTOL``; a clamped one at a zero pivot or by the rule of
+    ``_numbers``.
     """
     system = TauSystem(kind, series, params, grid.n)
     bc = "dirichlet" if kind == "schrodinger" else "clamped"
@@ -447,25 +492,37 @@ def _banded_numbers(
     data_nodes = np.arange(edge, n + 1 - edge)
     ws_in = ws[data_nodes]
 
-    def forcing(x):
-        f = np.zeros((n + 1,) + x.shape[1:], dtype=x.dtype)
-        f[data_nodes] = (x.T / ws_in).T
-        return _coefficients(f)
+    if n <= _MATRIX_STEP_MAX_DEGREE:
+        to_rows, *outs = node_maps(system.order, grid)
+        back = system.backsolve
+        maps = [
+            (
+                lambda x, out=out: _real_matmul(out, back(_real_matmul(to_rows, x))),
+                lambda y, out=out: _real_matmul(to_rows.T, back(_real_matmul(out.T, y), 2)),
+            )
+            for out in outs
+        ]
+    else:
 
-    def data(a):
-        # the adjoint of forcing: the coefficient map is symmetric
-        return _coefficients(a)[data_nodes] / ws_in
+        def forcing(x):
+            f = np.zeros((n + 1,) + x.shape[1:], dtype=x.dtype)
+            f[data_nodes] = (x.T / ws_in).T
+            return _coefficients(f)
 
-    maps = (
-        (
-            lambda x: ws * _values(system.solve(forcing(x))),
-            lambda y: data(system.solve_h(_values(ws * y))),
-        ),
-        (
-            lambda x: ws * _values(_coef_derivative(system.solve(forcing(x)))),
-            lambda y: data(system.solve_h(_coef_derivative_t(_values(ws * y)))),
-        ),
-    )
+        def data(a):
+            # the adjoint of forcing: the coefficient map is symmetric
+            return _coefficients(a)[data_nodes] / ws_in
+
+        maps = (
+            (
+                lambda x: ws * _values(system.solve(forcing(x))),
+                lambda y: data(system.solve_h(_values(ws * y))),
+            ),
+            (
+                lambda x: ws * _values(_coef_derivative(system.solve(forcing(x)))),
+                lambda y: data(system.solve_h(_coef_derivative_t(_values(ws * y)))),
+            ),
+        )
     return _numbers(bc, *_lanczos_norms(n, data_nodes, ws_in, maps, complex, start))
 
 
@@ -493,10 +550,12 @@ def resolvent_numbers(
 
 
 # Rungs of the banded kinds (ultraspherical.ORDERS) from this degree on take
-# the banded tau route; below it the dense collocation rung is faster.
-# Measured crossover (see CHANGES.md): medians of 9 runs over 3 shifts per
-# kind put the banded rung at 1.0-1.5x the dense time for n = 80-140 and at
-# 0.6-0.97x from n = 160 on.
+# the banded tau route.  Measured with both routes on the matrix step (see
+# CHANGES.md): medians of 9 runs over 3 shifts per kind put a banded rung at
+# 0.83-1.04x the dense time at n = 87-100 and 0.43-0.87x from n = 120 on
+# when its node maps are cached, and at 0.93-1.35x up to n = 120 and
+# 0.65-0.99x from n = 140 on when it builds them.  The degree stays: the
+# tau route at n = 87 moves n_used on a few shift-map ladders (CHANGES.md).
 _BANDED_MIN_DEGREE = 160
 # ... and only while U's chopped Chebyshev series has degree d <= n / 16: the
 # tau matrix has about 2d + 3m diagonals, so ``gbtrf`` costs O(d^2 n) and

@@ -45,13 +45,15 @@ from .chebdiff import ChebGrid, _coefficients
 from .operators import SpectralParams
 from .profile import Profile
 
-__all__ = ["ORDERS", "TauSystem", "velocity_series"]
+__all__ = ["ORDERS", "TauSystem", "node_maps", "velocity_series"]
 
 # trailing Chebyshev coefficients of U below this fraction of the largest
 # are dropped
 _CHOP_RTOL = 4e-16
 # order of each banded kind's operator
 ORDERS = {"schrodinger": 2, "orr_sommerfeld": 4}
+# moduli below this have no sign in the condition estimate (LAPACK's safmin)
+_SAFE_MIN = np.finfo(float).tiny
 
 
 class _Band(NamedTuple):
@@ -276,9 +278,10 @@ class TauSystem:
     U's Chebyshev ``series`` (``velocity_series``).
 
     ``solve`` maps the T coefficients of a forcing (degree n, along axis 0)
-    to those of the solution; ``solve_h`` is its adjoint.  ``singular`` is
-    set when ``gbtrf`` met an exactly zero pivot, and the solves are then
-    meaningless.
+    to those of the solution; ``solve_h`` is its adjoint.  ``backsolve``
+    solves with the square system itself, kept rows to basis coefficients.
+    ``singular`` is set when ``gbtrf`` met an exactly zero pivot, and the
+    solves are then meaningless.
     """
 
     def __init__(self, kind: str, series: np.ndarray, params: SpectralParams, n: int):
@@ -295,11 +298,45 @@ class TauSystem:
         self._conv, self._basis = st.conv_map, st.basis_map
 
     def rcond(self) -> float:
-        """LAPACK's estimate of the reciprocal 1-norm condition number."""
-        rcond, _ = lapack.zgbcon(self._kl, self._ku, self._lu, self._piv, self._anorm)
-        return float(rcond)
+        """Reciprocal 1-norm condition number, 1 / (||A||_1 ||A^-1||_1), with
+        ||A^-1||_1 estimated step for step as LAPACK's ``zgbcon`` does
+        (``zlacn2``: Hager 1984, Higham 1988), but from ``gbtrs`` solves on
+        the factored band: 4 to 11 of them, with A and with A^H.  A solve
+        that overflows reads as 0."""
+        size = self._lu.shape[1]
 
-    def _backsolve(self, rhs: np.ndarray, trans: int) -> np.ndarray:
+        def norm_1(x):
+            y = self.backsolve(x.astype(complex))
+            return float(np.sum(np.abs(y))), y
+
+        def gradient(y):
+            # |A^-H sign(y)|: its largest entry picks the next unit vector
+            a = np.abs(y)
+            sign = np.divide(y, a, out=np.ones_like(y), where=a > _SAFE_MIN)
+            return np.abs(self.backsolve(sign, 2))
+
+        with np.errstate(all="ignore"):     # overflow leaves est inf or nan
+            est, y = norm_1(np.full(size, 1.0 / size))
+            z = gradient(y)
+            j = int(np.argmax(z))
+            for _ in range(4):
+                old, (est, y) = est, norm_1(np.eye(1, size, j)[0])
+                if est <= old:
+                    break
+                z = gradient(y)
+                last, j = j, int(np.argmax(z))
+                if z[last] == z[j]:
+                    break
+            alt = (1.0 + np.arange(size) / max(size - 1, 1)) * (-1.0) ** np.arange(size)
+            temp = 2.0 * norm_1(alt)[0] / (3 * size)
+            est = est if temp <= est else temp      # a nan carries through
+        if not (est < math.inf and self._anorm):
+            return 0.0
+        return (1.0 / est) / self._anorm
+
+    def backsolve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+        """The square system solved (``trans`` 0) or its adjoint (2):
+        kept rows to basis coefficients, along axis 0."""
         x, info = lapack.zgbtrs(
             self._lu, self._kl, self._ku, rhs, self._piv, trans=trans, overwrite_b=True
         )
@@ -308,8 +345,86 @@ class TauSystem:
         return x
 
     def solve(self, coef: np.ndarray) -> np.ndarray:
-        return self._basis(self._backsolve(self._conv(coef), 0))
+        return self._basis(self.backsolve(self._conv(coef)))
 
     def solve_h(self, coef: np.ndarray) -> np.ndarray:
-        return self._conv.t(self._backsolve(self._basis.t(coef), 2))
+        return self._conv.t(self.backsolve(self._basis.t(coef), 2))
 
+
+def _band_columns(table: np.ndarray, diagonals, out: np.ndarray) -> np.ndarray:
+    """out = table @ B for the banded B with B[k + o, k] = w_o[k] and as many
+    columns as out, from the (o, w_o) pairs ``diagonals``: a sum of shifted
+    column slices."""
+    size = out.shape[1]
+    (o, w), *rest = diagonals
+    np.multiply(table[:, o : o + size], w, out=out)
+    for o, w in rest:
+        out += table[:, o : o + size] * w
+    return out
+
+
+# the node maps of the latest (order, degree): the ladders of a shift map
+# share one shape per kind, and holding one set, dropped before the next is
+# built, keeps peak memory down.  Threads that race here at most build a
+# shape twice, to the same bits.
+_NODE_MAPS: dict = {}
+
+
+def node_maps(m: int, grid: ChebGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The node maps of an order-m tau system on the degree-n ``grid`` as
+    dense real matrices: (forcing, values, slopes).
+
+    With W the square-root Clenshaw-Curtis weights, ``forcing`` takes
+    weighted data x = W f on the nodes m/2 .. n - m/2 (f zero on the others)
+    to the kept rows of S a, a the Chebyshev coefficients of f; ``values``
+    takes basis coefficients c to W sum c_k phi_k on every node, and
+    ``slopes`` to W (sum c_k phi_k)'.  They equal the compositions of type-1
+    DCTs, ``_coef_derivative`` and the structure's sparse maps.  Only the
+    latest shape is kept, and it is dropped before another is built.
+    """
+    maps = _NODE_MAPS.get((m, grid.n))
+    if maps is None:
+        _NODE_MAPS.clear()
+        maps = _NODE_MAPS[m, grid.n] = _build_node_maps(m, grid)
+    return maps
+
+
+def _build_node_maps(m: int, grid: ChebGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``node_maps`` in O(n^2) from one table of cos(pi j k / n), then of
+    sin(pi j k / n) in the same memory, the product jk reduced mod 2n in
+    integers, with T_k'(x_j) = k sin(pi j k / n) / sin(pi j / n) off the
+    walls.  Only the nodes j <= n/2 are computed: node n - j has (-1)^k T_k
+    and (-1)^(k+1) T_k', and every diagonal sits at an even offset."""
+    n = grid.n
+    st = _structure(m, n)
+    size, edge, half = st.size, m // 2, n // 2 + 1
+    ws = np.sqrt(grid.weights)[:half, None]
+    k = np.arange(n + m + 1)
+    angle = np.pi / n * np.arange(2 * n)
+    jk = np.outer(np.arange(half), k) % (2 * n)
+    # coefficient a_k = (2 / n) e_k sum_j f_j cos(pi j k / n) for f zero at
+    # the walls, e_k = 1/2 at k = 0 and n, and 0 past n
+    e = (2.0 / n) * (k <= n)
+    e[[0, n]] /= 2.0
+    conv = [
+        (o, e[o : o + size] * st.conv.ab[st.conv.ku - o, o : o + size])
+        for o in range(0, st.conv.ku + 1, 2)
+    ]
+    basis = [(o, st.basis.ab[o, :size]) for o in range(0, m + 1, 2)]
+    forcing_t, values, slopes = (np.empty((n + 1, size)) for _ in range(3))
+    table = np.take(np.cos(angle), jk)
+    _band_columns(table, conv, forcing_t[:half])
+    forcing_t[:half] /= ws
+    _band_columns(table, basis, values[:half])
+    values[:half] *= ws
+    # the factor k of T_k' rides on the basis weights; T_k'(1) = k^2
+    np.take(np.sin(angle), jk, out=table)
+    _band_columns(table, [(o, w * (k[:size] + o)) for o, w in basis], slopes[:half])
+    slopes[1:half] *= ws[1:] / np.sin(angle[1:half, None])
+    _band_columns((k * k)[None], basis, slopes[:1])
+    slopes[0] *= ws[0]
+    parity = (-1.0) ** k[:size]
+    for mat, sign in ((forcing_t, parity), (values, parity), (slopes, -parity)):
+        np.multiply(mat[n - half :: -1], sign, out=mat[half:])
+        mat.setflags(write=False)
+    return forcing_t[edge : n + 1 - edge].T, values, slopes

@@ -427,6 +427,38 @@ def test_json_is_byte_identical_across_thread_counts(tmp_path, capsys, argv):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize(
+    "kind, alpha, beta",
+    # ladders from 148 (dense) to 296, and from 165 (banded) to 330
+    [("schrodinger", "0", "5e4"), ("orr_sommerfeld", "1", "7e4")],
+)
+def test_pseudo_output_is_byte_identical_across_the_matrix_step_cap(
+    tmp_path, capsys, kind, alpha, beta
+):
+    # rungs at or below _MATRIX_STEP_MAX_DEGREE take the matrix step, with
+    # the node maps built cold on the first run and cached on the second;
+    # the rungs above it take the DCT step
+    from shearstab import ultraspherical
+    from shearstab.spectral import _MATRIX_STEP_MAX_DEGREE, ladder_start
+
+    start = ladder_start(float(beta))
+    assert start <= _MATRIX_STEP_MAX_DEGREE < 2 * start
+    ultraspherical._NODE_MAPS.clear()
+    outputs = []
+    for tag in ("cold", "warm"):
+        paths = [tmp_path / f"{tag}.{suffix}" for suffix in ("json", "csv")]
+        code, _, err = run(
+            capsys, "pseudo", _COUETTE, "--kind", kind, "--alpha", alpha, "--beta", beta,
+            "--mu-range", "-0.2", "0.1", "2", "--nu-range", "-0.5", "0.5", "2",
+            "--json", str(paths[0]), "--csv", str(paths[1]),
+        )
+        assert code == 0, err
+        outputs.append([path.read_bytes() for path in paths])
+    assert outputs[0] == outputs[1]
+    used = {s["n_used"] for s in json.loads(outputs[0][0])["result"]["samples"]}
+    assert used == {2 * start}
+
+
 def test_thread_environment_variable_is_ignored(monkeypatch, capsys):
     argv = ["pseudo", _COUETTE, "--mu-range", "-0.3", "-0.3", "1",
             "--nu-range", "0.1", "0.1", "1"]

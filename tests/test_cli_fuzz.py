@@ -14,8 +14,10 @@ values included: an exit code in 0-3, at most one stderr line, and no
 The ``sweep`` cases give each kind the flags it reads, each one either a
 cheap valid value (at most two betas, none above 1e3) or a hostile one:
 non-finite, zero, negative, above ``MAX_BETA`` or ``MAX_SHIFT``, an empty
-list or a malformed literal.  A case with a hostile flag must exit 3 with
-one stderr line; any other case exits 0-2.
+list or a malformed literal.  Some cases also give one flag the kind does
+not read, with a value that is valid where it is read.  A case with a
+hostile or an unread flag must exit 3 with one stderr line; any other case
+exits 0-2.
 """
 
 import contextlib
@@ -29,7 +31,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearstab.cli import _SWEEPS, main
+from shearstab.cli import _SWEEP_FLAGS, _SWEEPS, main
 
 _KEYS = {
     "couette": (),
@@ -204,6 +206,11 @@ _SWEEP_VALUES = {
 _HOSTILE_ALPHA = {"os-boundary": ["0", "5.5"]}
 
 
+# one value of every sweep flag that is valid where the flag is read
+_VALID = {flag: values[0][0] for flag, values in _SWEEP_VALUES.items()}
+_VALID.update(data="exp", seed="1")
+
+
 def _hostile(kind, flag):
     bad = _SWEEP_VALUES[flag][1]
     return bad + _HOSTILE_ALPHA.get(kind, []) if flag == "alpha" else bad
@@ -211,7 +218,8 @@ def _hostile(kind, flag):
 
 @st.composite
 def _sweep_argv(draw):
-    """(argv of one sweep, whether a flag it reads is hostile)."""
+    """(argv of one sweep, whether a flag it reads is hostile or a flag it
+    does not read is given)."""
     kind = draw(st.sampled_from(sorted(_SWEEPS)))
     profile = draw(st.sampled_from(['{"family": "couette"}', '{"family": "cubic", "a": 0.1}']))
     argv, hostile = ["sweep", kind, profile], False
@@ -223,6 +231,11 @@ def _sweep_argv(draw):
             hostile = True
         else:
             argv.append(f"--{flag}={draw(st.sampled_from(_SWEEP_VALUES[flag][0]))}")
+    unread = sorted(set(_SWEEP_FLAGS) - set(_SWEEPS[kind][0]))
+    if not draw(st.integers(0, 3)):
+        flag = draw(st.sampled_from(unread))
+        argv.insert(draw(st.integers(3, len(argv))), f"--{flag}={_VALID[flag]}")
+        hostile = True
     return argv, hostile
 
 
@@ -261,4 +274,19 @@ def test_each_hostile_sweep_flag_exits_three():
                 argv += [f"--{f}={_SWEEP_VALUES[f][0][0]}" for f in read if f != flag]
                 if _run_sweep(argv) != 3:
                     missed.append(argv)
+    assert missed == []
+
+
+def test_each_unread_sweep_flag_exits_three():
+    # a flag the kind does not read is refused before any work, even with a
+    # value that is valid where it is read: the error names it
+    missed = []
+    for kind, (flags, _) in sorted(_SWEEPS.items()):
+        for flag in sorted(set(_SWEEP_FLAGS) - set(flags)):
+            argv = ["sweep", kind, '{"family": "couette"}', f"--{flag}={_VALID[flag]}"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if (code, out.getvalue()) != (3, "") or f"--{flag}" not in err.getvalue():
+                missed.append(argv)
     assert missed == []

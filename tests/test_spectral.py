@@ -11,9 +11,12 @@ from scipy.linalg import eigvals
 from scipy.optimize import brentq
 
 import shearstab as ss
-from shearstab.chebdiff import N_MAX
+from shearstab.chebdiff import N_MAX, _derivative, _derivative_t
 from shearstab.operators import certificate_potential
 from shearstab.spectral import (
+    _LANCZOS_MIN_DEGREE,
+    _MATRIX_STEP_MAX_DEGREE,
+    _real_matmul,
     eig_floor_ladder,
     ladder_start,
     min_eig_selfadjoint,
@@ -487,6 +490,21 @@ def test_lanczos_at_the_step_cap_leaves_the_rung_unmeasurable(couette):
     assert sample.norm_inv == sample.norm_d_inv == math.inf
 
 
+def test_top_singular_on_gemv_matches_numpy_products():
+    # the matrix-step rungs reorthogonalize with BLAS gemv: the same value
+    # to rounding, and on a separated top pair the same vector
+    from shearstab.spectral import _top_singular
+
+    for values in (CLUSTER, [3.0, 2.0, 1.0]):
+        a, _ = _synthetic(values)
+        (theta, v), (theta_blas, v_blas) = (
+            _top_singular(lambda x: a @ x, lambda y: a.conj().T @ y, RAMP, blas)
+            for blas in (False, True)
+        )
+        assert theta_blas == pytest.approx(theta, rel=1e-14)
+    assert np.linalg.norm(v_blas - v) < 1e-12
+
+
 def test_top_singular_raises_at_the_step_cap(monkeypatch):
     from shearstab import spectral
 
@@ -544,3 +562,17 @@ def test_warm_start_matches_cold_start_on_the_top_rung(kind, profile, alpha):
     assert warm["singular"] == cold["singular"] is False
     for key in ("norm_inv", "norm_d_inv"):
         assert warm[key] == pytest.approx(cold[key], rel=1e-11)
+
+
+@pytest.mark.parametrize("n", [_LANCZOS_MIN_DEGREE, 87, _MATRIX_STEP_MAX_DEGREE])
+def test_d1_step_matches_the_dct_derivative(n):
+    # the dense route's matrix step: d1 and its transpose, each one real
+    # product on a complex vector, against the DCT derivative they replace
+    grid = ss.build_grid(n)
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    for fast, ref in ((_real_matmul(grid.d1, f), _derivative(f)),
+                      (_real_matmul(grid.d1.T, f), _derivative_t(f))):
+        assert np.linalg.norm(fast - ref) <= 1e-13 * np.linalg.norm(ref)
+    real = f.real.copy()
+    assert np.array_equal(_real_matmul(grid.d1, real), grid.d1 @ real)

@@ -4,17 +4,27 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eig
+from scipy.linalg import eig, lapack
 
 import shearstab as ss
-from shearstab.chebdiff import _coefficients, _values
+from shearstab import spectral, ultraspherical
+from shearstab.chebdiff import _coef_derivative, _coef_derivative_t, _coefficients, _values
 from shearstab.spectral import (
     _ASSEMBLERS,
+    _BANDED_MIN_DEGREE,
+    _MATRIX_STEP_MAX_DEGREE,
+    _SINGULAR_RTOL,
     _banded_numbers,
     ladder_start,
     resolvent_numbers,
 )
-from shearstab.ultraspherical import TauSystem, _tau_matrix, velocity_series
+from shearstab.ultraspherical import (
+    TauSystem,
+    _structure,
+    _tau_matrix,
+    node_maps,
+    velocity_series,
+)
 
 PROFILES = {"couette": ss.couette(), "cubic(0.1)": ss.cubic(0.1), "tanh(1)": ss.tanh_shear(1.0)}
 KINDS = (("schrodinger", 0.0), ("orr_sommerfeld", 1.0))
@@ -191,3 +201,115 @@ def test_ladders_keep_their_rungs():
 def test_orr_sommerfeld_needs_positive_beta(couette):
     with pytest.raises(ValueError, match="needs beta > 0"):
         TauSystem("orr_sommerfeld", np.array([0.0, 1.0]), ss.SpectralParams(1.0, 0.0, 0.0), 64)
+
+
+def _complex(rng, size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("n", [_BANDED_MIN_DEGREE, _MATRIX_STEP_MAX_DEGREE])
+@pytest.mark.parametrize("m", [2, 4])
+def test_node_maps_match_the_transforms_they_replace(m, n):
+    # each cached matrix and its transpose against the type-1 DCTs, the
+    # coefficient recurrence and the structure's sparse maps
+    rng = np.random.default_rng(m + n)
+    forcing, values, slopes = node_maps(m, ss.build_grid(n))
+    st, ws = _structure(m, n), np.sqrt(ss.build_grid(n).weights)
+    data = np.arange(m // 2, n + 1 - m // 2)
+    x, c, y, z = (_complex(rng, size) for size in (len(data), st.size, n + 1, st.size))
+    f = np.zeros(n + 1, dtype=complex)
+    f[data] = x / ws[data]
+    pairs = [
+        (forcing @ x, st.conv_map(_coefficients(f))),
+        (forcing.T @ z, _coefficients(st.conv_map.t(z))[data] / ws[data]),
+        (values @ c, ws * _values(st.basis_map(c))),
+        (values.T @ y, st.basis_map.t(_values(ws * y))),
+        (slopes @ c, ws * _values(_coef_derivative(st.basis_map(c)))),
+        (slopes.T @ y, st.basis_map.t(_coef_derivative_t(_values(ws * y)))),
+    ]
+    for fast, ref in pairs:
+        assert np.linalg.norm(fast - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_node_maps_keep_only_the_latest_shape():
+    # at most two sets are ever alive: the held one and the one a rung
+    # still uses while the next is built
+    first = node_maps(2, ss.build_grid(160))
+    assert node_maps(2, ss.build_grid(160)) is first
+    for m, n in ((4, 160), (2, 170), (4, 170)):
+        node_maps(m, ss.build_grid(n))
+        assert list(ultraspherical._NODE_MAPS) == [(m, n)]
+    assert node_maps(2, ss.build_grid(160)) is not first
+
+
+@pytest.mark.parametrize("n", [_MATRIX_STEP_MAX_DEGREE, _MATRIX_STEP_MAX_DEGREE + 1])
+@pytest.mark.parametrize("route", ["banded", "dense"])
+@pytest.mark.parametrize("kind, alpha", KINDS)
+def test_matrix_step_rungs_match_the_dct_step(monkeypatch, kind, alpha, route, n):
+    # a rung at the cap takes the matrix step and one past it the DCT step;
+    # both agree with the DCT step forced on
+    profile, params, grid = ss.cubic(0.1), ss.SpectralParams(alpha, 1e4, -0.1 + 0.5j), ss.build_grid(n)
+
+    def rung():
+        if route == "banded":
+            return _banded_numbers(velocity_series(profile, grid), params, kind, grid, None)
+        return resolvent_numbers(_ASSEMBLERS[kind](profile, params, grid))
+
+    ultraspherical._NODE_MAPS.clear()
+    fast = rung()
+    built = len(ultraspherical._NODE_MAPS)
+    assert built == (route == "banded" and n <= _MATRIX_STEP_MAX_DEGREE)
+    monkeypatch.setattr(spectral, "_MATRIX_STEP_MAX_DEGREE", 0)
+    slow = rung()
+    assert fast["singular"] is slow["singular"] is False
+    for key in ("norm_inv", "norm_d_inv"):
+        assert fast[key] == pytest.approx(slow[key], rel=1e-12, abs=0.0), key
+
+
+def _zgbcon(system):
+    rcond, info = lapack.zgbcon(system._kl, system._ku, system._lu, system._piv, system._anorm)
+    assert info == 0
+    return rcond
+
+
+@pytest.mark.parametrize("n", [174, 1724])
+@pytest.mark.parametrize("name", ["couette", "tanh(1)"])
+@pytest.mark.parametrize("kind, alpha", KINDS)
+def test_condition_estimate_matches_lapack_gbcon(kind, alpha, name, n):
+    # the same estimator as zgbcon on the same factors, so the two agree far
+    # inside 10%, also at 3e-21 (Couette, beta 1e7, n = 1724)
+    series = velocity_series(PROFILES[name], ss.build_grid(n))
+    for beta, lam in ((1e4, 0.0), (1e4, -0.3 + 0.5j), (1e7, 0.2 - 0.8j)):
+        system = TauSystem(kind, series, ss.SpectralParams(alpha, beta, lam), n)
+        assert system.rcond() == pytest.approx(_zgbcon(system), rel=0.1)
+
+
+def test_condition_estimate_keeps_benchmark_shifts_on_their_side(monkeypatch):
+    # Every Dirichlet tau rung of the benchmark's Schrodinger sweep and of an
+    # 8x8 map over the outer rectangle of its shift maps: the estimate and
+    # zgbcon fall on the same side of _SINGULAR_RTOL.
+    seen = []
+    estimate = TauSystem.rcond
+
+    def both(system):
+        rcond = estimate(system)
+        seen.append((rcond < _SINGULAR_RTOL, _zgbcon(system) < _SINGULAR_RTOL))
+        return rcond
+
+    monkeypatch.setattr(ultraspherical.TauSystem, "rcond", both)
+    ss.schrodinger_sweep(ss.couette())
+    ss.pseudospectrum_grid(
+        ss.couette(), "schrodinger", 0.0, 1e4, np.linspace(-0.2, 0.2, 8), np.linspace(-1, 1, 8)
+    )
+    assert len(seen) >= 64
+    assert all(a == b for a, b in seen)
+
+
+@pytest.mark.parametrize("pivot", [1e-300, 1e-320])
+def test_condition_estimate_survives_a_tiny_pivot(pivot):
+    # a last pivot of 1e-300 still gives zgbcon's 1.2e-304; at 1e-320 the
+    # solves overflow, and the estimate reads 0 as zgbcon does, with no
+    # RuntimeWarning
+    system = TauSystem("schrodinger", np.array([0.0, 1.0]), ss.SpectralParams(0.0, 1.0, 0.0), 64)
+    system._lu[system._kl + system._ku, -1] = pivot
+    assert system.rcond() == pytest.approx(_zgbcon(system), rel=1e-12, abs=0.0)
