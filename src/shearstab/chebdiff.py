@@ -26,7 +26,6 @@ from scipy.fft import dct
 __all__ = [
     "ChebGrid",
     "build_grid",
-    "dirichlet_reduce",
     "clamped_reduce",
 ]
 
@@ -275,13 +274,6 @@ def build_grid(n: int) -> ChebGrid:
             grid = ChebGrid(n=n, nodes=x, weights=w)
             _cache[n] = grid
     return grid
-
-
-def dirichlet_reduce(mat: np.ndarray) -> np.ndarray:
-    """Drop first/last rows and columns: collocation on homogeneous Dirichlet data."""
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 3:
-        raise ValueError(f"need a square matrix of size >= 3, got {mat.shape}")
-    return mat[1:-1, 1:-1].copy()
 
 
 def clamped_reduce(mat: np.ndarray, grid: ChebGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -8,31 +8,32 @@ operator norms converge to their integral counterparts as the grid grows.
 A resolvent rung of the kinds ``schrodinger`` and ``orr_sommerfeld`` from
 degree ``_BANDED_MIN_DEGREE`` on solves a banded ultraspherical tau system in
 Chebyshev coefficients (``ultraspherical``), factored in O(n) by LAPACK
-``gbtrf``; data reach it, and solutions come back, through the maps between
-node values and coefficients, so the norms are measured on the same nodes
-and weights as on the collocation route.  Every other rung, and every
-``rayleigh_shifted`` rung, factors a dense collocation matrix
-(``resolvent_numbers``).
+``gbtrf``.  Every other rung, and every ``rayleigh_shifted`` rung, factors a
+dense collocation matrix (``resolvent_numbers``).
 
-From the measured crossover degree ``_LANCZOS_MIN_DEGREE`` on, each norm is
-the top singular value found by Golub-Kahan-Lanczos bidiagonalization
-(``_top_singular``) on the solves and their adjoints (LAPACK ``getrs`` or
-``gbtrs``), with full reorthogonalization.  The recurrence stops once the
+Both routes hand their rung to ``_rung_norms``: a factored solve (LAPACK
+``getrs`` or ``gbtrs``, with its adjoint) and three maps, each with its
+adjoint, from weighted data to right-hand-side rows and from the solution
+to weighted node values and to weighted derivative values, so the norms are
+measured on the same nodes and weights on either route.  Up to the measured
+degree ``_MATRIX_STEP_MAX_DEGREE`` the maps are cached dense real matrices,
+one BLAS product each (the grid's ``d1`` on the collocation route,
+``ultraspherical.node_maps`` on the banded one); above it they run through
+type-1 DCTs, O(n log n) per application.  Below the measured crossover
+degree ``_LANCZOS_MIN_DEGREE`` the explicit solution operator is formed
+from the factorization and its singular values are taken densely.  From
+there on each norm is the top singular value found by Golub-Kahan-Lanczos
+bidiagonalization (``_top_singular``) on the solves and their adjoints,
+fully reorthogonalized with BLAS ``gemv``.  The recurrence stops once the
 gap bound r^2 / (theta_1 - theta_2) on its top Ritz value is at most
-1e-13 theta_1, r = beta_k |e_k^T p| the residual.  Up to the measured
-degree ``_MATRIX_STEP_MAX_DEGREE`` each step applies the maps between node
-values and the solves as cached dense real matrices, one BLAS product each
-(the grid's ``d1`` and its transpose on the collocation route,
-``ultraspherical.node_maps`` on the banded one), and reorthogonalizes with
-BLAS ``gemv``.  Above it the maps run through type-1 DCTs, O(n log n) per
-application, and the reorthogonalization through numpy products.  The first
-Lanczos rung of a ladder starts from a fixed ramp, so repeated runs agree
-bit for bit; each later rung starts from the previous rung's top right
-singular vectors, resampled through their Chebyshev coefficients, and never
-from another shift.  A Lanczos rung of the benchmark's sweeps takes about 15 solves for
-its two norms, and one of its shift maps about 16.  Below the crossover,
-the explicit solution operator is formed from the same factorization and
-its singular values are taken densely.
+1e-13 theta_1, r = beta_k |e_k^T p| the residual; a rung up to
+``_MATRIX_STEP_MAX_DEGREE`` whose recurrence reaches the step cap is
+measured explicitly instead.  The first Lanczos rung of a ladder starts
+from a fixed ramp, so repeated runs agree bit for bit; each later rung
+starts from the previous rung's top right singular vectors, resampled
+through their Chebyshev coefficients, and never from another shift.  A
+Lanczos rung of the benchmark's sweeps takes about 15 solves for its two
+norms, and one of its shift maps about 16.
 
 Every quantity of interest is wrapped in the one grid ladder ``_refine``,
 which doubles the degree until two consecutive rungs agree under the
@@ -50,18 +51,7 @@ import numpy as np
 from scipy.linalg import eigvals, get_blas_funcs, get_lapack_funcs, svdvals
 from scipy.linalg.lapack import dstemr
 
-from .chebdiff import (
-    LADDER_FLOOR,
-    N_MAX,
-    _coef_derivative,
-    _coef_derivative_t,
-    _coefficients,
-    _derivative,
-    _derivative_t,
-    _resample,
-    _values,
-    build_grid,
-)
+from .chebdiff import LADDER_FLOOR, N_MAX, _derivative, _derivative_t, _resample, build_grid
 from .operators import (
     AssembledOperator,
     SpectralParams,
@@ -71,7 +61,7 @@ from .operators import (
     assemble_schrodinger,
 )
 from .profile import Profile
-from .ultraspherical import ORDERS, TauSystem, node_maps, velocity_series
+from .ultraspherical import ORDERS, TauSystem, _dct_maps, node_maps, velocity_series
 
 __all__ = [
     "weighted_norm",
@@ -89,17 +79,17 @@ __all__ = [
 # discrete spectrum and the resolvent number is noise
 _SINGULAR_RTOL = 1e3 * np.finfo(float).eps
 # Rungs of at least this degree take their norms from Golub-Kahan-Lanczos on
-# the LU solves; below it two dense SVDs of the explicit solution operator
-# are faster.  Measured crossover (see CHANGES.md): the dense route wins at
+# the solves; below it two dense SVDs of the explicit solution operator are
+# faster.  Measured crossover (see CHANGES.md): the dense route wins at
 # n = 64 and loses at n = 76.
 _LANCZOS_MIN_DEGREE = 80
-# Up to this degree every Lanczos step applies its node-coefficient maps as
-# dense real matrices, one BLAS call each (the grid's d1 on the dense route,
-# ``ultraspherical.node_maps`` on the banded one), and reorthogonalizes with
-# BLAS gemv; above it, type-1 DCTs and numpy products.
-# Measured (see CHANGES.md): the largest degree at which a banded rung that
-# builds its node maps, medians of 15 runs over 3 shifts per kind, is no
-# slower than the DCT step; dense rungs gain up to n = 300.
+# Up to this degree a rung's node maps are dense real matrices, one BLAS
+# call each (the grid's d1 on the dense route, ``ultraspherical.node_maps``
+# on the banded one), and a rung whose Lanczos recurrence reaches the step
+# cap falls back to the explicit SVDs; above it, type-1 DCTs.  Measured (see
+# CHANGES.md): the largest degree at which a banded rung that builds its
+# node maps, medians of 15 runs over 3 shifts per kind, is no slower than
+# the DCT step; dense rungs gain up to n = 300.
 _MATRIX_STEP_MAX_DEGREE = 192
 # Golub-Kahan-Lanczos for the resolvent norms: relative bound on the error
 # of the top Ritz value at which the recurrence stops, and the step cap past
@@ -200,15 +190,13 @@ class _NoConvergence(RuntimeError):
     """``_top_singular`` reached its step cap."""
 
 
-def _orthogonalize(w: np.ndarray, basis: np.ndarray, gemv=None) -> np.ndarray:
+def _orthogonalize(w: np.ndarray, basis: np.ndarray, gemv) -> np.ndarray:
     """w minus its projection on the orthonormal rows of basis, applied twice
-    so the result is orthogonal to working precision.  With BLAS ``gemv``,
+    so the result is orthogonal to working precision.  BLAS ``gemv`` with
     trans=2 takes the inner products straight from the rows, with no
     conjugated copy of them."""
-    for _ in range(2):
-        if gemv is None:
-            w = w - basis.T @ (basis.conj() @ w)
-        elif basis.shape[0]:
+    if basis.shape[0]:
+        for _ in range(2):
             w = gemv(-1.0, basis.T, gemv(1.0, basis.T, w, trans=2), beta=1.0, y=w)
     return w
 
@@ -230,7 +218,7 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray):
     return vals[1], vals[0], top[-1], top[0::2]
 
 
-def _top_singular(apply, apply_h, v0: np.ndarray, blas: bool = False):
+def _top_singular(apply, apply_h, v0: np.ndarray):
     """Largest singular value and right singular vector of A by Golub-Kahan-
     Lanczos bidiagonalization with full reorthogonalization.
 
@@ -244,18 +232,13 @@ def _top_singular(apply, apply_h, v0: np.ndarray, blas: bool = False):
     invariant to that accuracy, and the Ritz value is final.  If A v0 = 0
     exactly, theta is 0 and every vector is a top right singular vector;
     the normalized start is returned, never the zero vector.
-
-    With ``blas`` the reorthogonalization runs on BLAS ``gemv``, as on the
-    matrix-step rungs; without it, on numpy products.  The DCT-step rungs
-    keep those: their top rungs can be ill-conditioned enough that another
-    rounding moves a norm by 1.4e-12 (an unconverged n = 2048 fuzz ladder).
     """
     steps = min(_GKL_MAX_STEPS, v0.shape[0])
     vs = np.zeros((steps + 1, v0.shape[0]), dtype=v0.dtype)
     vs[0] = v0 / np.linalg.norm(v0)
     u = apply(vs[0])
     us = np.zeros((steps, u.shape[0]), dtype=u.dtype)
-    gemv = get_blas_funcs(("gemv",), (vs, us))[0] if blas else None
+    (gemv,) = get_blas_funcs(("gemv",), (vs, us))
     alphas, betas = np.zeros(steps), np.zeros(steps)
     theta = 0.0
     for j in range(steps):
@@ -279,21 +262,20 @@ def _top_singular(apply, apply_h, v0: np.ndarray, blas: bool = False):
 
 
 def _real_matmul(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mat @ x for a real matrix: a complex vector goes through as its real
-    and imaginary parts side by side in one real product, where numpy would
-    first copy mat to complex."""
+    """mat @ x along axis 0 for a real matrix: a complex x goes through as
+    its real and imaginary parts side by side in one real product, where
+    numpy would first copy mat to complex."""
     if x.dtype != np.complex128:
         return mat @ x
-    return (mat @ x.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+    pairs = np.ascontiguousarray(x).view(np.float64).reshape(x.shape[0], -1)
+    return (mat @ pairs).view(np.complex128).reshape(mat.shape[:1] + x.shape[1:])
 
 
 def _lanczos_norms(n, data_nodes, ws_in, maps, dtype, start) -> tuple[float, float]:
     """Top singular values of the two weighted solution maps ``maps``, each a
     pair (apply, apply_h) of the map from weighted data on ``data_nodes`` and
     its adjoint: the solve and its derivative.  A recurrence that reaches
-    ``_GKL_MAX_STEPS`` without meeting its bound, as on a tight cluster of
-    top singular values, leaves both norms infinite: the rung is
-    unmeasurable, and ``_numbers`` reports it singular.
+    ``_GKL_MAX_STEPS`` without meeting its bound raises ``_NoConvergence``.
 
     ``start`` carries the top right singular vectors from one rung of a
     ladder to the next, as node values; without them each recurrence starts
@@ -306,14 +288,10 @@ def _lanczos_norms(n, data_nodes, ws_in, maps, dtype, start) -> tuple[float, flo
         # and odd parts, so a parity symmetry of the profile cannot make it
         # orthogonal to the top singular vector.
         v0s = [np.linspace(1.0, 2.0, len(ws_in))] * 2
-    blas = n <= _MATRIX_STEP_MAX_DEGREE
-    try:
-        found = [
-            _top_singular(apply, apply_h, v0.astype(dtype), blas)
-            for (apply, apply_h), v0 in zip(maps, v0s)
-        ]
-    except _NoConvergence:
-        return math.inf, math.inf
+    found = [
+        _top_singular(apply, apply_h, v0.astype(dtype))
+        for (apply, apply_h), v0 in zip(maps, v0s)
+    ]
     if start is not None:
         start.values = []
         for _, v in found:
@@ -323,57 +301,79 @@ def _lanczos_norms(n, data_nodes, ws_in, maps, dtype, start) -> tuple[float, flo
     return found[0][0], found[1][0]
 
 
+def _rung_norms(grid, data_nodes, back, maps, dtype, start) -> tuple[float, float]:
+    """Weighted norms of one rung's solution map and of its derivative, on
+    either route.
+
+    ``back(rhs, trans)`` solves the rung's factored system (``trans`` 0) or
+    its adjoint (2).  ``maps`` holds three (apply, adjoint) pairs acting
+    along axis 0: weighted data x = W f on ``data_nodes`` to right-hand-side
+    rows, the solution to weighted node values W u, and the solution to
+    weighted derivative values W u', W the square-root quadrature weights.
+    Returns (||W u||, ||W u'||) over unit ||x||.
+
+    Below ``_LANCZOS_MIN_DEGREE`` both are top singular values of the
+    explicit solution operator, solved for every data node at once; from
+    there on they come from ``_lanczos_norms``.  A rung up to
+    ``_MATRIX_STEP_MAX_DEGREE`` whose recurrence reaches the step cap, as
+    on a tight cluster of top singular values, is measured explicitly too;
+    above that degree it is unmeasurable, both norms infinite, and
+    ``_numbers`` reports it singular.
+    """
+    ws_in = np.sqrt(grid.weights)[data_nodes]
+    (forcing, forcing_h), *outs = maps
+    if grid.n >= _LANCZOS_MIN_DEGREE:
+        solves = [
+            (
+                lambda x, out=out: out(back(forcing(x), 0)),
+                lambda y, out_h=out_h: forcing_h(back(out_h(y), 2)),
+            )
+            for out, out_h in outs
+        ]
+        try:
+            return _lanczos_norms(grid.n, data_nodes, ws_in, solves, dtype, start)
+        except _NoConvergence:
+            if grid.n > _MATRIX_STEP_MAX_DEGREE:
+                return math.inf, math.inf
+    u = back(forcing(np.eye(len(ws_in), dtype=dtype)), 0)
+    return tuple(float(svdvals(out(u))[0]) for out, _ in outs)
+
+
 def _solution_norms(
     grid, factors, size: int, data_rows, row_scale, sol_rows, start
 ) -> tuple[float, float]:
-    """Weighted norms of a collocation solution map and of its derivative.
+    """``_rung_norms`` of a collocation rung.
 
     Unknowns of the system of order ``size`` sit on the grid nodes
     ``sol_rows``, equation i on the node of unknown i.  Data f on the nodes
     of ``data_rows``, weighted as x = W f, become the right-hand side
     ``row_scale * f`` on those rows, zero elsewhere; the LU ``factors`` give
-    u, zero off ``sol_rows``.  Returns (||W u||, ||W D1 u||) over unit ||x||,
-    W the square-root quadrature weights.  Below ``_LANCZOS_MIN_DEGREE`` both
-    come from SVDs of the explicit solution operator; from there on, from
-    ``_lanczos_norms`` on the solves and their adjoints, with D1 and D1^T
-    applied as the grid's ``d1`` up to ``_MATRIX_STEP_MAX_DEGREE`` and by
-    DCT above it.
+    u, zero off ``sol_rows``.  D1 and D1^T act as the grid's ``d1`` up to
+    ``_MATRIX_STEP_MAX_DEGREE`` and by DCT above it.
     """
     ws = np.sqrt(grid.weights)
     data_nodes = np.arange(grid.n + 1)[sol_rows][data_rows]
-    ws_in = ws[data_nodes]
-    data_scale = row_scale / ws_in
-    k = data_scale.shape[0]
-    dtype = factors[0].dtype
+    data_scale = row_scale / ws[data_nodes]
 
     # _factor checked the matrix already, so the solves call LAPACK directly
     # and skip lu_solve's checks and dispatch on every Lanczos step.
     (getrs,) = get_lapack_funcs(("getrs",), (factors[0],))
 
-    def backsolve(b, trans):
+    def back(b, trans):
         x, info = getrs(*factors, b, trans=trans, overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in {-info}th argument of internal getrs")
         return x
 
-    def solve(x):
-        rhs = np.zeros(size, dtype=np.result_type(dtype, x))
-        rhs[data_rows] = data_scale * x
-        u = np.zeros(grid.n + 1, dtype=rhs.dtype)
-        u[sol_rows] = backsolve(rhs, 0)
-        return u
+    def forcing(x):
+        rhs = np.zeros((size,) + x.shape[1:], dtype=np.result_type(factors[0], x))
+        rhs[data_rows] = (data_scale * x.T).T
+        return rhs
 
-    def solve_h(y):
-        return data_scale * backsolve(y[sol_rows], 2)[data_rows]
-
-    if grid.n < _LANCZOS_MIN_DEGREE:
-        rhs = np.zeros((size, k), dtype=dtype)
-        rhs[data_rows] = np.diag(data_scale)
-        u = np.zeros((grid.n + 1, k), dtype=dtype)
-        u[sol_rows] = backsolve(rhs, 0)
-        norm_inv = svdvals(ws[:, None] * u)[0]
-        norm_d_inv = svdvals(ws[:, None] * (grid.d1 @ u))[0]
-        return float(norm_inv), float(norm_d_inv)
+    def on_nodes(u):
+        out = np.zeros((grid.n + 1,) + u.shape[1:], dtype=u.dtype)
+        out[sol_rows] = u
+        return out
 
     if grid.n <= _MATRIX_STEP_MAX_DEGREE:
         derivative = partial(_real_matmul, grid.d1)
@@ -381,10 +381,14 @@ def _solution_norms(
     else:
         derivative, derivative_t = _derivative, _derivative_t
     maps = (
-        (lambda x: ws * solve(x), lambda y: solve_h(ws * y)),
-        (lambda x: ws * derivative(solve(x)), lambda y: solve_h(derivative_t(ws * y))),
+        (forcing, lambda z: (data_scale * z[data_rows].T).T),
+        (lambda u: (ws * on_nodes(u).T).T, lambda y: (ws * y.T).T[sol_rows]),
+        (
+            lambda u: (ws * derivative(on_nodes(u)).T).T,
+            lambda y: derivative_t((ws * y.T).T)[sol_rows],
+        ),
     )
-    return _lanczos_norms(grid.n, data_nodes, ws_in, maps, dtype, start)
+    return _rung_norms(grid, data_nodes, back, maps, factors[0].dtype, start)
 
 
 _SINGULAR = {
@@ -474,11 +478,9 @@ def _banded_numbers(
     on the same nodes (the interior for Dirichlet, nodes 2..n-2 for clamped
     walls), f zero on the others, goes to the kept rows; the solution comes
     back to node values, and so does its derivative.  Up to
-    ``_MATRIX_STEP_MAX_DEGREE`` each of those maps is one product with a
-    cached matrix of ``node_maps``; above it, type-1 DCTs, the coefficient
-    recurrence and the system's sparse maps.  Both norms come from
-    ``_lanczos_norms``: these rungs start at ``_BANDED_MIN_DEGREE``, above
-    ``_LANCZOS_MIN_DEGREE``.  A Dirichlet system is singular at an exactly
+    ``_MATRIX_STEP_MAX_DEGREE`` those maps are the cached matrices of
+    ``node_maps``, above it the matrix-free ``_dct_maps``; ``_rung_norms``
+    takes it from there.  A Dirichlet system is singular at an exactly
     zero pivot or a condition estimate (``TauSystem.rcond``) below
     ``_SINGULAR_RTOL``; a clamped one at a zero pivot or by the rule of
     ``_numbers``.
@@ -487,43 +489,13 @@ def _banded_numbers(
     bc = "dirichlet" if kind == "schrodinger" else "clamped"
     if system.singular or (bc == "dirichlet" and system.rcond() < _SINGULAR_RTOL):
         return dict(_SINGULAR)
-    n, edge = grid.n, system.order // 2
-    ws = np.sqrt(grid.weights)
-    data_nodes = np.arange(edge, n + 1 - edge)
-    ws_in = ws[data_nodes]
-
+    n, m = grid.n, system.order
     if n <= _MATRIX_STEP_MAX_DEGREE:
-        to_rows, *outs = node_maps(system.order, grid)
-        back = system.backsolve
-        maps = [
-            (
-                lambda x, out=out: _real_matmul(out, back(_real_matmul(to_rows, x))),
-                lambda y, out=out: _real_matmul(to_rows.T, back(_real_matmul(out.T, y), 2)),
-            )
-            for out in outs
-        ]
+        maps = [(partial(_real_matmul, a), partial(_real_matmul, a.T)) for a in node_maps(m, grid)]
     else:
-
-        def forcing(x):
-            f = np.zeros((n + 1,) + x.shape[1:], dtype=x.dtype)
-            f[data_nodes] = (x.T / ws_in).T
-            return _coefficients(f)
-
-        def data(a):
-            # the adjoint of forcing: the coefficient map is symmetric
-            return _coefficients(a)[data_nodes] / ws_in
-
-        maps = (
-            (
-                lambda x: ws * _values(system.solve(forcing(x))),
-                lambda y: data(system.solve_h(_values(ws * y))),
-            ),
-            (
-                lambda x: ws * _values(_coef_derivative(system.solve(forcing(x)))),
-                lambda y: data(system.solve_h(_coef_derivative_t(_values(ws * y)))),
-            ),
-        )
-    return _numbers(bc, *_lanczos_norms(n, data_nodes, ws_in, maps, complex, start))
+        maps = _dct_maps(m, grid)
+    data_nodes = np.arange(m // 2, n + 1 - m // 2)
+    return _numbers(bc, *_rung_norms(grid, data_nodes, system.backsolve, maps, complex, start))
 
 
 class _StartVectors:
@@ -561,8 +533,10 @@ _BANDED_MIN_DEGREE = 160
 # tau matrix has about 2d + 3m diagonals, so ``gbtrf`` costs O(d^2 n) and
 # each ``gbtrs`` O(dn).  Measured (see CHANGES.md) on tanh_shear profiles,
 # the banded rung takes 0.33-0.56x the dense time at n/d = 13-16, 0.55-0.92x
-# at n/d = 7-8 and 0.9-1.3x at n/d = 3.7; a new constant would move routes
-# that no benchmark workload measures.
+# at n/d = 7-8 and 0.9-1.3x at n/d = 3.7.  The rule stays although dropping
+# it would cost at most about 1.3x: without it the Schrodinger ladders of
+# tanh_shear(5) and tanh_shear(10) at beta 1e6, lam -0.05 + 0.3i, end at
+# n = 1600 instead of 800.
 _BANDED_DEGREE_PER_TERM = 16
 
 _ASSEMBLERS = {

@@ -29,6 +29,12 @@ U enters as its Chebyshev series on the rung's nodes, chopped at
 ``tanh_shear(1)``.  With d its degree, the system has d + m lower and
 d + 2m upper diagonals, and building it costs O(dn).  Bands are built with
 numpy straight into LAPACK band storage.
+
+Three maps join a system to node values: weighted data to its kept rows,
+and basis coefficients to weighted values and to weighted derivative
+values.  ``node_maps`` builds them as dense matrices; ``_dct_maps`` applies
+them through type-1 DCTs and one diagonal gather on the kept rows of the
+conversion and on the basis.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 from scipy.linalg import lapack
 
-from .chebdiff import ChebGrid, _coefficients
+from .chebdiff import ChebGrid, _coef_derivative, _coef_derivative_t, _coefficients, _values
 from .operators import SpectralParams
 from .profile import Profile
 
@@ -155,34 +161,6 @@ def _kept(band: _Band, rows: int) -> _Band:
     return _Band(np.where(i < rows, band.ab, 0.0), band.kl, band.ku)
 
 
-class _Sparse:
-    """A rows x cols matrix of a few diagonals, A[i, i + o] = w_o[i], applied
-    to the columns of x (or its transpose applied) by one gather."""
-
-    def __init__(self, rows: int, cols: int, diagonals: dict):
-        offsets = np.array(list(diagonals))[:, None]
-        w = np.array([np.broadcast_to(v, rows) for v in diagonals.values()])
-        i, j = np.arange(rows), np.arange(cols)
-        inside = (i + offsets >= 0) & (i + offsets < cols)
-        self._fwd = (np.where(inside, i + offsets, cols), np.where(inside, w, 0.0))
-        src = j - offsets
-        inside = (src >= 0) & (src < rows)
-        picked = np.take_along_axis(w, np.clip(src, 0, rows - 1), axis=1)
-        self._adj = (np.where(inside, src, rows), np.where(inside, picked, 0.0))
-
-    @staticmethod
-    def _apply(idx, w, x):
-        padded = np.concatenate((x, np.zeros((1,) + x.shape[1:], dtype=x.dtype)))
-        return np.sum(w.reshape(w.shape + (1,) * (x.ndim - 1)) * padded[idx], axis=0)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._apply(*self._fwd, x)
-
-    def t(self, x: np.ndarray) -> np.ndarray:
-        """A^T x."""
-        return self._apply(*self._adj, x)
-
-
 def velocity_series(profile: Profile, grid: ChebGrid) -> np.ndarray:
     """Chebyshev coefficients of U interpolated on the grid's nodes, without
     the trailing ones below ``_CHOP_RTOL`` of the largest."""
@@ -195,7 +173,9 @@ class _Structure(NamedTuple):
     """The parts of an order-m, degree-n system that no parameter changes.
     Bands are square, n + m + 1 wide: the T coefficients that the kept rows
     of the conversion reach.  The maps into C^(m) have every row past the
-    kept ones zeroed, and so has every product they start."""
+    kept ones zeroed, and so has every product they start.  ``_gather``
+    reads S and Q as (offset o, weights w_o) pairs: S_(i, i+o) = w_o[i] on
+    the kept rows, and phi_k = sum_o w_o[k] T_(k+o)."""
 
     size: int           # unknowns and kept rows, n + 1 - m
     basis: _Band        # Q, the basis phi in T coefficients
@@ -203,8 +183,8 @@ class _Structure(NamedTuple):
     second: _Band       # S_3 S_2 D_2 (clamped only)
     first: _Band        # S_3 S_2 S_1 D_1 (clamped only)
     on_basis: tuple     # D_m Q, S Q and S_3 S_2 D_2 Q (clamped only)
-    conv_map: _Sparse   # forcing coefficients to the kept rows of S f
-    basis_map: _Sparse  # phi coefficients to T coefficients
+    conv_rows: tuple    # the kept rows of S
+    basis_terms: tuple  # the columns of Q
 
 
 @functools.lru_cache(maxsize=64)
@@ -232,16 +212,39 @@ def _structure(m: int, n: int) -> _Structure:
         second=second,
         first=_matmul(to_top[1], _differentiation(1, pad)) if m == 4 else None,
         on_basis=tuple(_matmul(a, q) for a in (top, conv, second) if a is not None),
-        conv_map=_Sparse(
-            size, n + 1, {o: conv.ab[conv.ku - o, o : o + size] for o in range(0, conv.ku + 1, 2)}
-        ),
-        basis_map=_Sparse(n + 1, size, {-o: np.pad(w, (o, m - o)) for o, w in basis.items()}),
+        conv_rows=tuple((o, conv.ab[conv.ku - o, o : o + size]) for o in range(0, conv.ku + 1, 2)),
+        basis_terms=tuple(basis.items()),
     )
     # every rung of this shape shares these arrays
     for band in (q, conv, second, st.first, *st.on_basis):
         if band is not None:
             band.ab.setflags(write=False)
     return st
+
+
+def _gather(diagonals, x: np.ndarray, size: int) -> np.ndarray:
+    """out[i] = sum_o w_o[i] x[i + o] for i < size, along axis 0, from the
+    (o, w_o) pairs ``diagonals``, the first at offset 0; entries past the
+    end of x count as zero.  Used for the kept rows of S on T coefficients
+    and for Q^T."""
+    col = (-1,) + (1,) * (x.ndim - 1)
+    (_, w), *rest = diagonals
+    out = w.reshape(col) * x[:size]
+    for o, w in rest:
+        k = min(size, x.shape[0] - o)
+        out[:k] += w[:k].reshape(col) * x[o : o + k]
+    return out
+
+
+def _gather_t(diagonals, y: np.ndarray, length: int) -> np.ndarray:
+    """The transpose of ``_gather`` onto ``length`` entries along axis 0:
+    S^T on kept rows, or Q on basis coefficients."""
+    col = (-1,) + (1,) * (y.ndim - 1)
+    out = np.zeros((length,) + y.shape[1:], dtype=np.result_type(y, diagonals[0][1]))
+    for o, w in diagonals:
+        k = min(w.shape[0], length - o)
+        out[o : o + k] += w[:k].reshape(col) * y[:k]
+    return out
 
 
 def _tau_matrix(kind: str, series: np.ndarray, params: SpectralParams, n: int) -> _Band:
@@ -277,11 +280,9 @@ class TauSystem:
     """The factored degree-``n`` tau system of ``kind`` at ``params``, for
     U's Chebyshev ``series`` (``velocity_series``).
 
-    ``solve`` maps the T coefficients of a forcing (degree n, along axis 0)
-    to those of the solution; ``solve_h`` is its adjoint.  ``backsolve``
-    solves with the square system itself, kept rows to basis coefficients.
-    ``singular`` is set when ``gbtrf`` met an exactly zero pivot, and the
-    solves are then meaningless.
+    ``backsolve`` solves with the square system, kept rows to basis
+    coefficients, or with its adjoint.  ``singular`` is set when ``gbtrf``
+    met an exactly zero pivot, and the solves are then meaningless.
     """
 
     def __init__(self, kind: str, series: np.ndarray, params: SpectralParams, n: int):
@@ -294,8 +295,6 @@ class TauSystem:
         self._anorm = float(np.max(np.sum(np.abs(ab), axis=0)))
         self._lu, self._piv, info = lapack.zgbtrf(ab, self._kl, self._ku, overwrite_ab=True)
         self.singular = info > 0
-        st = _structure(self.order, n)
-        self._conv, self._basis = st.conv_map, st.basis_map
 
     def rcond(self) -> float:
         """Reciprocal 1-norm condition number, 1 / (||A||_1 ||A^-1||_1), with
@@ -344,24 +343,6 @@ class TauSystem:
             raise ValueError(f"illegal value in {-info}th argument of internal gbtrs")
         return x
 
-    def solve(self, coef: np.ndarray) -> np.ndarray:
-        return self._basis(self.backsolve(self._conv(coef)))
-
-    def solve_h(self, coef: np.ndarray) -> np.ndarray:
-        return self._conv.t(self.backsolve(self._basis.t(coef), 2))
-
-
-def _band_columns(table: np.ndarray, diagonals, out: np.ndarray) -> np.ndarray:
-    """out = table @ B for the banded B with B[k + o, k] = w_o[k] and as many
-    columns as out, from the (o, w_o) pairs ``diagonals``: a sum of shifted
-    column slices."""
-    size = out.shape[1]
-    (o, w), *rest = diagonals
-    np.multiply(table[:, o : o + size], w, out=out)
-    for o, w in rest:
-        out += table[:, o : o + size] * w
-    return out
-
 
 # the node maps of the latest (order, degree): the ladders of a shift map
 # share one shape per kind, and holding one set, dropped before the next is
@@ -378,15 +359,48 @@ def node_maps(m: int, grid: ChebGrid) -> tuple[np.ndarray, np.ndarray, np.ndarra
     weighted data x = W f on the nodes m/2 .. n - m/2 (f zero on the others)
     to the kept rows of S a, a the Chebyshev coefficients of f; ``values``
     takes basis coefficients c to W sum c_k phi_k on every node, and
-    ``slopes`` to W (sum c_k phi_k)'.  They equal the compositions of type-1
-    DCTs, ``_coef_derivative`` and the structure's sparse maps.  Only the
-    latest shape is kept, and it is dropped before another is built.
+    ``slopes`` to W (sum c_k phi_k)'.  They equal the maps of ``_dct_maps``.
+    Only the latest shape is kept, and it is dropped before another is
+    built.
     """
     maps = _NODE_MAPS.get((m, grid.n))
     if maps is None:
         _NODE_MAPS.clear()
         maps = _NODE_MAPS[m, grid.n] = _build_node_maps(m, grid)
     return maps
+
+
+def _dct_maps(m: int, grid: ChebGrid):
+    """The maps of ``node_maps`` as (apply, adjoint) pairs along axis 0,
+    without a matrix: type-1 DCTs between node values and Chebyshev
+    coefficients, ``_coef_derivative`` and the structure's gathers, each
+    O(n log n) or O(n) per application."""
+    n, st = grid.n, _structure(m, grid.n)
+    ws, data = np.sqrt(grid.weights), slice(m // 2, n + 1 - m // 2)
+    ws_in, conv, basis = ws[data], st.conv_rows, st.basis_terms
+
+    def forcing(x):
+        f = np.zeros((n + 1,) + x.shape[1:], dtype=x.dtype)
+        f[data] = (x.T / ws_in).T
+        return _gather(conv, _coefficients(f), st.size)
+
+    def forcing_h(z):
+        # the coefficient map is symmetric
+        return (_coefficients(_gather_t(conv, z, n + 1))[data].T / ws_in).T
+
+    def values(c):
+        return (ws * _values(_gather_t(basis, c, n + 1)).T).T
+
+    def values_h(y):
+        return _gather(basis, _values((ws * y.T).T), st.size)
+
+    def slopes(c):
+        return (ws * _values(_coef_derivative(_gather_t(basis, c, n + 1))).T).T
+
+    def slopes_h(y):
+        return _gather(basis, _coef_derivative_t(_values((ws * y.T).T)), st.size)
+
+    return (forcing, forcing_h), (values, values_h), (slopes, slopes_h)
 
 
 def _build_node_maps(m: int, grid: ChebGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -406,23 +420,17 @@ def _build_node_maps(m: int, grid: ChebGrid) -> tuple[np.ndarray, np.ndarray, np
     # the walls, e_k = 1/2 at k = 0 and n, and 0 past n
     e = (2.0 / n) * (k <= n)
     e[[0, n]] /= 2.0
-    conv = [
-        (o, e[o : o + size] * st.conv.ab[st.conv.ku - o, o : o + size])
-        for o in range(0, st.conv.ku + 1, 2)
-    ]
-    basis = [(o, st.basis.ab[o, :size]) for o in range(0, m + 1, 2)]
+    conv = [(o, e[o : o + size] * w) for o, w in st.conv_rows]
+    basis = st.basis_terms
     forcing_t, values, slopes = (np.empty((n + 1, size)) for _ in range(3))
     table = np.take(np.cos(angle), jk)
-    _band_columns(table, conv, forcing_t[:half])
-    forcing_t[:half] /= ws
-    _band_columns(table, basis, values[:half])
-    values[:half] *= ws
+    forcing_t[:half] = _gather(conv, table.T, size).T / ws
+    values[:half] = _gather(basis, table.T, size).T * ws
     # the factor k of T_k' rides on the basis weights; T_k'(1) = k^2
     np.take(np.sin(angle), jk, out=table)
-    _band_columns(table, [(o, w * (k[:size] + o)) for o, w in basis], slopes[:half])
+    slopes[:half] = _gather([(o, w * (k[:size] + o)) for o, w in basis], table.T, size).T
     slopes[1:half] *= ws[1:] / np.sin(angle[1:half, None])
-    _band_columns((k * k)[None], basis, slopes[:1])
-    slopes[0] *= ws[0]
+    slopes[0] = _gather(basis, k * k, size) * ws[0]
     parity = (-1.0) ** k[:size]
     for mat, sign in ((forcing_t, parity), (values, parity), (slopes, -parity)):
         np.multiply(mat[n - half :: -1], sign, out=mat[half:])

@@ -15,7 +15,6 @@ from shearstab.chebdiff import (
     _derivative_t,
     _resample,
     clamped_reduce,
-    dirichlet_reduce,
 )
 
 
@@ -78,7 +77,7 @@ def test_weights_integrate_exponential(grid64):
 
 def test_dirichlet_laplacian_eigenvalues(grid64):
     # -u'' = lam u, u(+-1) = 0 has eigenvalues (k pi / 2)^2.
-    interior = dirichlet_reduce(-grid64.d2)
+    interior = -grid64.d2[1:-1, 1:-1]
     vals = np.sort(np.linalg.eigvals(interior).real)
     for k in range(1, 6):
         exact = (k * math.pi / 2.0) ** 2
@@ -147,13 +146,6 @@ def test_grid_matrices_are_built_once_on_first_access():
 def test_build_grid_rejects_out_of_range(bad):
     with pytest.raises(ValueError):
         ss.build_grid(bad)
-
-
-def test_dirichlet_reduce_strips_boundary(grid32):
-    mat = np.arange(33.0 * 33.0).reshape(33, 33)
-    inner = dirichlet_reduce(mat)
-    assert inner.shape == (31, 31)
-    np.testing.assert_array_equal(inner, mat[1:-1, 1:-1])
 
 
 @pytest.mark.parametrize("n", [80, 87, 173, 862, 1724])

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import shearstab as ss
-from shearstab.chebdiff import clamped_reduce, dirichlet_reduce
+from shearstab.chebdiff import clamped_reduce
 from shearstab.operators import InflectionError, certificate_potential
 
 
@@ -55,14 +55,14 @@ def test_certificate_operator_couette_is_dirichlet_laplacian(couette, grid64):
     op = ss.assemble_certificate_operator(couette, 0.0, grid64)
     assert op.kind == "certificate"
     assert op.bc == "dirichlet"
-    np.testing.assert_allclose(op.matrix, dirichlet_reduce(-grid64.d2), atol=0)
+    np.testing.assert_allclose(op.matrix, -grid64.d2[1:-1, 1:-1], atol=0)
 
 
 def test_rayleigh_shifted_termwise(cubic01, grid32):
     params = ss.SpectralParams(1.3, 0.0, 0.2 + 0.5j)
     op = ss.assemble_rayleigh_shifted(cubic01, params, grid32)
     x = grid32.nodes[1:-1]
-    helm = dirichlet_reduce(-grid32.d2) + 1.3**2 * np.eye(len(x))
+    helm = -grid32.d2[1:-1, 1:-1] + 1.3**2 * np.eye(len(x))
     expected = np.diag(cubic01.u(x) + 1j * (0.2 + 0.5j)) @ helm + np.diag(
         cubic01.deriv(x, 2)
     )
@@ -85,7 +85,7 @@ def test_rayleigh_requires_positive_alpha(couette, grid32):
 
 def test_schrodinger_zero_beta_reduces_to_laplacian(couette, grid32):
     op = ss.assemble_schrodinger(couette, ss.SpectralParams(0.0, 0.0, 0.0), grid32)
-    np.testing.assert_allclose(op.matrix, dirichlet_reduce(-grid32.d2), atol=0)
+    np.testing.assert_allclose(op.matrix, -grid32.d2[1:-1, 1:-1], atol=0)
 
 
 def test_schrodinger_termwise(cubic01, grid32):
@@ -93,7 +93,7 @@ def test_schrodinger_termwise(cubic01, grid32):
     op = ss.assemble_schrodinger(cubic01, ss.SpectralParams(0.0, beta, lam), grid32)
     x = grid32.nodes[1:-1]
     expected = (
-        dirichlet_reduce(-grid32.d2)
+        -grid32.d2[1:-1, 1:-1]
         + 1j * beta * np.diag(cubic01.u(x))
         - beta * lam * np.eye(len(x))
     )
@@ -207,7 +207,7 @@ def test_rayleigh_generator_matches_explicit_inverse(cubic01, tanh3, grid64):
     # by H: U + U'' inv(H).  Check it entrywise, and check that its spectrum
     # is that of L formed with an explicit inverse.
     x = grid64.nodes[1:-1]
-    h = dirichlet_reduce(-grid64.d2) + np.eye(len(x))
+    h = -grid64.d2[1:-1, 1:-1] + np.eye(len(x))
     for profile in (cubic01, tanh3):
         op = ss.assemble_rayleigh(profile, 1.0, grid64)
         u, u2 = profile.u(x), profile.deriv(x, 2)

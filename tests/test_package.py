@@ -19,7 +19,7 @@ PUBLIC = [
     "assemble_certificate_operator", "assemble_orr_sommerfeld", "assemble_rayleigh",
     "assemble_rayleigh_shifted", "assemble_schrodinger", "build_grid",
     "certificate_potential", "certify_profile", "clamped_reduce", "couette",
-    "cubic", "data_preset", "dirichlet_reduce", "eig_floor_ladder", "eigenvalues",
+    "cubic", "data_preset", "eig_floor_ladder", "eigenvalues",
     "fit_slope", "inflection_values", "l1_approximation_sweep", "margin_constant",
     "min_eig_selfadjoint", "os_boundary_sweep", "os_large_alpha_sweep",
     "os_large_lambda_check", "polynomial", "pseudospectrum_grid", "quasimode",
@@ -32,7 +32,7 @@ PUBLIC = [
 
 def test_public_names_are_pinned_unique_and_resolve():
     assert sorted(ss.__all__) == PUBLIC
-    assert len(ss.__all__) == len(set(ss.__all__)) == 65
+    assert len(ss.__all__) == len(set(ss.__all__)) == 64
     for name in ss.__all__:
         assert getattr(ss, name) is not None
 

@@ -479,30 +479,41 @@ def test_top_singular_of_a_zero_operator_returns_the_unit_start():
     assert (theta, v.tolist()) == (0.0, (RAMP / np.linalg.norm(RAMP)).tolist())
 
 
-def test_lanczos_at_the_step_cap_leaves_the_rung_unmeasurable(couette):
+def test_a_clustered_rung_at_the_step_cap_takes_the_explicit_tier(couette, monkeypatch):
     # A dominant real shift clusters the top singular values of the solve
-    # (1/1002.5, 1/1009.9, ...), and 60 steps cannot meet the gap bound from
-    # n = 128 on: those rungs are singular, and the ladder ends unconverged
-    # at the cap instead of raising.
-    sample = resolvent_sample(couette, ss.SpectralParams(0.0, 1.0, -1000.0), "schrodinger")
-    assert sample.singular and not sample.converged
-    assert sample.n_used == N_MAX
-    assert sample.norm_inv == sample.norm_d_inv == math.inf
+    # (1/1002.5, 1/1009.9, ...), and 60 Lanczos steps cannot meet the gap
+    # bound from n = 128 on.  A rung up to _MATRIX_STEP_MAX_DEGREE measures
+    # itself explicitly instead, so the ladder converges at 128.
+    from shearstab import spectral
+
+    params = ss.SpectralParams(0.0, 1.0, -1000.0)
+    sample = resolvent_sample(couette, params, "schrodinger")
+    assert (sample.n_used, sample.converged, sample.singular) == (128, True, False)
+    assert sample.norm_inv == pytest.approx(9.9754e-4, rel=1e-4)
+    op = ss.assemble_schrodinger(couette, params, ss.build_grid(128))
+    capped = resolvent_numbers(op)
+    monkeypatch.setattr(spectral, "_LANCZOS_MIN_DEGREE", N_MAX + 1)
+    assert capped == resolvent_numbers(op)
 
 
-def test_top_singular_on_gemv_matches_numpy_products():
-    # the matrix-step rungs reorthogonalize with BLAS gemv: the same value
-    # to rounding, and on a separated top pair the same vector
-    from shearstab.spectral import _top_singular
+@pytest.mark.parametrize("route", ["dense", "banded"])
+@pytest.mark.parametrize("n", [_MATRIX_STEP_MAX_DEGREE, _MATRIX_STEP_MAX_DEGREE + 1])
+def test_lanczos_at_the_step_cap_above_the_matrix_steps_is_unmeasurable(monkeypatch, route, n):
+    # past _MATRIX_STEP_MAX_DEGREE a capped recurrence leaves both norms
+    # infinite and the rung singular; at it, the explicit tier answers
+    from shearstab import spectral
+    from shearstab.ultraspherical import velocity_series
 
-    for values in (CLUSTER, [3.0, 2.0, 1.0]):
-        a, _ = _synthetic(values)
-        (theta, v), (theta_blas, v_blas) = (
-            _top_singular(lambda x: a @ x, lambda y: a.conj().T @ y, RAMP, blas)
-            for blas in (False, True)
-        )
-        assert theta_blas == pytest.approx(theta, rel=1e-14)
-    assert np.linalg.norm(v_blas - v) < 1e-12
+    monkeypatch.setattr(spectral, "_GKL_MAX_STEPS", 2)
+    profile, params, grid = ss.cubic(0.1), ss.SpectralParams(0.0, 1e4, 0.2j), ss.build_grid(n)
+    if route == "banded":
+        series = velocity_series(profile, grid)
+        nums = spectral._banded_numbers(series, params, "schrodinger", grid, None)
+    else:
+        nums = resolvent_numbers(ss.assemble_schrodinger(profile, params, grid))
+    measured = n <= _MATRIX_STEP_MAX_DEGREE
+    assert nums["singular"] is not measured
+    assert math.isfinite(nums["norm_inv"]) is math.isfinite(nums["norm_d_inv"]) is measured
 
 
 def test_top_singular_raises_at_the_step_cap(monkeypatch):
@@ -576,3 +587,16 @@ def test_d1_step_matches_the_dct_derivative(n):
         assert np.linalg.norm(fast - ref) <= 1e-13 * np.linalg.norm(ref)
     real = f.real.copy()
     assert np.array_equal(_real_matmul(grid.d1, real), grid.d1 @ real)
+
+
+def test_real_matmul_matches_matmul_along_axis_0():
+    # one real product on the real and imaginary parts side by side, for a
+    # vector, a C-ordered block and a Fortran-ordered one (as gbtrs returns)
+    rng = np.random.default_rng(41)
+    mat = rng.standard_normal((7, 5))
+    vector = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    block = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    for x in (vector, block, np.asfortranarray(block)):
+        got = _real_matmul(mat, x)
+        assert got.shape == (7,) + x.shape[1:]
+        assert np.linalg.norm(got - mat @ x) <= 1e-15 * np.linalg.norm(mat @ x)

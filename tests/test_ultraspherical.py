@@ -8,7 +8,6 @@ from scipy.linalg import eig, lapack
 
 import shearstab as ss
 from shearstab import spectral, ultraspherical
-from shearstab.chebdiff import _coef_derivative, _coef_derivative_t, _coefficients, _values
 from shearstab.spectral import (
     _ASSEMBLERS,
     _BANDED_MIN_DEGREE,
@@ -20,6 +19,9 @@ from shearstab.spectral import (
 )
 from shearstab.ultraspherical import (
     TauSystem,
+    _dct_maps,
+    _gather,
+    _gather_t,
     _structure,
     _tau_matrix,
     node_maps,
@@ -83,14 +85,25 @@ def test_tau_matrix_matches_chebyshev_arithmetic(kind, alpha, profile):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
 
 
+def _solve(system, grid):
+    """The weighted solution map of a tau system through ``_dct_maps``: data
+    x = W f on the data nodes to W u on every node, and its adjoint."""
+    (forcing, forcing_h), (values, values_h), _ = _dct_maps(system.order, grid)
+    return (
+        lambda x: values(system.backsolve(forcing(x))),
+        lambda y: forcing_h(system.backsolve(values_h(y), 2)),
+    )
+
+
 @pytest.mark.parametrize("kind, alpha", KINDS)
 def test_solve_inverts_the_operator_on_a_known_solution(kind, alpha):
-    # u = (1 - x^2)^2 exp(x) satisfies both wall conditions; its forcing is
-    # taken with the collocation matrices at n = 128, which resolve it to
-    # rounding
+    # u = (1 - x^2)^(m + 6) exp(x) satisfies both wall conditions, and its
+    # forcing vanishes to sixth order at the walls, so it is zero to
+    # rounding off the data nodes; the forcing is taken with the collocation
+    # matrices at n = 128, which resolve it to rounding
     grid = ss.build_grid(128)
-    x, profile = grid.nodes, ss.cubic(0.1)
-    u = (1 - x**2) ** 2 * np.exp(x)
+    x, profile, m = grid.nodes, ss.cubic(0.1), ultraspherical.ORDERS[kind]
+    u = (1 - x**2) ** (m + 6) * np.exp(x)
     params = ss.SpectralParams(alpha, 10.0, 0.1 + 0.2j)
     c = 1j * params.beta * (profile.u(x) + 1j * params.lam)
     if kind == "schrodinger":
@@ -100,18 +113,22 @@ def test_solve_inverts_the_operator_on_a_known_solution(kind, alpha):
         f = grid.d4 @ u - (alpha**2 + c) * d2u
         f += (alpha**2 * c + 1j * params.beta * profile.deriv(x, 2)) * u
     system = TauSystem(kind, velocity_series(profile, grid), params, 128)
-    got = _values(system.solve(_coefficients(f)))
+    ws, data = np.sqrt(grid.weights), slice(m // 2, 129 - m // 2)
+    got = _solve(system, grid)[0](ws[data] * f[data]) / ws
     np.testing.assert_allclose(got, u, atol=1e-9)
 
 
 @pytest.mark.parametrize("kind, alpha", KINDS)
 def test_adjoint_solve_is_the_adjoint(kind, alpha):
     rng = np.random.default_rng(3)
-    series = velocity_series(ss.tanh_shear(1.0), ss.build_grid(200))
+    grid = ss.build_grid(200)
+    series = velocity_series(ss.tanh_shear(1.0), grid)
     system = TauSystem(kind, series, _params(kind, alpha, 1e5), 200)
-    a, b = (rng.standard_normal((201, 2)) @ np.array([1.0, 1j]) for _ in range(2))
-    lhs = np.vdot(b, system.solve(a))
-    assert np.vdot(system.solve_h(b), a) == pytest.approx(lhs, rel=1e-13)
+    solve, solve_h = _solve(system, grid)
+    a = _complex(rng, 201 - system.order)
+    b = _complex(rng, 201)
+    lhs = np.vdot(b, solve(a))
+    assert np.vdot(solve_h(b), a) == pytest.approx(lhs, rel=1e-13)
 
 
 # Every rung of these ladders is resolved: the ladder starts at 862 for
@@ -210,25 +227,30 @@ def _complex(rng, size):
 @pytest.mark.parametrize("n", [_BANDED_MIN_DEGREE, _MATRIX_STEP_MAX_DEGREE])
 @pytest.mark.parametrize("m", [2, 4])
 def test_node_maps_match_the_transforms_they_replace(m, n):
-    # each cached matrix and its transpose against the type-1 DCTs, the
-    # coefficient recurrence and the structure's sparse maps
+    # each cached matrix and its transpose against the matrix-free pair of
+    # _dct_maps: type-1 DCTs, the coefficient recurrence and the gathers
     rng = np.random.default_rng(m + n)
-    forcing, values, slopes = node_maps(m, ss.build_grid(n))
-    st, ws = _structure(m, n), np.sqrt(ss.build_grid(n).weights)
-    data = np.arange(m // 2, n + 1 - m // 2)
-    x, c, y, z = (_complex(rng, size) for size in (len(data), st.size, n + 1, st.size))
-    f = np.zeros(n + 1, dtype=complex)
-    f[data] = x / ws[data]
-    pairs = [
-        (forcing @ x, st.conv_map(_coefficients(f))),
-        (forcing.T @ z, _coefficients(st.conv_map.t(z))[data] / ws[data]),
-        (values @ c, ws * _values(st.basis_map(c))),
-        (values.T @ y, st.basis_map.t(_values(ws * y))),
-        (slopes @ c, ws * _values(_coef_derivative(st.basis_map(c)))),
-        (slopes.T @ y, st.basis_map.t(_coef_derivative_t(_values(ws * y)))),
-    ]
-    for fast, ref in pairs:
-        assert np.linalg.norm(fast - ref) <= 1e-13 * np.linalg.norm(ref)
+    grid = ss.build_grid(n)
+    for mat, (apply, adjoint) in zip(node_maps(m, grid), _dct_maps(m, grid)):
+        x, y = _complex(rng, mat.shape[1]), _complex(rng, mat.shape[0])
+        for fast, ref in ((mat @ x, apply(x)), (mat.T @ y, adjoint(y))):
+            assert np.linalg.norm(fast - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [64, 255])
+@pytest.mark.parametrize("m", [2, 4])
+def test_gather_and_its_transpose_are_adjoint(m, n):
+    # <y, G x> = <G^T y, x> for the kept rows of S and for the basis Q^T,
+    # on a vector and on a block along axis 0
+    rng = np.random.default_rng(m * n)
+    st = _structure(m, n)
+    for diagonals in (st.conv_rows, st.basis_terms):
+        for cols in ((), (3,)):
+            x = _complex(rng, (n + 1,) + cols)
+            y = _complex(rng, (st.size,) + cols)
+            lhs = np.vdot(y, _gather(diagonals, x, st.size))
+            rhs = np.vdot(_gather_t(diagonals, y, n + 1), x)
+            assert rhs == pytest.approx(lhs, rel=1e-13)
 
 
 def test_node_maps_keep_only_the_latest_shape():
@@ -264,6 +286,31 @@ def test_matrix_step_rungs_match_the_dct_step(monkeypatch, kind, alpha, route, n
     assert fast["singular"] is slow["singular"] is False
     for key in ("norm_inv", "norm_d_inv"):
         assert fast[key] == pytest.approx(slow[key], rel=1e-12, abs=0.0), key
+
+
+@pytest.mark.parametrize("kind, alpha", KINDS)
+def test_small_banded_rung_takes_the_explicit_tier(monkeypatch, kind, alpha):
+    # below _LANCZOS_MIN_DEGREE a banded rung is measured by the SVDs of its
+    # explicit solution operator, as a collocation rung is; Lanczos forced
+    # on agrees
+    grid, params = ss.build_grid(64), ss.SpectralParams(alpha, 1e4, -0.1 + 0.5j)
+    series = velocity_series(ss.cubic(0.1), grid)
+    calls = []
+    lanczos_norms = spectral._lanczos_norms
+
+    def counted(*args):
+        calls.append(args)
+        return lanczos_norms(*args)
+
+    monkeypatch.setattr(spectral, "_lanczos_norms", counted)
+    explicit = _banded_numbers(series, params, kind, grid, None)
+    assert not calls
+    monkeypatch.setattr(spectral, "_LANCZOS_MIN_DEGREE", 0)
+    lanczos = _banded_numbers(series, params, kind, grid, None)
+    assert calls
+    assert explicit["singular"] is lanczos["singular"] is False
+    for key in ("norm_inv", "norm_d_inv"):
+        assert explicit[key] == pytest.approx(lanczos[key], rel=1e-12, abs=0.0), key
 
 
 def _zgbcon(system):
