@@ -68,8 +68,10 @@ AI_AT_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 AI_PRIME_AT_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
 TAIL_AT_ZERO = 1.0 / 3.0
 
-# the panel rule of both tail-integral routes
+# the panel rule of both tail-integral routes: 12 Gauss-Legendre points on
+# panels of length at most _MAX_PANEL
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_MAX_PANEL = 0.7
 
 
 class NormalizationError(RuntimeError):
@@ -153,11 +155,11 @@ def _decay_cut(z: complex) -> float:
     return 80.0
 
 
-def _tail_sum(z: complex, max_panel: float) -> complex:
+def _tail_sum(z: complex) -> complex:
     """A0(z) by a 12-point Gauss-Legendre sum over equal panels of length at
-    most max_panel on [z, z + _decay_cut(z)], every node in one AMOS call."""
+    most _MAX_PANEL on [z, z + _decay_cut(z)], every node in one AMOS call."""
     cut = _decay_cut(z)
-    npan = math.ceil(cut / max_panel)
+    npan = math.ceil(cut / _MAX_PANEL)
     half = 0.5 * cut / npan
     offsets = half * (2.0 * np.arange(npan)[:, None] + 1.0 + _GL_NODES)
     values = _amos_airy(_ROT6 * (z + offsets))[0]
@@ -175,7 +177,7 @@ def airy_tail_integral(z: complex) -> complex:
     path, which is rounding: next to the tail zeros that integral reaches
     4e4 while A0 itself vanishes.
     """
-    return _tail_sum(complex(z), 0.7)
+    return _tail_sum(complex(z))
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +212,12 @@ def _ai(w) -> np.ndarray:
     return np.where(w.imag < 0.0, val.conj(), val)
 
 
-def _radial_values(points, max_panel: float = 0.7) -> np.ndarray:
+def _radial_values(points) -> np.ndarray:
     """F(z) = A0(iz) at each point, integrated from F(0) = 1/3 along the ray.
 
     F'(z) = -i e^{i pi/6} Ai(e^{2 pi i/3} z) is entire, so each value is the
     anchor plus a 12-point Gauss-Legendre sum over equal panels of length at
-    most max_panel on the straight path from the origin.  The panels of all
+    most _MAX_PANEL on the straight path from the origin.  The panels of all
     points share vectorized kernel calls, `_PANEL_BATCH` panels per call.
 
     Radial paths matter: along a ray the rotated Airy argument keeps a fixed
@@ -226,7 +228,7 @@ def _radial_values(points, max_panel: float = 0.7) -> np.ndarray:
     corner 0.05 - 10i), wrecking the phase.
     """
     z = np.asarray(points, dtype=complex).reshape(-1)
-    npan = np.maximum(1, np.ceil(np.abs(z) / max_panel)).astype(np.intp)
+    npan = np.maximum(1, np.ceil(np.abs(z) / _MAX_PANEL)).astype(np.intp)
     first = np.cumsum(npan) - npan
     owner = np.repeat(np.arange(z.size), npan)
     step = z[owner] / npan[owner]
@@ -244,10 +246,14 @@ def _f_prime(z: complex) -> complex:
     return -1j * _ROT6 * complex(special.airy(_ROT3 * complex(z))[0])
 
 
-def _winding(corners: list[complex], max_panel: float, cache: dict) -> int:
+def _winding(corners: list[complex], cache: dict) -> int:
     """Winding number of F around a closed polygon, or raise if a zero sits
     too close to the boundary for phase tracking to settle.  `cache` maps
-    contour points to F values; each pass evaluates its new points at once."""
+    contour points to F values; each pass evaluates its new points at once.
+
+    A contour point lies on a zero when its Newton step |F/F'| is below
+    1e-12.  F' is only evaluated where |F| < 1e-12 too: at the corner
+    0.05 - 14i |F| decays to 8e-13, but the Newton step there is 0.27."""
     pts: list[complex] = []
     for a, b in zip(corners, corners[1:] + corners[:1]):
         seg = max(2, math.ceil(abs(b - a) / 0.5))
@@ -255,9 +261,9 @@ def _winding(corners: list[complex], max_panel: float, cache: dict) -> int:
     for _ in range(40):
         missing = [p for p in pts if p not in cache]
         if missing:
-            cache.update(zip(missing, _radial_values(missing, max_panel).tolist()))
+            cache.update(zip(missing, _radial_values(missing).tolist()))
         vals = [cache[p] for p in pts]
-        if min(abs(v) for v in vals) < 1e-12:
+        if any(abs(v) < 1e-12 and abs(v) < 1e-12 * abs(_f_prime(p)) for p, v in zip(pts, vals)):
             raise RuntimeError("contour passes through a zero")
         jumps = [
             cmath.phase(vals[(i + 1) % len(vals)] / vals[i])
@@ -278,14 +284,16 @@ def _winding(corners: list[complex], max_panel: float, cache: dict) -> int:
     raise RuntimeError("phase tracking failed: zero too close to a contour")
 
 
-def _newton_zero(start: complex, max_panel: float) -> complex | None:
+def _newton_zero(start: complex) -> complex | None:
+    """Newton's method on F from start, or None if it has not settled in 60
+    steps or meets an iterate where F' is zero or not finite: a diverging
+    iterate (F' is nan at |z| = 2e46) never reaches the quadrature."""
     z = complex(start)
     for _ in range(60):
-        fz = complex(_radial_values([z], max_panel)[0])
         dz = _f_prime(z)
-        if dz == 0.0:
+        if dz == 0.0 or not cmath.isfinite(dz):
             return None
-        step = fz / dz
+        step = complex(_radial_values([z])[0]) / dz
         z = z - step
         if abs(step) < 1e-13 * max(1.0, abs(z)):
             return complex(z)
@@ -296,24 +304,22 @@ def _box_corners(lo: complex, hi: complex) -> list[complex]:
     return [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
 
 
-def _hunt(
-    lo: complex, hi: complex, max_panel: float, depth: int, cache: dict
-) -> list[complex]:
+def _hunt(lo: complex, hi: complex, depth: int, cache: dict) -> list[complex]:
     if depth > 48:
         raise RuntimeError(f"zero search exceeded subdivision depth at {lo}..{hi}")
     try:
-        w = _winding(_box_corners(lo, hi), max_panel, cache)
+        w = _winding(_box_corners(lo, hi), cache)
     except RuntimeError:
         if depth == 0:
             raise
         # nudge the box so its boundary clears the offending zero
         shift = complex(1.7e-7 * (depth + 1), 1.3e-7 * (depth + 1))
-        return _hunt(lo - shift, hi + shift, max_panel, depth + 1, cache)
+        return _hunt(lo - shift, hi + shift, depth + 1, cache)
     if w == 0:
         return []
     if w == 1:
         # one zero inside: a Newton limit that stays in the box is that zero
-        z = _newton_zero(0.5 * (lo + hi), max_panel)
+        z = _newton_zero(0.5 * (lo + hi))
         pad = 1e-9
         if (
             z is not None
@@ -332,7 +338,7 @@ def _hunt(
     ]
     found: list[complex] = []
     for qlo, qhi in quads:
-        found.extend(_hunt(qlo, qhi, max_panel, depth + 1, cache))
+        found.extend(_hunt(qlo, qhi, depth + 1, cache))
     return found
 
 
@@ -354,7 +360,6 @@ _VERIFY_TOL = 1e-10
 
 def tail_zero_margin(
     rectangle: tuple[float, float, float, float] = (0.05, 10.0, -10.0, 10.0),
-    max_panel: float = 0.7,
 ) -> TailZeroResult:
     """Locate every zero of F(z) = A0(iz) in the rectangle and the margin.
 
@@ -364,13 +369,12 @@ def tail_zero_margin(
     the total against the winding count of the whole rectangle, and finally
     re-evaluates each zero with `airy_tail_integral`, which shares neither
     kernel nor path with the search, demanding a Newton location-error
-    estimate |F|/|F'| at most _VERIFY_TOL.  Results are cached per argument
-    set.
+    estimate |F|/|F'| at most _VERIFY_TOL.  Results are cached per
+    rectangle.
     """
     rect = tuple(map(float, rectangle))
-    key = (rect, max_panel)
-    if key in _TAIL_CACHE:
-        return _TAIL_CACHE[key]
+    if rect in _TAIL_CACHE:
+        return _TAIL_CACHE[rect]
     re_lo, re_hi, im_lo, im_hi = rect
     finite = all(map(math.isfinite, rect))
     if not (finite and re_lo > 0.0 and re_hi > re_lo and im_hi > im_lo):
@@ -378,7 +382,7 @@ def tail_zero_margin(
     lo = complex(re_lo, im_lo)
     hi = complex(re_hi, im_hi)
     cache: dict = {}
-    raw = _hunt(lo, hi, max_panel, 0, cache)
+    raw = _hunt(lo, hi, 0, cache)
     zeros: list[complex] = []
     for z in sorted(raw, key=lambda v: (v.real, v.imag)):
         inside = (
@@ -387,7 +391,7 @@ def tail_zero_margin(
         )
         if inside and all(abs(z - seen) > 1e-8 for seen in zeros):
             zeros.append(z)
-    expected = _winding(_box_corners(lo, hi), max_panel, cache)
+    expected = _winding(_box_corners(lo, hi), cache)
     if len(zeros) != expected:
         raise RuntimeError(
             f"found {len(zeros)} zeros but the rectangle winds {expected} times"
@@ -408,7 +412,7 @@ def tail_zero_margin(
         rectangle=rect,
         residuals=tuple(float(r) for r in residuals),
     )
-    _TAIL_CACHE[key] = result
+    _TAIL_CACHE[rect] = result
     return result
 
 

@@ -87,9 +87,10 @@ _LANCZOS_MIN_DEGREE = 80
 # call each (the grid's d1 on the dense route, ``ultraspherical.node_maps``
 # on the banded one), and a rung whose Lanczos recurrence reaches the step
 # cap falls back to the explicit SVDs; above it, type-1 DCTs.  Measured (see
-# CHANGES.md): the largest degree at which a banded rung that builds its
-# node maps, medians of 15 runs over 3 shifts per kind, is no slower than
-# the DCT step; dense rungs gain up to n = 300.
+# CHANGES.md) at n = 160-192, medians of 15 runs over 3 shifts per kind: a
+# banded rung with cached node maps, as every rung after the first of its
+# shape finds them, takes 0.50-0.61x the DCT step, and a single-use rung
+# that builds them 0.98-1.66x; dense rungs gain up to n = 300.
 _MATRIX_STEP_MAX_DEGREE = 192
 # Golub-Kahan-Lanczos for the resolvent norms: relative bound on the error
 # of the top Ritz value at which the recurrence stops, and the step cap past

@@ -32,9 +32,10 @@ numpy straight into LAPACK band storage.
 
 Three maps join a system to node values: weighted data to its kept rows,
 and basis coefficients to weighted values and to weighted derivative
-values.  ``node_maps`` builds them as dense matrices; ``_dct_maps`` applies
-them through type-1 DCTs and one diagonal gather on the kept rows of the
-conversion and on the basis.
+values.  ``_dct_maps`` applies them through type-1 DCTs and one diagonal
+gather on the kept rows of the conversion and on the basis; ``node_maps``
+applies those same maps to the identity, for the small rungs that use them
+as dense matrices.
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ class TauSystem:
     def __init__(self, kind: str, series: np.ndarray, params: SpectralParams, n: int):
         if kind == "orr_sommerfeld" and not params.beta > 0.0:
             raise ValueError("fourth-order operator needs beta > 0")
-        self.n, self.order = n, ORDERS[kind]
+        self.order = ORDERS[kind]
         ab, self._kl, self._ku = _tau_matrix(kind, series, params, n)
         if not np.all(np.isfinite(ab)):
             raise ValueError("operator matrix must not contain infs or NaNs")
@@ -359,14 +360,18 @@ def node_maps(m: int, grid: ChebGrid) -> tuple[np.ndarray, np.ndarray, np.ndarra
     weighted data x = W f on the nodes m/2 .. n - m/2 (f zero on the others)
     to the kept rows of S a, a the Chebyshev coefficients of f; ``values``
     takes basis coefficients c to W sum c_k phi_k on every node, and
-    ``slopes`` to W (sum c_k phi_k)'.  They equal the maps of ``_dct_maps``.
-    Only the latest shape is kept, and it is dropped before another is
-    built.
+    ``slopes`` to W (sum c_k phi_k)'.  Each is the map of ``_dct_maps``
+    applied to the identity, read-only.  Only the latest shape is kept, and
+    it is dropped before another is built.
     """
     maps = _NODE_MAPS.get((m, grid.n))
     if maps is None:
         _NODE_MAPS.clear()
-        maps = _NODE_MAPS[m, grid.n] = _build_node_maps(m, grid)
+        eye = np.eye(grid.n + 1 - m)
+        maps = tuple(apply(eye) for apply, _ in _dct_maps(m, grid))
+        for mat in maps:
+            mat.setflags(write=False)
+        _NODE_MAPS[m, grid.n] = maps
     return maps
 
 
@@ -401,38 +406,3 @@ def _dct_maps(m: int, grid: ChebGrid):
         return _gather(basis, _coef_derivative_t(_values((ws * y.T).T)), st.size)
 
     return (forcing, forcing_h), (values, values_h), (slopes, slopes_h)
-
-
-def _build_node_maps(m: int, grid: ChebGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``node_maps`` in O(n^2) from one table of cos(pi j k / n), then of
-    sin(pi j k / n) in the same memory, the product jk reduced mod 2n in
-    integers, with T_k'(x_j) = k sin(pi j k / n) / sin(pi j / n) off the
-    walls.  Only the nodes j <= n/2 are computed: node n - j has (-1)^k T_k
-    and (-1)^(k+1) T_k', and every diagonal sits at an even offset."""
-    n = grid.n
-    st = _structure(m, n)
-    size, edge, half = st.size, m // 2, n // 2 + 1
-    ws = np.sqrt(grid.weights)[:half, None]
-    k = np.arange(n + m + 1)
-    angle = np.pi / n * np.arange(2 * n)
-    jk = np.outer(np.arange(half), k) % (2 * n)
-    # coefficient a_k = (2 / n) e_k sum_j f_j cos(pi j k / n) for f zero at
-    # the walls, e_k = 1/2 at k = 0 and n, and 0 past n
-    e = (2.0 / n) * (k <= n)
-    e[[0, n]] /= 2.0
-    conv = [(o, e[o : o + size] * w) for o, w in st.conv_rows]
-    basis = st.basis_terms
-    forcing_t, values, slopes = (np.empty((n + 1, size)) for _ in range(3))
-    table = np.take(np.cos(angle), jk)
-    forcing_t[:half] = _gather(conv, table.T, size).T / ws
-    values[:half] = _gather(basis, table.T, size).T * ws
-    # the factor k of T_k' rides on the basis weights; T_k'(1) = k^2
-    np.take(np.sin(angle), jk, out=table)
-    slopes[:half] = _gather([(o, w * (k[:size] + o)) for o, w in basis], table.T, size).T
-    slopes[1:half] *= ws[1:] / np.sin(angle[1:half, None])
-    slopes[0] = _gather(basis, k * k, size) * ws[0]
-    parity = (-1.0) ** k[:size]
-    for mat, sign in ((forcing_t, parity), (values, parity), (slopes, -parity)):
-        np.multiply(mat[n - half :: -1], sign, out=mat[half:])
-        mat.setflags(write=False)
-    return forcing_t[edge : n + 1 - edge].T, values, slopes

@@ -14,8 +14,10 @@ from shearstab.airy import (
     AI_PRIME_AT_ZERO,
     TAIL_AT_ZERO,
     _ai,
+    _box_corners,
     _f_prime,
     _hunt,
+    _newton_zero,
     _radial_values,
     _tail_sum,
     airy_ai,
@@ -126,7 +128,7 @@ def test_search_kernel_against_mpmath():
 
 def test_search_kernel_matches_amos_on_search_contour(monkeypatch):
     cache: dict = {}
-    _hunt(0.05 - 10j, 10.0 + 10j, 0.7, 0, cache)
+    _hunt(0.05 - 10j, 10.0 + 10j, 0, cache)
     pts = list(cache)
     assert len(pts) > 100
     w = airy._ROT3 * np.array(pts)
@@ -152,20 +154,29 @@ def test_tail_zeros_agree_across_kernels(monkeypatch):
     assert max(ours.residuals) <= 1e-10
 
 
-def test_tail_integral_stable_under_panel_halving():
+def _halved_panels(monkeypatch):
+    """The 0.35 panel rule in place of the 0.7 one, with a fresh cache."""
+    monkeypatch.setattr(airy, "_MAX_PANEL", 0.35)
+    monkeypatch.setattr(airy, "_TAIL_CACHE", {})
+
+
+def test_tail_integral_stable_under_panel_halving(monkeypatch):
     # The 0.7 rule against the 0.35 rule.  Next to a tail zero A0 cancels
     # down from an integrand that reaches |Ai| ~ 7e3 on the path, so the
     # rounding floor of any rule there is eps times the integral of |Ai|
     # along the path; that integral joins the scale, and is below 1/2 at
     # the first three points.
     zeros = tail_zero_margin().zeros
-    for z in [0.0, 1.0 + 1.0j, 2.0 - 0.5j] + [1j * zk for zk in zeros]:
-        coarse, fine = _tail_sum(z, 0.7), _tail_sum(z, 0.35)
+    points = [0.0, 1.0 + 1.0j, 2.0 - 0.5j] + [1j * zk for zk in zeros]
+    coarse_sums = [_tail_sum(z) for z in points]
+    _halved_panels(monkeypatch)
+    for z, coarse in zip(points, coarse_sums):
+        fine = _tail_sum(z)
         cut = airy._decay_cut(z)
         path = airy._ROT6 * (z + np.linspace(0.0, cut, 4001))
         mass = cut * np.mean(np.abs(airy_ai(path)))
         assert abs(coarse - fine) <= 1e-13 * max(abs(coarse), 1.0 / 3.0, mass), z
-    assert airy_tail_integral(1.0 + 1.0j) == _tail_sum(1.0 + 1.0j, 0.7)
+    assert airy_tail_integral(1.0 + 1.0j) == _tail_sum(1.0 + 1.0j)
 
 
 def test_tail_integral_at_zero_is_one_third():
@@ -213,9 +224,10 @@ def test_tail_zero_margin_frozen_values():
     assert res.rectangle == (0.05, 10.0, -10.0, 10.0)
 
 
-def test_tail_zero_margin_stable_under_refinement():
+def test_tail_zero_margin_stable_under_refinement(monkeypatch):
     coarse = tail_zero_margin()
-    fine = tail_zero_margin(max_panel=0.35)
+    _halved_panels(monkeypatch)
+    fine = tail_zero_margin()
     assert abs(coarse.margin - fine.margin) < 1e-11
     assert len(coarse.zeros) == len(fine.zeros)
 
@@ -245,12 +257,13 @@ def test_radial_values_against_mpmath():
     assert 0.5e-8 < abs(_mp_tail_value(near)) < 2e-8
 
 
-def test_radial_values_stable_under_panel_halving():
+def test_radial_values_stable_under_panel_halving(monkeypatch):
     cache: dict = {}
-    _hunt(0.05 - 10j, 10.0 + 10j, 0.7, 0, cache)
+    _hunt(0.05 - 10j, 10.0 + 10j, 0, cache)
     pts = list(cache)
     coarse = np.array([cache[p] for p in pts])
-    fine = _radial_values(pts, max_panel=0.35)
+    _halved_panels(monkeypatch)
+    fine = _radial_values(pts)
     assert len(pts) > 100
     scale = np.maximum(np.abs(coarse), 1.0 / 3.0)
     assert np.max(np.abs(fine - coarse) / scale) <= 1e-12
@@ -291,3 +304,24 @@ def test_smooth_step_plateaus_and_monotone():
 def test_smooth_step_scalar_input():
     assert smooth_step(0.25) == 1.0
     assert smooth_step(2.0) == 0.0
+
+
+def test_winding_counts_past_a_corner_where_f_is_small():
+    # |F| decays to 8.3e-13 at 0.05 - 14i, but the Newton step |F/F'| there
+    # is 0.27: the corner is no zero, and the box around it holds none
+    corner = 0.05 - 14j
+    assert abs(_radial_values([corner])[0]) < 1e-12
+    assert airy._winding(_box_corners(corner, 1.0 - 13j), {}) == 0
+
+
+def test_newton_zero_gives_up_on_a_diverging_start():
+    # |F'| is 4e-62 at -32 - 24i, so the first step lands near |z| = 2e46,
+    # where F' is nan and the quadrature cannot run
+    assert _newton_zero(complex(-32.0, -24.0)) is None
+
+
+def test_wide_rectangle_reaches_the_quadrature_recheck():
+    # on (0.05, 14) x (-14, 14) the search finds 13 zeros; the one at
+    # 8.79 + 13.56i misses _VERIFY_TOL on the independent route
+    with pytest.raises(RuntimeError, match="independent quadrature rejects a zero"):
+        tail_zero_margin((0.05, 14.0, -14.0, 14.0))

@@ -10,7 +10,6 @@ import shearstab as ss
 from shearstab import spectral, ultraspherical
 from shearstab.spectral import (
     _ASSEMBLERS,
-    _BANDED_MIN_DEGREE,
     _MATRIX_STEP_MAX_DEGREE,
     _SINGULAR_RTOL,
     _banded_numbers,
@@ -224,17 +223,54 @@ def _complex(rng, size):
     return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
-@pytest.mark.parametrize("n", [_BANDED_MIN_DEGREE, _MATRIX_STEP_MAX_DEGREE])
+def _basis_coefficients(m, n):
+    """The basis phi_0 .. phi_(n-m) as columns of T coefficients, degree n."""
+    size = n + 1 - m
+    q = np.zeros((n + 1, size))
+    for k in range(size):
+        if m == 2:
+            q[[k, k + 2], k] = 1.0, -1.0
+        else:
+            q[[k, k + 2, k + 4], k] = 1.0, -2.0 * (k + 2) / (k + 3), (k + 1) / (k + 3)
+    return q
+
+
+def _conversion_rows(m, n):
+    """The kept rows of S = S_(m-1) ... S_0, T coefficients to C^(m), dense:
+    T_0 = C^(1)_0, T_k = (C^(1)_k - C^(1)_(k-2)) / 2, and
+    C^(l)_k = l / (l + k) (C^(l+1)_k - C^(l+1)_(k-2))."""
+    k = np.arange(n + 1, dtype=float)
+    s = np.eye(n + 1)
+    for lam in range(m):
+        diag = np.where(k == 0, 1.0, 0.5) if lam == 0 else lam / (lam + k)
+        step = np.diag(diag) - np.diag(diag[2:], 2)
+        s = step @ s
+    return s[: n + 1 - m]
+
+
+@pytest.mark.parametrize("n", [160, 192])
 @pytest.mark.parametrize("m", [2, 4])
-def test_node_maps_match_the_transforms_they_replace(m, n):
-    # each cached matrix and its transpose against the matrix-free pair of
-    # _dct_maps: type-1 DCTs, the coefficient recurrence and the gathers
-    rng = np.random.default_rng(m + n)
+def test_node_maps_match_closed_forms(m, n):
+    # numpy's Chebyshev evaluation, derivative and interpolation, with W the
+    # square-root weights: values = W phi_k(x_j), slopes = W phi_k'(x_j), and
+    # forcing = the kept rows of S on the interpolation coefficients of
+    # f = x / W on the data nodes m/2 .. n - m/2, zero on the others
+    cheb = np.polynomial.chebyshev
     grid = ss.build_grid(n)
-    for mat, (apply, adjoint) in zip(node_maps(m, grid), _dct_maps(m, grid)):
-        x, y = _complex(rng, mat.shape[1]), _complex(rng, mat.shape[0])
-        for fast, ref in ((mat @ x, apply(x)), (mat.T @ y, adjoint(y))):
-            assert np.linalg.norm(fast - ref) <= 1e-13 * np.linalg.norm(ref)
+    x, ws = grid.nodes, np.sqrt(grid.weights)
+    q = _basis_coefficients(m, n)
+    data = np.arange(m // 2, n + 1 - m // 2)
+    data_values = np.zeros((n + 1, data.size))
+    data_values[data, np.arange(data.size)] = 1.0 / ws[data]
+    coef = np.linalg.solve(cheb.chebvander(x, n), data_values)
+    want = (
+        _conversion_rows(m, n) @ coef,
+        ws[:, None] * cheb.chebval(x, q).T,
+        ws[:, None] * cheb.chebval(x, cheb.chebder(q)).T,
+    )
+    for got, ref in zip(node_maps(m, grid), want):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [64, 255])
