@@ -11,6 +11,11 @@ the inviscid evolution generator L = H^-1 (U H + U''), H = -d2 + alpha^2,
 and measures how far eigenvalues stray from the real segment [U(-1), U(1)],
 tracking which excursions persist as the grid is refined.  It solves the
 generator conjugated by H, U + U'' H^-1, which has the same spectrum.
+Where U and U'' are exactly odd on the nodes (Couette, cubic, tanh_shear,
+odd polynomials), ``assemble_rayleigh`` makes that matrix exactly
+anti-centrosymmetric, and ``spectral.eigenvalues`` takes its spectrum from
+one real eigen-solve of half the size, +-sqrt(eig(YX)).  The certificate
+ladders keep their full-size solves.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigvals
+from scipy.linalg import eigvals, inv
 from scipy.optimize import brentq
 
 import shearstab as ss
@@ -600,3 +600,54 @@ def test_real_matmul_matches_matmul_along_axis_0():
         got = _real_matmul(mat, x)
         assert got.shape == (7,) + x.shape[1:]
         assert np.linalg.norm(got - mat @ x) <= 1e-15 * np.linalg.norm(mat @ x)
+
+
+# U'' = x (x^2 - 2^-16): odd, with three inflection values on scan nodes
+_ODD_QUINTIC = (0.0, 1.0, 0.0, -2.5431315104166665e-06, 0.0, 0.05)
+
+
+def _rayleigh_reference(profile, alpha, grid):
+    """diag(U) + diag(U'') inv(H) with one dense inverse of H = -d2 + a^2."""
+    x = grid.nodes[1:-1]
+    mat = inv(-grid.d2[1:-1, 1:-1] + alpha**2 * np.eye(len(x)))
+    mat *= profile.deriv(x, 2)[:, None]
+    mat[np.diag_indices_from(mat)] += profile.u(x)
+    return mat
+
+
+@pytest.mark.parametrize("n", [128, 129])
+@pytest.mark.parametrize(
+    "profile",
+    [ss.couette(), ss.tanh_shear(3.0), ss.cubic(0.3), ss.polynomial(_ODD_QUINTIC)],
+    ids=["couette", "tanh3", "cubic0.3", "odd-quintic"],
+)
+def test_rayleigh_parity_split_matches_the_dense_solve(profile, n):
+    # An odd profile gives an exactly anti-centrosymmetric generator, whose
+    # spectrum comes from one solve of half the size; m = n - 1 interior
+    # nodes, odd at n = 128 (with one exact 0) and even at n = 129.
+    grid = ss.build_grid(n)
+    op = ss.assemble_rayleigh(profile, 1.0, grid)
+    mat = op.matrix
+    np.testing.assert_array_equal(mat, -mat[::-1, ::-1])
+    expected = _rayleigh_reference(profile, 1.0, grid)
+    assert np.max(np.abs(mat - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    got = ss.eigenvalues(op)
+    dense = eigvals(mat)
+    assert len(got) == len(dense) == n - 1
+    scale = np.max(np.abs(dense))
+    gap = np.abs(got[:, None] - dense[None, :])
+    assert np.max(np.min(gap, axis=1)) <= 1e-12 * scale
+    assert np.max(np.min(gap, axis=0)) <= 1e-12 * scale
+
+
+def test_rayleigh_without_parity_takes_the_general_route():
+    # c2 != 0: U is not odd, so the matrix is the one dense inverse of H and
+    # the spectrum the one dense solve, bit for bit
+    profile = ss.polynomial((0.0, 1.0, 0.01, 0.0, 0.0, 0.05))
+    grid = ss.build_grid(128)
+    op = ss.assemble_rayleigh(profile, 1.0, grid)
+    np.testing.assert_array_equal(op.matrix, _rayleigh_reference(profile, 1.0, grid))
+    np.testing.assert_array_equal(
+        ss.eigenvalues(op), np.sort_complex(eigvals(op.matrix))
+    )
