@@ -6,29 +6,31 @@ that the curvature vanishes at (the inflection set).  Positivity of the
 smallest eigenvalue, uniformly over that set, rules out inviscid neutral
 modes and with them the large-Reynolds instability route.
 
-The Rayleigh scan complements the certificate: it computes the spectrum of
-the inviscid evolution generator L = H^-1 (U H + U''), H = -d2 + alpha^2,
-and measures how far eigenvalues stray from the real segment [U(-1), U(1)],
-tracking which excursions persist as the grid is refined.  It solves the
-generator conjugated by H, U + U'' H^-1, which has the same spectrum.
-Where U and U'' are exactly odd on the nodes (Couette, cubic, tanh_shear,
-odd polynomials), ``assemble_rayleigh`` makes that matrix exactly
-anti-centrosymmetric, and ``spectral.eigenvalues`` takes its spectrum from
-one real eigen-solve of half the size, +-sqrt(eig(YX)).  The certificate
-ladders keep their full-size solves.
+The Rayleigh scan complements the certificate: it measures how far the
+spectrum of the inviscid problem (U - c)(-phi'' + alpha^2 phi) + U'' phi = 0
+strays from the real segment [U(-1), U(1)], and which excursions persist as
+the degree is raised.  It solves the Galerkin pencil A phi = c B phi on
+Shen's Legendre basis, whose mass matrix B splits into two tridiagonal
+blocks by parity; for an odd U, A couples only opposite parities, and the
+spectrum comes from one real eigen-solve of half the size.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigvals
+from scipy.linalg.lapack import dptsv
+from scipy.special import roots_legendre
 
-from .chebdiff import build_grid
-from .operators import assemble_rayleigh
+from .chebdiff import N_MAX, N_MIN
+from .operators import _positive_wavenumber
 from .profile import Profile, inflection_values
-from .spectral import _check_threads, eig_floor_ladder, eigenvalues
+from .spectral import _check_threads, eig_floor_ladder
 
 __all__ = [
     "CertificateEntry",
@@ -143,11 +145,75 @@ def _segment_distance(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
 _OFF_TOL = 1e-3
 _MATCH_RTOL = 0.1
 _MATCH_FLOOR = 1e-3
+# Gauss-Legendre nodes beyond the basis degree: exact for every polynomial U
+_EXTRA_NODES = 24
+
+
+@lru_cache(maxsize=4)
+def _shen_tables(n: int) -> tuple[np.ndarray, ...]:
+    """n + ``_EXTRA_NODES`` Gauss-Legendre nodes and weights, [psi', psi] on
+    them for the Shen basis psi_k = (L_k - L_{k+2}) / sqrt(4k + 6), k < n - 1,
+    and the mass matrix M_jk = int psi_j psi_k as its diagonal and M_{k,k+2};
+    int psi_j' psi_k' is the identity (Shen, SIAM J. Sci. Comput. 15, 1994)."""
+    m = n + _EXTRA_NODES
+    x = roots_legendre(m)[0]
+    leg = np.empty((m + 1, m))
+    leg[0], leg[1] = 1.0, x
+    for k in range(1, m):
+        leg[k + 1] = ((2 * k + 1) * x * leg[k] - k * leg[k - 1]) / (k + 1)
+    # weights 2 / ((1 - x^2) L_m'^2): scipy's are off by up to 8e-10 relative
+    # here and integrate the Legendre Gram matrix 8 to 40 times less exactly
+    slope = m * (leg[m - 1] - x * leg[m]) / (1.0 - x * x)
+    w = 2.0 / ((1.0 - x * x) * slope**2)
+    k = np.arange(n - 1)
+    scale = np.sqrt(4.0 * k + 6.0)
+    # psi_k' = -(2k + 3) L_{k+1} / sqrt(4k + 6)
+    deriv = -((2 * k + 3) / scale)[:, None] * leg[1:n]
+    basis = np.hstack([deriv, (leg[: n - 1] - leg[2 : n + 1]) / scale[:, None]])
+    diag = (2.0 / (2 * k + 1) + 2.0 / (2 * k + 5)) / scale**2
+    upper = -2.0 / ((2 * k[:-2] + 5) * scale[:-2] * scale[2:])
+    for arr in (x, w, basis, diag, upper):
+        arr.setflags(write=False)
+    return x, w, basis, diag, upper
+
+
+def _mass_solve(diag, upper, alpha: float, rhs: np.ndarray, parity: int) -> np.ndarray:
+    """B^-1 rhs on one parity's basis functions, B = I + alpha^2 M (LAPACK ptsv)."""
+    a2 = alpha * alpha
+    _, _, sol, info = dptsv(1.0 + a2 * diag[parity::2], a2 * upper[parity::2], rhs)
+    if info:
+        raise np.linalg.LinAlgError(f"mass matrix solve failed, ptsv info {info}")
+    return sol
+
+
+def _rayleigh_spectrum(profile: Profile, alpha: float, n: int) -> np.ndarray:
+    """The n - 1 eigenvalues c, sorted by (real, imag), of A phi = c B phi on
+    the degree-n Shen basis: A_jk = int U (psi_k' psi_j' + alpha^2 psi_k psi_j)
+    + U' psi_k' psi_j + U'' psi_k psi_j, B = I + alpha^2 M.  An odd U leaves
+    A's same-parity blocks zero, so B^-1 A is [[0, X], [Y, 0]] by parity and
+    the spectrum is +-sqrt(eig(YX)), plus one 0 when X has the more rows."""
+    x, w, basis, diag, upper = _shen_tables(n)
+    q, u = len(x), profile.u(x)
+    left = np.hstack([basis[:, :q] * (w * u) + basis[:, q:] * (w * profile.deriv(x, 1)),
+                      basis[:, q:] * (w * (alpha * alpha * u + profile.deriv(x, 2)))])
+    if profile.odd:
+        xe = _mass_solve(diag, upper, alpha, left[0::2] @ basis[1::2].T, 0)
+        yo = _mass_solve(diag, upper, alpha, left[1::2] @ basis[0::2].T, 1)
+        # eigvals returns complex values, so a negative eigenvalue of YX has
+        # imaginary roots rather than a RuntimeWarning and NaN
+        roots = np.sqrt(eigvals(yo @ xe))
+        spectrum = np.concatenate([roots, -roots, np.zeros(len(xe) - len(yo))])
+    else:
+        pencil = left @ basis.T
+        pencil[0::2] = _mass_solve(diag, upper, alpha, pencil[0::2], 0)
+        pencil[1::2] = _mass_solve(diag, upper, alpha, pencil[1::2], 1)
+        spectrum = eigvals(pencil, overwrite_a=True)
+    return np.sort_complex(spectrum)
 
 
 @dataclass(frozen=True)
 class RayleighScan:
-    """Inviscid generator spectrum versus grid resolution.
+    """Inviscid spectrum versus basis degree.
 
     max_distances[i] is the largest distance from any eigenvalue at degree
     n_list[i] to the real velocity segment; persistent_offsets collects
@@ -168,22 +234,23 @@ class RayleighScan:
 def rayleigh_spectrum_scan(
     profile: Profile,
     alpha: float,
-    n_list: tuple[int, ...] = (128, 256, 512),
+    n_list: tuple[int, ...] = (64, 128, 256),
 ) -> RayleighScan:
-    """Spectrum of the generator H^-1(U H + U'') across resolutions,
-    H = -d2 + alpha^2, taken from its H-conjugate U + U'' H^-1.
+    """Spectrum of (U - c)(-phi'' + alpha^2 phi) + U'' phi = 0, phi(+-1) = 0,
+    at the basis degrees ``n_list``, from its Galerkin pencil (``_rayleigh_spectrum``).
 
     An eigenvalue stands off the segment beyond ``_OFF_TOL``; a finest-grid
     one persists when every coarser grid has an off-segment eigenvalue
     within ``_MATCH_RTOL |z| + _MATCH_FLOOR`` of it.
     """
+    alpha = _positive_wavenumber(alpha)
+    n_list = tuple(map(operator.index, n_list))
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n_list must be strictly increasing, got {n_list}")
+    if not (N_MIN <= n_list[0] and n_list[-1] <= N_MAX):
+        raise ValueError(f"degrees {n_list} outside [{N_MIN}, {N_MAX}]")
     lo, hi = float(profile.u(-1.0)), float(profile.u(1.0))
-    spectra = []
-    for n in n_list:
-        op = assemble_rayleigh(profile, alpha, build_grid(n))
-        spectra.append(eigenvalues(op))
+    spectra = [_rayleigh_spectrum(profile, alpha, n) for n in n_list]
     dists = [_segment_distance(s, lo, hi) for s in spectra]
     max_dists = tuple(float(d.max()) for d in dists)
     monotone = all(b <= a for a, b in zip(max_dists, max_dists[1:]))
@@ -199,8 +266,8 @@ def rayleigh_spectrum_scan(
             persistent.append(complex(z))
     return RayleighScan(
         profile_id=profile.id_string(),
-        alpha=float(alpha),
-        n_list=tuple(int(n) for n in n_list),
+        alpha=alpha,
+        n_list=n_list,
         segment=(lo, hi),
         max_distances=max_dists,
         monotone=monotone,

@@ -227,7 +227,7 @@ def _build_parser() -> _Parser:
     scan = sub.add_parser("rayleigh-scan", help="inviscid spectrum scan")
     scan.add_argument("profile")
     scan.add_argument("--alpha", type=float, default=1.0)
-    scan.add_argument("--n-list", default="128,256,512")
+    scan.add_argument("--n-list", help="comma-separated, strictly increasing basis degrees")
     scan.add_argument("--json", dest="json_path")
     scan.set_defaults(run=_run_rayleigh_scan)
 
@@ -313,8 +313,9 @@ def _run_certify(args) -> int:
 
 def _run_rayleigh_scan(args) -> int:
     profile, config = _load_profile(args.profile)
-    n_list = tuple(_parse_list("--n-list", args.n_list, int))
-    result = rayleigh_spectrum_scan(profile, args.alpha, n_list=n_list)
+    n_list = _parse_list("--n-list", args.n_list, int)
+    degrees = {} if n_list is None else {"n_list": tuple(n_list)}
+    result = rayleigh_spectrum_scan(profile, args.alpha, **degrees)
     distances = ", ".join(repr(d) for d in result.max_distances)
     print(
         f"segment=[{result.segment[0]!r}, {result.segment[1]!r}] "
@@ -328,7 +329,7 @@ def _run_rayleigh_scan(args) -> int:
                 "command": "rayleigh-scan",
                 "profile": config,
                 "alpha": args.alpha,
-                "n_list": list(n_list),
+                "n_list": list(result.n_list),
             },
             result,
         )

@@ -151,6 +151,16 @@ def certificate_potential(profile: Profile, nu: float, x: np.ndarray) -> np.ndar
     return q
 
 
+def _positive_wavenumber(alpha) -> float:
+    """alpha as a float, else ValueError unless 0 < alpha <= MAX_WAVENUMBER."""
+    alpha = float(alpha)
+    if not alpha > 0.0:
+        raise ValueError(f"wavenumber must be positive, got {alpha}")
+    if alpha > MAX_WAVENUMBER:
+        raise ValueError(f"wavenumber {alpha!r} exceeds {MAX_WAVENUMBER:g}")
+    return alpha
+
+
 def _minus_d2(grid: ChebGrid, dtype=float) -> np.ndarray:
     """-d2 on the interior nodes (homogeneous Dirichlet) in one new array;
     the assemblers add their diagonal terms to it in place."""
@@ -193,57 +203,6 @@ def assemble_rayleigh_shifted(
     )
 
 
-def _fold(mat: np.ndarray, odd: bool = False) -> np.ndarray:
-    """The m columns of mat folded about the middle.
-
-    Column j < m // 2 of the even fold is column j plus column m - 1 - j,
-    and the middle column of an odd m is kept; the odd fold has the m // 2
-    differences.  An even vector v (v == v[::-1]) is fixed by its first
-    ceil(m/2) entries w and an odd one by its first m // 2, and then
-    mat @ v == fold(mat) @ w.
-    """
-    k = mat.shape[1] // 2
-    out = mat[:, : k if odd else mat.shape[1] - k].copy()
-    mirror = mat[:, ::-1][:, :k]
-    if odd:
-        out -= mirror
-    else:
-        out[:, :k] += mirror
-    return out
-
-
-def _centro_inverse(h: np.ndarray) -> np.ndarray:
-    """Inverse of the centrosymmetric part (h + h[::-1, ::-1]) / 2 of h from
-    its even and odd blocks.
-
-    The blocks, ceil(m/2) and m // 2 square, are the folds of its top rows,
-    so the two inverses cost about a quarter of the flops of one full one.
-    Column j < m // 2 of the inverse is half the sum of the even and odd
-    solutions for unit data at j, column m - 1 - j half their difference
-    and the middle column of an odd m the even solution.  The bottom rows
-    mirror the top ones, so the result is centrosymmetric to the last bit.
-    The grid's d2 is centrosymmetric only to rounding, so h is averaged with
-    its mirror rather than folded from its top rows alone: on the
-    near-neutral tanh_shear(1.3) scan at alpha = 0.5 that moves its
-    distances from those of inv(h) by 3.9e-12 relative instead of 1.3e-11.
-    """
-    m = h.shape[0]
-    k = m // 2
-    top = 0.5 * (h[: m - k] + h[::-1, ::-1][: m - k])
-    even = inv(_fold(top), overwrite_a=True)
-    odd = inv(_fold(top[:k], odd=True), overwrite_a=True)
-    even[:, :k] *= 0.5
-    odd *= 0.5
-    out = np.empty_like(h)
-    left, right = out[: m - k], out[: m - k, ::-1]
-    left[:, : m - k] = even
-    right[:, :k] = even[:, :k]
-    left[:k, :k] += odd
-    right[:k, :k] -= odd
-    out[m - k :] = out[:k, ::-1][::-1]
-    return out
-
-
 def assemble_rayleigh(
     profile: Profile,
     alpha: float,
@@ -258,27 +217,13 @@ def assemble_rayleigh(
     U''; the eigen-solve needs a dense matrix anyway.  With U'' = 0
     (Couette) the matrix is diag(U) exactly.
 
-    The nodes are symmetric about 0 to the last bit, and H is centrosymmetric
-    up to the rounding of d2.  Where U and U'' are exactly odd on the nodes
-    (Couette, cubic, tanh_shear, odd polynomials), H^-1 comes from the two
-    half-size blocks of H's centrosymmetric part (``_centro_inverse``);
-    then M == -M[::-1, ::-1] to the last bit, and ``spectral.eigenvalues``
-    splits it by parity.  Any other profile takes one LU-based inverse of H.
+    The scan solves a Galerkin form instead; this matrix is its test reference.
     """
-    alpha = float(alpha)
-    if not alpha > 0.0:
-        raise ValueError(f"wavenumber must be positive, got {alpha}")
-    if alpha > MAX_WAVENUMBER:
-        raise ValueError(f"wavenumber {alpha!r} exceeds {MAX_WAVENUMBER:g}")
+    alpha = _positive_wavenumber(alpha)
     xi = grid.nodes[1:-1]
-    u, u2 = profile.u(xi), profile.deriv(xi, 2)
-    h = _helmholtz(grid, alpha)
-    if np.array_equal(u, -u[::-1]) and np.array_equal(u2, -u2[::-1]):
-        mat = _centro_inverse(h)
-    else:
-        mat = inv(h, overwrite_a=True)
-    mat *= u2[:, None]
-    mat[np.diag_indices_from(mat)] += u
+    mat = inv(_helmholtz(grid, alpha), overwrite_a=True)
+    mat *= profile.deriv(xi, 2)[:, None]
+    mat[np.diag_indices_from(mat)] += profile.u(xi)
     return AssembledOperator(matrix=mat, kind="rayleigh", bc="dirichlet", grid=grid)
 
 

@@ -191,6 +191,11 @@ class Profile:
     def u(self, x):
         return self.deriv(x, 0)
 
+    @property
+    def odd(self) -> bool:
+        """U(-x) = -U(x): every family but a polynomial with an even c_k != 0."""
+        return self.family != "polynomial" or not any(c for _, c in self.params[::2])
+
     def id_string(self) -> str:
         if not self.params:
             return self.family
@@ -306,7 +311,10 @@ def inflection_values(profile: Profile) -> InflectionSet:
     exactly zero at every scan node.  Otherwise each node where U'' is
     exactly zero is an isolated root, and so is each sign change between
     neighbouring nodes (``_roots``).  A root is flagged degenerate when
-    U''' also vanishes there.
+    U''' also vanishes there.  A tangent zero, where U'' touches 0 without
+    changing sign, is a critical point of U'': each sign change of U''' at
+    which |U''| is within the root tolerance is kept too, as degenerate.
+    Points within 1e-9 of one kept before are dropped.
     """
     xs = np.linspace(-1.0, 1.0, _INFLECTION_CELLS + 1)
     u2 = profile.deriv(xs, 2)
@@ -314,19 +322,24 @@ def inflection_values(profile: Profile) -> InflectionSet:
         interval = (float(profile.u(xs[0])), float(profile.u(xs[-1])))
         return InflectionSet(points=(), intervals=(interval,))
     tol = _ROOT_TOL * max(1.0, float(np.max(np.abs(u2))))
+    # sign changes of U'', then the critical points of U'' (sign changes of
+    # U'''), where a tangent zero sits
+    candidates = [(r, False) for r in sorted(_roots(profile, 2, 0.0, xs, 1e-14))]
+    candidates += [(r, True) for r in _roots(profile, 3, 0.0, xs, 1e-14)]
     points: list[InflectionPoint] = []
-    for r in sorted(_roots(profile, 2, 0.0, xs, 1e-14)):
+    for r, tangent in candidates:
         u3 = profile.deriv(r, 3)
         if abs(profile.deriv(r, 2)) > tol:
             continue
-        if points and abs(r - points[-1].x) <= 1e-9:
+        if any(abs(r - p.x) <= 1e-9 for p in points):
             continue
         points.append(
             InflectionPoint(
                 nu=float(profile.u(r)),
                 x=float(r),
                 u3=float(u3),
-                degenerate=bool(abs(u3) <= tol),
+                degenerate=bool(tangent or abs(u3) <= tol),
             )
         )
+    points.sort(key=lambda p: p.x)
     return InflectionSet(points=tuple(points), intervals=())

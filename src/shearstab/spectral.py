@@ -59,7 +59,6 @@ from .operators import (
     assemble_orr_sommerfeld,
     assemble_rayleigh_shifted,
     assemble_schrodinger,
-    _fold,
 )
 from .profile import Profile
 from .ultraspherical import ORDERS, TauSystem, _dct_maps, node_maps, velocity_series
@@ -122,24 +121,8 @@ def weighted_norm(grid, values) -> float:
 
 
 def eigenvalues(op: AssembledOperator) -> np.ndarray:
-    """All eigenvalues of the assembled matrix, sorted by (real, imag).
-
-    An exactly anti-centrosymmetric matrix, M == -M[::-1, ::-1], as
-    ``assemble_rayleigh`` builds for an odd profile, maps even vectors to
-    odd ones and back: in those coordinates it is [[0, X], [Y, 0]], with X
-    and Y folded from its top rows.  Its spectrum is then +-sqrt(eig(YX)),
-    and one 0 when m is odd, from one real eigen-solve of size m // 2.
-    Any other matrix takes one dense solve of size m.
-    """
-    mat = op.matrix
-    if not np.array_equal(mat, -mat[::-1, ::-1]):
-        return np.sort_complex(eigvals(mat))
-    m = mat.shape[0]
-    k = m // 2
-    # eigvals returns complex values, so a negative eigenvalue of YX has
-    # imaginary roots rather than a RuntimeWarning and NaN
-    roots = np.sqrt(eigvals(_fold(mat[:k]) @ _fold(mat[: m - k], odd=True)))
-    return np.sort_complex(np.concatenate([roots, -roots, np.zeros(m - 2 * k)]))
+    """All eigenvalues of the assembled matrix, sorted by (real, imag)."""
+    return np.sort_complex(eigvals(op.matrix))
 
 
 def min_eig_selfadjoint(op: AssembledOperator) -> float:

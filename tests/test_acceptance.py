@@ -187,7 +187,7 @@ def test_08_large_shift_bound(report):
 def test_09_rayleigh_spectrum(report):
     with report(9, "rayleigh-spectrum"):
         scan = rayleigh_spectrum_scan(couette(), alpha=1.0)
-        assert scan.n_list == (128, 256, 512)
+        assert scan.n_list == (64, 128, 256)
         assert scan.segment == (-1.0, 1.0)
         distances = scan.max_distances
         assert distances[-1] <= 1e-4

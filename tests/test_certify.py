@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigvals
 
 import shearstab as ss
-from shearstab.certify import certify_profile, rayleigh_spectrum_scan
+from shearstab import certify
+from shearstab.certify import (
+    _rayleigh_spectrum,
+    _shen_tables,
+    certify_profile,
+    rayleigh_spectrum_scan,
+)
 from shearstab.profile import inflection_values
 from shearstab.spectral import eig_floor_ladder
 
@@ -78,7 +85,7 @@ def test_certify_validation(couette):
 def test_rayleigh_scan_couette_spectrum_stays_on_segment(couette):
     scan = rayleigh_spectrum_scan(couette, 1.0)
     assert scan.segment == (-1.0, 1.0)
-    assert scan.n_list == (128, 256, 512)
+    assert scan.n_list == (64, 128, 256)
     assert scan.monotone
     assert scan.persistent_offsets == ()
     assert all(d <= 1e-4 for d in scan.max_distances)
@@ -134,6 +141,133 @@ def test_rayleigh_scan_validation(couette):
         rayleigh_spectrum_scan(couette, 1.0, n_list=(128,))
     with pytest.raises(ValueError):
         rayleigh_spectrum_scan(couette, 1.0, n_list=(256, 128, 512))
+
+
+def test_rayleigh_scan_rejects_degrees_outside_the_grid_range(couette):
+    with pytest.raises(ValueError, match="outside"):
+        rayleigh_spectrum_scan(couette, 1.0, n_list=(4, 16))
+    with pytest.raises(ValueError, match="outside"):
+        rayleigh_spectrum_scan(couette, 1.0, n_list=(64, 4096))
+    with pytest.raises(TypeError):
+        rayleigh_spectrum_scan(couette, 1.0, n_list=(64.0, 128.0))
+
+
+# U'' = x (x^2 - 2^-16): odd, with three inflection values on scan nodes
+_ODD_QUINTIC = (0.0, 1.0, 0.0, -2.5431315104166665e-06, 0.0, 0.05)
+
+
+def _shen_mass(n):
+    """The scan's closed-form mass matrix int psi_j psi_k."""
+    _, _, _, diag, upper = _shen_tables(n)
+    return np.diag(diag) + np.diag(upper, 2) + np.diag(upper, -2)
+
+
+@pytest.mark.parametrize("n", [16, 65, 128, 256])
+def test_shen_mass_matrix_matches_its_quadrature(n):
+    x, w, basis, _, _ = _shen_tables(n)
+    deriv, value = basis[:, : len(x)], basis[:, len(x) :]
+    assert np.max(np.abs((value * w) @ value.T - _shen_mass(n))) <= 1e-15
+    # the stiffness matrix is the identity (measured to 7e-14 at n = 256)
+    assert np.max(np.abs((deriv * w) @ deriv.T - np.eye(n - 1))) <= 2e-13
+
+
+@pytest.mark.parametrize("n", [128, 129])
+@pytest.mark.parametrize(
+    "profile",
+    [
+        ss.tanh_shear(3.0),
+        ss.cubic(0.3),
+        ss.polynomial(_ODD_QUINTIC),
+        ss.polynomial((0.0, 1.0, 0.05, -0.1, 0.02, 0.05)),
+    ],
+    ids=["tanh3", "cubic0.3", "odd-quintic", "quintic"],
+)
+def test_rayleigh_pencil_split_matches_the_full_solve(profile, n):
+    # The dense pencil A phi = c B phi at alpha = 1 from the node tables,
+    # solved by QZ.  An odd profile's A has zero same-parity blocks, and the scan takes
+    # +-sqrt(eig(YX)) from half of it; n - 1 basis functions, odd at n = 128
+    # (with one exact 0) and even at n = 129.  Other profiles take
+    # eig(B^-1 A) with B^-1 from its two tridiagonal blocks.
+    x, w, basis, _, _ = _shen_tables(n)
+    deriv, value = basis[:, : len(x)], basis[:, len(x) :]
+    u = profile.u(x)
+    a = (deriv * (w * u) + value * (w * profile.deriv(x, 1))) @ deriv.T
+    a += (value * (w * (u + profile.deriv(x, 2)))) @ value.T
+    same = max(np.max(np.abs(a[0::2, 0::2])), np.max(np.abs(a[1::2, 1::2])))
+    assert (same <= 1e-15 * np.max(np.abs(a))) == profile.odd
+
+    got = _rayleigh_spectrum(profile, 1.0, n)
+    dense = eigvals(a, np.eye(n - 1) + _shen_mass(n))
+    assert len(got) == len(dense) == n - 1
+    scale = np.max(np.abs(dense))
+    gap = np.abs(got[:, None] - dense[None, :])
+    assert np.max(np.min(gap, axis=1)) <= 1e-12 * scale
+    assert np.max(np.min(gap, axis=0)) <= 1e-12 * scale
+
+
+def _collocation_spectrum(profile, alpha, n):
+    return ss.eigenvalues(ss.assemble_rayleigh(profile, alpha, ss.build_grid(n)))
+
+
+@pytest.mark.parametrize(
+    "profile, alpha",
+    [
+        (ss.couette(), 1.0),
+        (ss.cubic(0.1), 1.5),
+        (ss.tanh_shear(1.3), 0.5),
+        (ss.tanh_shear(2.0), 0.5),
+        (ss.tanh_shear(8.0), 1.0),
+        (ss.polynomial(_ODD_QUINTIC), 1.0),
+        (ss.polynomial((0.0, 1.0, 0.05, -0.1, 0.02, 0.05)), 1.0),
+    ],
+    ids=["couette", "cubic0.1", "tanh1.3", "tanh2", "tanh8", "odd-quintic", "quintic"],
+)
+def test_rayleigh_scan_agrees_with_the_collocation_scan(monkeypatch, profile, alpha):
+    # The same scan on the collocation generator U + U'' H^-1 at twice the
+    # degrees: the verdict matches, and so does the finest distance wherever
+    # the collocation one has settled.  tanh_shear(1.3) at alpha = 0.5 is a
+    # near-neutral mode that neither route resolves (exit 2 on both).
+    scan = rayleigh_spectrum_scan(profile, alpha)
+    monkeypatch.setattr(certify, "_rayleigh_spectrum", _collocation_spectrum)
+    ref = rayleigh_spectrum_scan(profile, alpha, n_list=(128, 256, 512))
+    assert scan.monotone == ref.monotone
+    assert len(scan.persistent_offsets) == len(ref.persistent_offsets)
+    if abs(ref.max_distances[-1] - ref.max_distances[-2]) <= 1e-9:
+        assert abs(scan.max_distances[-1] - ref.max_distances[-1]) <= 1e-9
+
+
+# U'' = c (x - x0)^2 with U'(-1) = 1: the curvature touches 0 between the
+# nodes of the inflection search without changing sign; (coefficients, x0,
+# sigma0 from the n = 128 ladder)
+_TANGENT_QUARTICS = {
+    "c0.5": (
+        (0.0, 1.3616666666666666, 0.0225, -0.049999999999999996, 0.041666666666666664),
+        0.3,
+        2.3538165,
+    ),
+    "c20": ((0.0, 4.466666666666667, 0.4, 1.3333333333333333, 1.6666666666666667), -0.2, 2.9568562),
+    "c200": ((0.0, 198.16666666666666, 20.25, -30.0, 16.666666666666668), 0.45, 1.9858698),
+}
+
+
+@pytest.mark.parametrize("name", list(_TANGENT_QUARTICS))
+def test_certify_covers_a_tangent_zero_of_the_curvature(name):
+    coeffs, x0, sigma0 = _TANGENT_QUARTICS[name]
+    profile = ss.polynomial(coeffs)
+    (point,) = inflection_values(profile).points
+    assert point.degenerate
+    assert abs(point.x - x0) <= 1e-9
+    res = certify_profile(profile)
+    assert not res.vacuous
+    (entry,) = res.entries
+    assert (entry.n_used, entry.converged) == (128, True)
+    assert entry.nu == pytest.approx(float(profile.u(x0)), abs=1e-9)
+    assert res.sigma0 == pytest.approx(sigma0, abs=1e-7)
+    # comparison with the constant potentials min q and max q
+    xs = np.linspace(-1.0, 1.0, 4001)
+    xs = xs[np.abs(xs - x0) > 1e-6]
+    q = profile.deriv(xs, 2) / (profile.u(xs) - entry.nu)
+    assert math.pi**2 / 4 + q.min() <= res.sigma0 <= math.pi**2 / 4 + q.max()
 
 
 @pytest.fixture

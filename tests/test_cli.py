@@ -132,6 +132,15 @@ def test_rayleigh_scan_exit_zero(capsys):
     assert "persistent=0" in out
 
 
+def test_rayleigh_scan_json_records_the_default_degrees(tmp_path, capsys):
+    out_json = tmp_path / "scan.json"
+    code, _, _ = run(capsys, "rayleigh-scan", _COUETTE, "--json", str(out_json))
+    assert code == 0
+    payload = json.loads(out_json.read_text())
+    assert payload["config"]["n_list"] == [64, 128, 256]
+    assert payload["result"]["n_list"] == [64, 128, 256]
+
+
 def test_rayleigh_scan_exit_one_on_unstable_mode(capsys):
     code, out, _ = run(capsys, "rayleigh-scan", '{"family": "tanh_shear", "K": 3}')
     assert code == 1

@@ -602,10 +602,6 @@ def test_real_matmul_matches_matmul_along_axis_0():
         assert np.linalg.norm(got - mat @ x) <= 1e-15 * np.linalg.norm(mat @ x)
 
 
-# U'' = x (x^2 - 2^-16): odd, with three inflection values on scan nodes
-_ODD_QUINTIC = (0.0, 1.0, 0.0, -2.5431315104166665e-06, 0.0, 0.05)
-
-
 def _rayleigh_reference(profile, alpha, grid):
     """diag(U) + diag(U'') inv(H) with one dense inverse of H = -d2 + a^2."""
     x = grid.nodes[1:-1]
@@ -613,32 +609,6 @@ def _rayleigh_reference(profile, alpha, grid):
     mat *= profile.deriv(x, 2)[:, None]
     mat[np.diag_indices_from(mat)] += profile.u(x)
     return mat
-
-
-@pytest.mark.parametrize("n", [128, 129])
-@pytest.mark.parametrize(
-    "profile",
-    [ss.couette(), ss.tanh_shear(3.0), ss.cubic(0.3), ss.polynomial(_ODD_QUINTIC)],
-    ids=["couette", "tanh3", "cubic0.3", "odd-quintic"],
-)
-def test_rayleigh_parity_split_matches_the_dense_solve(profile, n):
-    # An odd profile gives an exactly anti-centrosymmetric generator, whose
-    # spectrum comes from one solve of half the size; m = n - 1 interior
-    # nodes, odd at n = 128 (with one exact 0) and even at n = 129.
-    grid = ss.build_grid(n)
-    op = ss.assemble_rayleigh(profile, 1.0, grid)
-    mat = op.matrix
-    np.testing.assert_array_equal(mat, -mat[::-1, ::-1])
-    expected = _rayleigh_reference(profile, 1.0, grid)
-    assert np.max(np.abs(mat - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-    got = ss.eigenvalues(op)
-    dense = eigvals(mat)
-    assert len(got) == len(dense) == n - 1
-    scale = np.max(np.abs(dense))
-    gap = np.abs(got[:, None] - dense[None, :])
-    assert np.max(np.min(gap, axis=1)) <= 1e-12 * scale
-    assert np.max(np.min(gap, axis=0)) <= 1e-12 * scale
 
 
 def test_rayleigh_without_parity_takes_the_general_route():
