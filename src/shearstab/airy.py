@@ -18,17 +18,19 @@ module carries everything Airy-flavoured:
 Zero hunting runs two independent evaluation routes that share no Airy
 kernel.  The search evaluates F(z) = A0(iz) by batched radial quadrature:
 each contour point is integrated along its own straight path from the
-origin, with a 12-point Gauss-Legendre rule on panels of length at most 0.7,
-and the panels of a whole contour pass share vectorized kernel calls.  On
-the contour points of the default search that rule agrees with a 32-point
-rule on the same panels, and with itself on half-length panels, to
-5e-14 * max(|F|, 1/3); against mpmath at the rectangle corners and next to a
-zero it errs by at most 3e-14 on that scale.  Its kernel `_ai` computes Ai
-alone, from the Bessel identity Ai(w) = pi^-1 sqrt(w/3) K_{1/3}(zeta) with
-zeta = (2/3) w^(3/2), written as one Hankel function of -i zeta (DLMF 9.6.1,
-10.27.8).  Newton polishing starts at the first box that winds exactly once.
+origin, with a 24-point Gauss-Legendre rule on panels of length at most 4,
+and the panels of a whole contour pass share vectorized kernel calls.  The
+integrand is entire and its phase grows slowly along each path, so the
+rule converges geometrically on such long panels.  On the contour points
+of the default search it agrees with a 32-point rule on the same panels,
+and with itself on half-length panels, to 8.5e-14 * max(|F|, 1/3); against
+mpmath at the rectangle corners and next to a zero it errs by at most
+3.5e-14 on that scale.  Its kernel `_ai` computes Ai alone, from the Bessel
+identity Ai(w) = pi^-1 sqrt(w/3) K_{1/3}(zeta) with zeta = (2/3) w^(3/2),
+written as one Hankel function of -i zeta (DLMF 9.6.1, 10.27.8).  Newton
+polishing starts at the first box that winds exactly once.
 `airy_tail_integral` then re-verifies every reported zero on the other
-route: the same 12-point panel rule, but on the AMOS kernel `special.airy`
+route: the same 24-point panel rule, but on the AMOS kernel `special.airy`
 and along the path from iz in the +real direction, not from the origin.
 """
 
@@ -68,10 +70,10 @@ AI_AT_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 AI_PRIME_AT_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
 TAIL_AT_ZERO = 1.0 / 3.0
 
-# the panel rule of both tail-integral routes: 12 Gauss-Legendre points on
+# the panel rule of both tail-integral routes: 24 Gauss-Legendre points on
 # panels of length at most _MAX_PANEL
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-_MAX_PANEL = 0.7
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_MAX_PANEL = 4.0
 
 
 class NormalizationError(RuntimeError):
@@ -156,8 +158,8 @@ def _decay_cut(z: complex) -> float:
 
 
 def _tail_sum(z: complex) -> complex:
-    """A0(z) by a 12-point Gauss-Legendre sum over equal panels of length at
-    most _MAX_PANEL on [z, z + _decay_cut(z)], every node in one AMOS call."""
+    """A0(z) by the 24-point Gauss-Legendre sum over equal panels of length
+    at most _MAX_PANEL on [z, z + _decay_cut(z)], every node in one AMOS call."""
     cut = _decay_cut(z)
     npan = math.ceil(cut / _MAX_PANEL)
     half = 0.5 * cut / npan
@@ -171,9 +173,9 @@ def airy_tail_integral(z: complex) -> complex:
 
     The path leaves z in the +real direction, along which the rotated
     argument enters the decay sector, so truncation at `_decay_cut` offsets
-    costs less than 1e-19.  The integral is a fixed 12-point Gauss-Legendre
-    sum on panels of length at most 0.7 with the AMOS kernel.  Halving the
-    panels changes it by at most 4e-16 times the integral of |Ai| along the
+    costs less than 1e-19.  The integral is a fixed 24-point Gauss-Legendre
+    sum on panels of length at most 4 with the AMOS kernel.  Halving the
+    panels changes it by at most 2e-15 times the integral of |Ai| along the
     path, which is rounding: next to the tail zeros that integral reaches
     4e4 while A0 itself vanishes.
     """
@@ -183,7 +185,7 @@ def airy_tail_integral(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 # zeros of F(z) = A0(iz) in the right half plane
 
-_PANEL_BATCH = 4096     # panels per kernel call: bounds the node array
+_PANEL_BATCH = 2048     # panels per kernel call: bounds the node array
 _H2_FACTOR = -0.5j * cmath.exp(-1j * math.pi / 6.0) / math.sqrt(3.0)
 
 
@@ -216,9 +218,10 @@ def _radial_values(points) -> np.ndarray:
     """F(z) = A0(iz) at each point, integrated from F(0) = 1/3 along the ray.
 
     F'(z) = -i e^{i pi/6} Ai(e^{2 pi i/3} z) is entire, so each value is the
-    anchor plus a 12-point Gauss-Legendre sum over equal panels of length at
+    anchor plus a 24-point Gauss-Legendre sum over equal panels of length at
     most _MAX_PANEL on the straight path from the origin.  The panels of all
-    points share vectorized kernel calls, `_PANEL_BATCH` panels per call.
+    points share vectorized kernel calls, `_PANEL_BATCH` panels per call, so
+    one call holds at most 49,152 nodes.
 
     Radial paths matter: along a ray the rotated Airy argument keeps a fixed
     phase, so the integrand magnitude peaks at the endpoint and the result

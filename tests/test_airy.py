@@ -155,17 +155,17 @@ def test_tail_zeros_agree_across_kernels(monkeypatch):
 
 
 def _halved_panels(monkeypatch):
-    """The 0.35 panel rule in place of the 0.7 one, with a fresh cache."""
-    monkeypatch.setattr(airy, "_MAX_PANEL", 0.35)
+    """The panel rule on panels half as long, with a fresh cache."""
+    monkeypatch.setattr(airy, "_MAX_PANEL", airy._MAX_PANEL / 2)
     monkeypatch.setattr(airy, "_TAIL_CACHE", {})
 
 
 def test_tail_integral_stable_under_panel_halving(monkeypatch):
-    # The 0.7 rule against the 0.35 rule.  Next to a tail zero A0 cancels
-    # down from an integrand that reaches |Ai| ~ 7e3 on the path, so the
-    # rounding floor of any rule there is eps times the integral of |Ai|
-    # along the path; that integral joins the scale, and is below 1/2 at
-    # the first three points.
+    # The panel rule against itself on half-length panels.  Next to a tail
+    # zero A0 cancels down from an integrand that reaches |Ai| ~ 7e3 on the
+    # path, so the rounding floor of any rule there is eps times the
+    # integral of |Ai| along the path; that integral joins the scale, and is
+    # below 1/2 at the first three points.
     zeros = tail_zero_margin().zeros
     points = [0.0, 1.0 + 1.0j, 2.0 - 0.5j] + [1j * zk for zk in zeros]
     coarse_sums = [_tail_sum(z) for z in points]
@@ -267,6 +267,39 @@ def test_radial_values_stable_under_panel_halving(monkeypatch):
     assert len(pts) > 100
     scale = np.maximum(np.abs(coarse), 1.0 / 3.0)
     assert np.max(np.abs(fine - coarse) / scale) <= 1e-12
+
+
+def test_radial_values_in_batches_match_one_point_at_a_time():
+    # one kernel call holds at most 49,152 nodes, whatever the rule
+    assert airy._PANEL_BATCH * airy._GL_NODES.size <= 49_152
+    rng = np.random.default_rng(2207)
+    pts = rng.uniform(0.05, 10.0, 2500) + 1j * rng.uniform(-10.0, 10.0, 2500)
+    panels = np.ceil(np.abs(pts) / airy._MAX_PANEL).sum()
+    assert panels > 2 * airy._PANEL_BATCH
+    batched = _radial_values(pts)
+    single = np.array([_radial_values([z])[0] for z in pts])
+    scale = np.maximum(np.abs(single), 1.0 / 3.0)
+    assert np.max(np.abs(batched - single) / scale) <= 1e-15
+
+
+def test_cold_search_kernel_work(monkeypatch):
+    # a cold default search on its Hankel kernel and the re-check on AMOS,
+    # counted in nodes; a 12-point rule on panels <= 0.7 needs 96,948 and
+    # 3,936, more than twice the bounds
+    counts = {"hankel": 0, "amos": 0}
+
+    def counted(name, kernel):
+        def call(w):
+            counts[name] += np.size(w)
+            return kernel(w)
+        return call
+
+    monkeypatch.setattr(airy, "_TAIL_CACHE", {})
+    monkeypatch.setattr(airy, "_ai", counted("hankel", airy._ai))
+    monkeypatch.setattr(airy, "_amos_airy", counted("amos", airy._amos_airy))
+    assert len(tail_zero_margin().zeros) == 7
+    assert 0 < counts["hankel"] <= 45_000
+    assert 0 < counts["amos"] <= 1_600
 
 
 def test_tail_zero_margin_accepts_list_rectangle():

@@ -270,6 +270,45 @@ def test_certify_covers_a_tangent_zero_of_the_curvature(name):
     assert math.pi**2 / 4 + q.min() <= res.sigma0 <= math.pi**2 / 4 + q.max()
 
 
+def _curvature_roots(coeffs):
+    """Real roots in [-1, 1] of U'' for U = sum c_k x^k, from the eigenvalues
+    of its companion matrix.  A tangent zero comes back as a pair split by
+    about sqrt(eps), two close reals or a conjugate pair, whose mean is the
+    double root to rounding."""
+    roots = np.polynomial.Polynomial(coeffs).deriv(2).roots()
+    roots = np.sort(roots[np.abs(roots.imag) <= 1e-6].real)
+    clusters: list[list[float]] = []
+    for r in roots:
+        if clusters and r - clusters[-1][-1] <= 1e-6:
+            clusters[-1].append(r)
+        else:
+            clusters.append([r])
+    return [x for x in map(np.mean, clusters) if -1.0 <= x <= 1.0]
+
+
+def test_polynomial_inflection_values_match_curvature_roots():
+    # an independent check of the scan: monotone quintics from the
+    # stability benchmark's coefficient box, and the tangent quartics
+    rng = np.random.default_rng(2211)
+    cases = [coeffs for coeffs, _, _ in _TANGENT_QUARTICS.values()]
+    quintics = 0
+    while quintics < 120:
+        box = rng.uniform([-0.15, -0.25, -0.1, -0.1], [0.15, 0.25, 0.1, 0.1])
+        coeffs = (0.0, 1.0, *box)
+        try:
+            ss.polynomial(coeffs)
+        except ss.MonotonicityError:
+            continue
+        cases.append(coeffs)
+        quintics += 1
+    for coeffs in cases:
+        profile = ss.polynomial(coeffs)
+        got = [p.nu for p in inflection_values(profile).points]
+        want = [float(profile.u(x)) for x in _curvature_roots(coeffs)]
+        assert len(got) == len(want), coeffs
+        assert np.max(np.abs(np.subtract(got, want)), initial=0.0) <= 1e-9, coeffs
+
+
 @pytest.fixture
 def eig_calls(monkeypatch):
     """Count the eigen-solves behind the certificate ladders."""

@@ -51,16 +51,19 @@ import contextlib, io, json, sys
 def lazy():
     return [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
 
-seen = {}
+seen = {"margins_cached": []}
 import shearstab, shearstab.cli
 from shearstab.cli import main
 seen["import"] = lazy()
+seen["margins_cached"].append(len(shearstab.airy._TAIL_CACHE))
 with contextlib.redirect_stdout(io.StringIO()):
     seen["certify_code"] = main(["certify", '{"family": "tanh_shear", "K": 3.0}'])
     seen["certify"] = lazy()
+    seen["margins_cached"].append(len(shearstab.airy._TAIL_CACHE))
     seen["pseudo_code"] = main(["pseudo", '{"family": "cubic", "a": 0.1}',
                                 "--mu-range", "0", "0", "1", "--nu-range", "0.5", "0.5", "1"])
     seen["pseudo"] = lazy()
+    seen["margins_cached"].append(len(shearstab.airy._TAIL_CACHE))
 seen["margin"] = shearstab.margin_constant()
 seen["zeros"] = len(shearstab.tail_zero_margin().zeros)
 value = shearstab.airy_tail_integral(0.0)
@@ -84,6 +87,8 @@ def test_cold_start_loads_neither_scipy_optimize_nor_integrate():
     seen = json.loads(out.stdout.splitlines()[-1])
     assert seen["import"] == seen["certify"] == seen["pseudo"] == []
     assert (seen["certify_code"], seen["pseudo_code"]) == (1, 0)
+    # neither command reads the Airy margin, so neither runs its search
+    assert seen["margins_cached"] == [0, 0, 0]
     # the Airy margin, its re-check and the self-test load neither module
     assert seen["airy"] == []
     assert (seen["zeros"], seen["selftest_code"]) == (7, 0)
