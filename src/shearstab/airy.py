@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .chebdiff import ChebGrid
+from .chebdiff import ChebGrid, _derivative
 from .operators import SpectralParams
 from .profile import Profile
 
@@ -561,7 +561,8 @@ def quasimode_residual(
     psi = qm.samples
     x = grid.nodes
     u = profile.u(x)
-    applied = -(grid.d2 @ psi) + 1j * params.beta * (u + 1j * params.lam) * psi
+    d2_psi = _derivative(_derivative(psi))
+    applied = -d2_psi + 1j * params.beta * (u + 1j * params.lam) * psi
     wall = -1.0 if side == "lower" else 1.0
     closed = 1j * params.beta * (u - profile.u(wall) - qm.slope * (x - wall)) * psi
     mask = x <= -0.5 if side == "lower" else x >= 0.5

@@ -30,7 +30,7 @@ from scipy.special import roots_legendre
 from .chebdiff import N_MAX, N_MIN
 from .operators import _positive_wavenumber
 from .profile import Profile, inflection_values
-from .spectral import _check_threads, eig_floor_ladder
+from .spectral import _check_threads, _one_blas_thread, eig_floor_ladder
 
 __all__ = [
     "CertificateEntry",
@@ -74,6 +74,7 @@ class CertificateResult:
         return self.verdict == "certified"
 
 
+@_one_blas_thread()
 def certify_profile(
     profile: Profile,
     interval_density: int = 33,

@@ -19,21 +19,19 @@ measured on the same nodes and weights on either route.  Up to the measured
 degree ``_MATRIX_STEP_MAX_DEGREE`` the maps are cached dense real matrices,
 one BLAS product each (the grid's ``d1`` on the collocation route,
 ``ultraspherical.node_maps`` on the banded one); above it they run through
-type-1 DCTs, O(n log n) per application.  Below the measured crossover
-degree ``_LANCZOS_MIN_DEGREE`` the explicit solution operator is formed
-from the factorization and its singular values are taken densely.  From
-there on each norm is the top singular value found by Golub-Kahan-Lanczos
-bidiagonalization (``_top_singular``) on the solves and their adjoints,
-fully reorthogonalized with BLAS ``gemv``.  The recurrence stops once the
-gap bound r^2 / (theta_1 - theta_2) on its top Ritz value is at most
-1e-13 theta_1, r = beta_k |e_k^T p| the residual; a rung up to
-``_MATRIX_STEP_MAX_DEGREE`` whose recurrence reaches the step cap is
-measured explicitly instead.  The first Lanczos rung of a ladder starts
-from a fixed ramp, so repeated runs agree bit for bit; each later rung
-starts from the previous rung's top right singular vectors, resampled
-through their Chebyshev coefficients, and never from another shift.  A
-Lanczos rung of the benchmark's sweeps takes about 15 solves for its two
-norms, and one of its shift maps about 16.
+type-1 DCTs, O(n log n) per application.  Each norm is the top singular
+value found by Golub-Kahan-Lanczos bidiagonalization (``_top_singular``)
+on the solves and their adjoints, fully reorthogonalized with BLAS
+``gemv``.  The recurrence stops once the gap bound
+r^2 / (theta_1 - theta_2) on its top Ritz value is at most 1e-13 theta_1,
+r = beta_k |e_k^T p| the residual; a rung up to ``_MATRIX_STEP_MAX_DEGREE``
+whose recurrence reaches the step cap is measured instead by dense SVDs of
+its explicit solution operator, formed from the factorization.  The first
+rung of a ladder starts from a fixed ramp, so repeated runs agree bit for
+bit; each later rung starts from the previous rung's top right singular
+vectors, resampled through their Chebyshev coefficients, and never from
+another shift.  A rung of the benchmark's sweeps takes about 15 solves for
+its two norms, and one of its shift maps about 16.
 
 Every quantity of interest is wrapped in the one grid ladder ``_refine``,
 which doubles the degree until two consecutive rungs agree under the
@@ -43,9 +41,12 @@ that produced it.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from scipy.linalg import eigvals, get_blas_funcs, get_lapack_funcs, svdvals
@@ -78,11 +79,6 @@ __all__ = [
 # a reciprocal condition number below this means the shift sits on the
 # discrete spectrum and the resolvent number is noise
 _SINGULAR_RTOL = 1e3 * np.finfo(float).eps
-# Rungs of at least this degree take their norms from Golub-Kahan-Lanczos on
-# the solves; below it two dense SVDs of the explicit solution operator are
-# faster.  Measured crossover (see CHANGES.md): the dense route wins at
-# n = 64 and loses at n = 76.
-_LANCZOS_MIN_DEGREE = 80
 # Up to this degree a rung's node maps are dense real matrices, one BLAS
 # call each (the grid's d1 on the dense route, ``ultraspherical.node_maps``
 # on the banded one), and a rung whose Lanczos recurrence reaches the step
@@ -112,6 +108,42 @@ def _check_threads(threads: int | None) -> None:
     count has no effect; the parameter stays for callers that pass it."""
     if threads is not None and threads < 1:
         raise ValueError(f"thread count must be positive, got {threads}")
+
+
+@cache
+def _openblas_counts() -> tuple:
+    """(get, set) thread-count entry points of every OpenBLAS loaded in this
+    process (numpy's and scipy's wheels ship one each); none off Linux."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {ln.split(maxsplit=5)[-1].strip() for ln in fh}
+    except OSError:
+        return ()
+    libs = [ctypes.CDLL(p) for p in sorted(paths) if "openblas" in p.rsplit("/", 1)[-1]]
+    names = [f"{p}{{}}_num_threads{s}" for p, s in
+             (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", ""))]
+    return tuple((getattr(lib, n.format("get")), getattr(lib, n.format("set")))
+                 for lib in libs for n in names if hasattr(lib, n.format("set")))
+
+
+_BLAS_LOCK = threading.RLock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the enclosed solves on one OpenBLAS thread, then restore the counts.
+    Serial runs of small (n <= 256) solves took 3-5x longer on two threads of
+    a shared 2-vCPU VM, and varied from process to process.  The count is
+    process-wide, so concurrent holders take turns."""
+    with _BLAS_LOCK:
+        saved = [get() for get, _ in _openblas_counts()]
+        for _, set_count in _openblas_counts():
+            set_count(1)
+        try:
+            yield
+        finally:
+            for (_, set_count), count in zip(_openblas_counts(), saved):
+                set_count(count)
 
 
 def weighted_norm(grid, values) -> float:
@@ -172,19 +204,6 @@ class ResolventSample:
     @property
     def combined(self) -> float:
         return self.norm_inv + self.norm_d_inv
-
-
-def _factor(mat: np.ndarray, overwrite: bool = False):
-    """LU of a finite matrix: ``((lu, piv), exactly_singular)``.
-
-    Non-finite entries raise ValueError, as every dense LAPACK driver here
-    does.  An exactly zero pivot is reported through the flag rather than as
-    the LinAlgWarning ``lu_factor`` would emit.
-    """
-    mat = np.asarray_chkfinite(mat)
-    (getrf,) = get_lapack_funcs(("getrf",), (mat,))
-    lu, piv, info = getrf(mat, overwrite_a=overwrite)
-    return (lu, piv), info > 0
 
 
 class _NoConvergence(RuntimeError):
@@ -313,83 +332,29 @@ def _rung_norms(grid, data_nodes, back, maps, dtype, start) -> tuple[float, floa
     weighted derivative values W u', W the square-root quadrature weights.
     Returns (||W u||, ||W u'||) over unit ||x||.
 
-    Below ``_LANCZOS_MIN_DEGREE`` both are top singular values of the
-    explicit solution operator, solved for every data node at once; from
-    there on they come from ``_lanczos_norms``.  A rung up to
+    Both come from ``_lanczos_norms``.  A rung up to
     ``_MATRIX_STEP_MAX_DEGREE`` whose recurrence reaches the step cap, as
-    on a tight cluster of top singular values, is measured explicitly too;
-    above that degree it is unmeasurable, both norms infinite, and
-    ``_numbers`` reports it singular.
+    on a tight cluster of top singular values, takes them instead as the
+    top singular values of the explicit solution operator, solved for every
+    data node at once; above that degree it is unmeasurable, both norms
+    infinite, and ``_numbers`` reports it singular.
     """
     ws_in = np.sqrt(grid.weights)[data_nodes]
     (forcing, forcing_h), *outs = maps
-    if grid.n >= _LANCZOS_MIN_DEGREE:
-        solves = [
-            (
-                lambda x, out=out: out(back(forcing(x), 0)),
-                lambda y, out_h=out_h: forcing_h(back(out_h(y), 2)),
-            )
-            for out, out_h in outs
-        ]
-        try:
-            return _lanczos_norms(grid.n, data_nodes, ws_in, solves, dtype, start)
-        except _NoConvergence:
-            if grid.n > _MATRIX_STEP_MAX_DEGREE:
-                return math.inf, math.inf
+    solves = [
+        (
+            lambda x, out=out: out(back(forcing(x), 0)),
+            lambda y, out_h=out_h: forcing_h(back(out_h(y), 2)),
+        )
+        for out, out_h in outs
+    ]
+    try:
+        return _lanczos_norms(grid.n, data_nodes, ws_in, solves, dtype, start)
+    except _NoConvergence:
+        if grid.n > _MATRIX_STEP_MAX_DEGREE:
+            return math.inf, math.inf
     u = back(forcing(np.eye(len(ws_in), dtype=dtype)), 0)
     return tuple(float(svdvals(out(u))[0]) for out, _ in outs)
-
-
-def _solution_norms(
-    grid, factors, size: int, data_rows, row_scale, sol_rows, start
-) -> tuple[float, float]:
-    """``_rung_norms`` of a collocation rung.
-
-    Unknowns of the system of order ``size`` sit on the grid nodes
-    ``sol_rows``, equation i on the node of unknown i.  Data f on the nodes
-    of ``data_rows``, weighted as x = W f, become the right-hand side
-    ``row_scale * f`` on those rows, zero elsewhere; the LU ``factors`` give
-    u, zero off ``sol_rows``.  D1 and D1^T act as the grid's ``d1`` up to
-    ``_MATRIX_STEP_MAX_DEGREE`` and by DCT above it.
-    """
-    ws = np.sqrt(grid.weights)
-    data_nodes = np.arange(grid.n + 1)[sol_rows][data_rows]
-    data_scale = row_scale / ws[data_nodes]
-
-    # _factor checked the matrix already, so the solves call LAPACK directly
-    # and skip lu_solve's checks and dispatch on every Lanczos step.
-    (getrs,) = get_lapack_funcs(("getrs",), (factors[0],))
-
-    def back(b, trans):
-        x, info = getrs(*factors, b, trans=trans, overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal getrs")
-        return x
-
-    def forcing(x):
-        rhs = np.zeros((size,) + x.shape[1:], dtype=np.result_type(factors[0], x))
-        rhs[data_rows] = (data_scale * x.T).T
-        return rhs
-
-    def on_nodes(u):
-        out = np.zeros((grid.n + 1,) + u.shape[1:], dtype=u.dtype)
-        out[sol_rows] = u
-        return out
-
-    if grid.n <= _MATRIX_STEP_MAX_DEGREE:
-        derivative = partial(_real_matmul, grid.d1)
-        derivative_t = partial(_real_matmul, grid.d1.T)
-    else:
-        derivative, derivative_t = _derivative, _derivative_t
-    maps = (
-        (forcing, lambda z: (data_scale * z[data_rows].T).T),
-        (lambda u: (ws * on_nodes(u).T).T, lambda y: (ws * y.T).T[sol_rows]),
-        (
-            lambda u: (ws * derivative(on_nodes(u)).T).T,
-            lambda y: derivative_t((ws * y.T).T)[sol_rows],
-        ),
-    )
-    return _rung_norms(grid, data_nodes, back, maps, factors[0].dtype, start)
 
 
 _SINGULAR = {
@@ -420,53 +385,6 @@ def _numbers(bc: str, norm_inv: float, norm_d_inv: float) -> dict:
         "norm_inv": norm_inv,
         "norm_d_inv": norm_d_inv,
     }
-
-
-def _dirichlet_numbers(op: AssembledOperator, start) -> dict:
-    # Singularity is judged from LAPACK's 1-norm condition estimate on the
-    # same factorization; it tracks the 2-norm ratio sigma_min / sigma_max of
-    # the weighted matrix to within a small factor.
-    mat = op.matrix
-    factors, exact = _factor(mat)
-    if exact:
-        return dict(_SINGULAR)
-    (gecon,) = get_lapack_funcs(("gecon",), (factors[0],))
-    rcond, _ = gecon(factors[0], np.linalg.norm(mat, 1), norm="1")
-    if rcond < _SINGULAR_RTOL:
-        return dict(_SINGULAR)
-    norms = _solution_norms(
-        op.grid, factors, mat.shape[0], slice(None), 1.0, slice(1, -1), start
-    )
-    return _numbers("dirichlet", *norms)
-
-
-def _clamped_numbers(op: AssembledOperator, start) -> dict:
-    # The bordered fourth-order matrix mixes unit-scale constraint rows with
-    # differentiated rows of order n^8, so its raw singular values say
-    # nothing about resonance.  Judge singularity from the weighted solution
-    # operator itself: a shift sitting on the spectrum surfaces as an absurd
-    # solve norm (or an exactly zero pivot).
-    #
-    # Rows must be equilibrated before factorization.  Without it the solves
-    # carry absolute noise from the huge fourth-derivative rows, and the
-    # extra differentiation in norm_d_inv amplifies that noise by n^2 --
-    # enough to stall ladder convergence past n ~ 800.  Scaling row j by
-    # 1/max|row j| restores componentwise accuracy; the solution operator is
-    # unchanged because data columns are rescaled back afterwards.
-    keep = ~op.bc_rows
-    row_scale = np.max(np.abs(op.matrix), axis=1)
-    if not np.all(np.isfinite(row_scale)):
-        raise ValueError("operator matrix must not contain infs or NaNs")
-    if np.any(row_scale == 0.0):
-        return dict(_SINGULAR)
-    d = 1.0 / row_scale
-    factors, exact = _factor(d[:, None] * op.matrix, overwrite=True)
-    if exact:
-        return dict(_SINGULAR)
-    norms = _solution_norms(
-        op.grid, factors, op.matrix.shape[0], keep, d[keep], slice(None), start
-    )
-    return _numbers("clamped", *norms)
 
 
 def _banded_numbers(
@@ -514,12 +432,87 @@ def resolvent_numbers(
 
     ``start``, private to ``resolvent_sample``, warm-starts the norms from
     the previous rung of the same ladder and records this rung's vectors.
+
+    One LU of d A, d a row scaling, serves the whole rung.  Unknowns sit on
+    grid nodes, equation i on the node of unknown i: the interior for
+    Dirichlet operators, every node for the bordered clamped ones.  Data f
+    on the rows of the differential equation, weighted as x = W f, become
+    the right-hand side d f on those rows, zero elsewhere; the solution u
+    is zero off its nodes.  D1 and D1^T act as the grid's ``d1`` up to
+    ``_MATRIX_STEP_MAX_DEGREE`` and by DCT above it; ``_rung_norms`` takes
+    it from there.  Non-finite entries raise ValueError.
+
+    A Dirichlet matrix is factored as it is (d = 1), and judged singular at
+    an exactly zero pivot or from LAPACK's 1-norm condition estimate on the
+    same LU, which tracks the 2-norm ratio sigma_min / sigma_max of the
+    weighted matrix to within a small factor.
+
+    The bordered fourth-order matrix mixes unit-scale constraint rows with
+    differentiated rows of order n^8, so its raw singular values say nothing
+    about resonance: a shift on the spectrum surfaces as an exactly zero
+    pivot, or a zero row, or an absurd solve norm (``_numbers``).  Its rows
+    are equilibrated, d = 1 / max|row|, before the LU.  Without that the
+    solves carry absolute noise from the huge fourth-derivative rows, and
+    the extra differentiation in norm_d_inv amplifies it by n^2 -- enough
+    to stall ladder convergence past n ~ 800.  The solution operator is
+    unchanged, as the data carry the same scaling.
     """
+    if op.bc not in ("dirichlet", "clamped"):
+        raise ValueError(f"unknown boundary treatment {op.bc!r}")
+    mat, grid = np.asarray_chkfinite(op.matrix), op.grid
     if op.bc == "dirichlet":
-        return _dirichlet_numbers(op, start)
-    if op.bc == "clamped":
-        return _clamped_numbers(op, start)
-    raise ValueError(f"unknown boundary treatment {op.bc!r}")
+        d, data_rows, sol_rows = np.ones(mat.shape[0]), slice(None), slice(1, -1)
+    else:
+        row_max = np.max(np.abs(mat), axis=1)
+        if not np.all(row_max):
+            return dict(_SINGULAR)
+        d, data_rows, sol_rows = 1.0 / row_max, ~op.bc_rows, slice(None)
+    getrf, getrs, gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), (mat,))
+    lu, piv, info = getrf(d[:, None] * mat, overwrite_a=True)
+    if info > 0:
+        return dict(_SINGULAR)
+    if op.bc == "dirichlet":
+        rcond, _ = gecon(lu, np.linalg.norm(mat, 1), norm="1")
+        if rcond < _SINGULAR_RTOL:
+            return dict(_SINGULAR)
+
+    ws = np.sqrt(grid.weights)
+    data_nodes = np.arange(grid.n + 1)[sol_rows][data_rows]
+    data_scale = d[data_rows] / ws[data_nodes]
+
+    # the matrix was checked above, so the solves call LAPACK directly and
+    # skip lu_solve's checks and dispatch on every Lanczos step
+    def back(b, trans):
+        x, info = getrs(lu, piv, b, trans=trans, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal getrs")
+        return x
+
+    def forcing(x):
+        rhs = np.zeros(mat.shape[:1] + x.shape[1:], dtype=np.result_type(lu, x))
+        rhs[data_rows] = (data_scale * x.T).T
+        return rhs
+
+    def on_nodes(u):
+        out = np.zeros((grid.n + 1,) + u.shape[1:], dtype=u.dtype)
+        out[sol_rows] = u
+        return out
+
+    if grid.n <= _MATRIX_STEP_MAX_DEGREE:
+        derivative = partial(_real_matmul, grid.d1)
+        derivative_t = partial(_real_matmul, grid.d1.T)
+    else:
+        derivative, derivative_t = _derivative, _derivative_t
+    maps = (
+        (forcing, lambda z: (data_scale * z[data_rows].T).T),
+        (lambda u: (ws * on_nodes(u).T).T, lambda y: (ws * y.T).T[sol_rows]),
+        (
+            lambda u: (ws * derivative(on_nodes(u)).T).T,
+            lambda y: derivative_t((ws * y.T).T)[sol_rows],
+        ),
+    )
+    norms = _rung_norms(grid, data_nodes, back, maps, lu.dtype, start)
+    return _numbers(op.bc, *norms)
 
 
 # Rungs of the banded kinds (ultraspherical.ORDERS) from this degree on take

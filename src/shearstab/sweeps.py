@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve
 
 from .airy import airy_zeros, tail_zero_margin
-from .chebdiff import build_grid
+from .chebdiff import _derivative, build_grid
 from .operators import MAX_BETA, SpectralParams, assemble_schrodinger
 from .profile import Profile, x_of_nu
 from .spectral import (
@@ -423,7 +423,7 @@ def weighted_data_sweep(
     data = data or data_preset("exp")
 
     def metric_of(grid, w, beta):
-        dw = grid.d1 @ w
+        dw = _derivative(w)
         return weighted_norm(grid, w) + beta ** (-0.5) * weighted_norm(grid, dw)
 
     rows, _ = _solve_rows(

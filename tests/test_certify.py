@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigvals
 
 import shearstab as ss
-from shearstab import certify
+from shearstab import certify, spectral
 from shearstab.certify import (
     _rayleigh_spectrum,
     _shen_tables,
@@ -389,6 +389,24 @@ def test_certify_still_validates_threads(couette):
     with pytest.raises(ValueError):
         certify_profile(couette, threads=0)
     assert certify_profile(couette, threads=2) == certify_profile(couette, threads=1)
+
+
+def test_certify_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, cubic01):
+    counts = spectral._openblas_counts()
+    if not counts:
+        pytest.skip("no OpenBLAS thread-count entry points in this process")
+    before = [get() for get, _ in counts]
+    seen = []
+
+    def ladder(*args, **kwargs):
+        seen.append([get() for get, _ in counts])
+        return eig_floor_ladder(*args, **kwargs)
+
+    plain = certify_profile.__wrapped__(cubic01)
+    monkeypatch.setattr(certify, "eig_floor_ladder", ladder)
+    assert certify_profile(cubic01) == plain
+    assert seen and all(s == [1] * len(counts) for s in seen)
+    assert [get() for get, _ in counts] == before
 
 
 @pytest.mark.parametrize("k", [16.0, 32.0])

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -315,6 +319,23 @@ def test_airy_selftest(capsys, tmp_path):
         assert result["report"][name] <= threshold
     assert result["thresholds"]["search_kernel_worst"] == 1e-12
     assert "search_kernel_worst=" in out
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [(["certify", _COUETTE], "verdict=certified"), (["airy-selftest"], "selftest=pass")],
+)
+def test_module_entry_point_runs_in_a_fresh_interpreter(argv, line):
+    # python -m shearstab.cli, as the console script runs main
+    src = str(pathlib.Path(ss.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "shearstab.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert line in done.stdout.split()
 
 
 def test_unwritable_output_exits_three(capsys):

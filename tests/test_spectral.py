@@ -11,10 +11,9 @@ from scipy.linalg import eigvals, inv
 from scipy.optimize import brentq
 
 import shearstab as ss
-from shearstab.chebdiff import N_MAX, _derivative, _derivative_t
+from shearstab.chebdiff import LADDER_FLOOR, N_MAX, _derivative, _derivative_t
 from shearstab.operators import certificate_potential
 from shearstab.spectral import (
-    _LANCZOS_MIN_DEGREE,
     _MATRIX_STEP_MAX_DEGREE,
     _real_matmul,
     eig_floor_ladder,
@@ -216,7 +215,7 @@ def test_rayleigh_shifted_pseudospectrum_samples(couette):
     assert grid.norms[0, 1] < grid.norms[0, 0]
 
 
-# --- one LU per rung: dense SVDs below the crossover, Lanczos above ----------
+# --- one LU per rung: Lanczos on the matrix step and on the DCT step ---------
 
 DENSE_N = 64
 LANCZOS_N = 512
@@ -224,12 +223,6 @@ LANCZOS_N = 512
 
 def _weighted_top_sv(rows_w, mat, cols_w):
     return np.linalg.svd((rows_w[:, None] * mat) / cols_w[None, :], compute_uv=False)[0]
-
-
-def test_route_degrees_straddle_crossover():
-    from shearstab.spectral import _LANCZOS_MIN_DEGREE
-
-    assert DENSE_N < _LANCZOS_MIN_DEGREE <= LANCZOS_N
 
 
 @pytest.mark.parametrize("n", [DENSE_N, LANCZOS_N])
@@ -304,9 +297,7 @@ def test_lanczos_norms_match_explicit_inverse_near_the_spectrum(
 ):
     # A 3x3 patch of shifts 1e-3 apart, centred on the discrete eigenvalue
     # nearest 0.1 + 0.5i: large resolvents, as on the shift-map workload.
-    from shearstab.spectral import _LANCZOS_MIN_DEGREE
-
-    assert _LANCZOS_MIN_DEGREE <= SHIFT_MAP_N == ladder_start(1e4)
+    assert SHIFT_MAP_N == ladder_start(1e4)
     grid = ss.build_grid(SHIFT_MAP_N)
     if bc == "dirichlet":
         profile, alpha, assemble, rel = couette, 0.0, ss.assemble_schrodinger, 1e-10
@@ -492,8 +483,27 @@ def test_a_clustered_rung_at_the_step_cap_takes_the_explicit_tier(couette, monke
     assert sample.norm_inv == pytest.approx(9.9754e-4, rel=1e-4)
     op = ss.assemble_schrodinger(couette, params, ss.build_grid(128))
     capped = resolvent_numbers(op)
-    monkeypatch.setattr(spectral, "_LANCZOS_MIN_DEGREE", N_MAX + 1)
+    monkeypatch.setattr(spectral, "_GKL_MAX_STEPS", 0)
     assert capped == resolvent_numbers(op)
+
+
+def test_small_rungs_take_lanczos_without_explicit_svds(couette, monkeypatch):
+    # the beta = 1e3 ladder starts at LADDER_FLOOR; Lanczos measures every
+    # rung, and the explicit SVDs wait for a capped recurrence
+    from shearstab import spectral
+
+    calls = []
+    svdvals = spectral.svdvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return svdvals(a)
+
+    monkeypatch.setattr(spectral, "svdvals", counted)
+    sample = resolvent_sample(couette, ss.SpectralParams(0.0, 1e3, 0.0), "schrodinger")
+    assert sample.n_start == LADDER_FLOOR
+    assert sample.converged
+    assert calls == []
 
 
 @pytest.mark.parametrize("route", ["dense", "banded"])
@@ -575,7 +585,7 @@ def test_warm_start_matches_cold_start_on_the_top_rung(kind, profile, alpha):
         assert warm[key] == pytest.approx(cold[key], rel=1e-11)
 
 
-@pytest.mark.parametrize("n", [_LANCZOS_MIN_DEGREE, 87, _MATRIX_STEP_MAX_DEGREE])
+@pytest.mark.parametrize("n", [LADDER_FLOOR, 87, _MATRIX_STEP_MAX_DEGREE])
 def test_d1_step_matches_the_dct_derivative(n):
     # the dense route's matrix step: d1 and its transpose, each one real
     # product on a complex vector, against the DCT derivative they replace

@@ -325,25 +325,15 @@ def test_matrix_step_rungs_match_the_dct_step(monkeypatch, kind, alpha, route, n
 
 
 @pytest.mark.parametrize("kind, alpha", KINDS)
-def test_small_banded_rung_takes_the_explicit_tier(monkeypatch, kind, alpha):
-    # below _LANCZOS_MIN_DEGREE a banded rung is measured by the SVDs of its
-    # explicit solution operator, as a collocation rung is; Lanczos forced
-    # on agrees
+def test_small_banded_rung_lanczos_norms_equal_its_explicit_svds(monkeypatch, kind, alpha):
+    # a small banded rung is measured by Lanczos, as a collocation rung is;
+    # the SVDs of its explicit solution operator, forced by a step cap of
+    # 0, agree
     grid, params = ss.build_grid(64), ss.SpectralParams(alpha, 1e4, -0.1 + 0.5j)
     series = velocity_series(ss.cubic(0.1), grid)
-    calls = []
-    lanczos_norms = spectral._lanczos_norms
-
-    def counted(*args):
-        calls.append(args)
-        return lanczos_norms(*args)
-
-    monkeypatch.setattr(spectral, "_lanczos_norms", counted)
-    explicit = _banded_numbers(series, params, kind, grid, None)
-    assert not calls
-    monkeypatch.setattr(spectral, "_LANCZOS_MIN_DEGREE", 0)
     lanczos = _banded_numbers(series, params, kind, grid, None)
-    assert calls
+    monkeypatch.setattr(spectral, "_GKL_MAX_STEPS", 0)
+    explicit = _banded_numbers(series, params, kind, grid, None)
     assert explicit["singular"] is lanczos["singular"] is False
     for key in ("norm_inv", "norm_d_inv"):
         assert explicit[key] == pytest.approx(lanczos[key], rel=1e-12, abs=0.0), key
