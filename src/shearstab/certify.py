@@ -4,7 +4,9 @@ A monotone profile is certified when the Schrodinger-type operator
 -d2 + U''/(U - nu) with Dirichlet walls is positive for every velocity nu
 that the curvature vanishes at (the inflection set).  Positivity of the
 smallest eigenvalue, uniformly over that set, rules out inviscid neutral
-modes and with them the large-Reynolds instability route.
+modes and with them the large-Reynolds instability route.  Each velocity's
+eigenvalue comes from ``spectral.eig_floor_ladder``: symmetric Galerkin
+solves on Shen's Legendre basis, degree-doubled until two agree.
 
 The Rayleigh scan complements the certificate: it measures how far the
 spectrum of the inviscid problem (U - c)(-phi'' + alpha^2 phi) + U'' phi = 0
@@ -20,17 +22,15 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigvals
 from scipy.linalg.lapack import dptsv
-from scipy.special import roots_legendre
 
 from .chebdiff import N_MAX, N_MIN
 from .operators import _positive_wavenumber
 from .profile import Profile, inflection_values
-from .spectral import _check_threads, _one_blas_thread, eig_floor_ladder
+from .spectral import _check_threads, _one_blas_thread, _shen_tables, eig_floor_ladder
 
 __all__ = [
     "CertificateEntry",
@@ -89,8 +89,11 @@ def certify_profile(
     each.  Each isolated value gets its own eigenvalue ladder.  A flat
     interval has U'' = 0, so the operator is -d2 at every velocity: one
     ladder serves all of its samples, and Couette takes two eigen-solves
-    (n = 64 and 128) at any density.  `threads` is validated (at least 1)
-    and has no effect: a thread pool here bought at most 1.10x on 2 cores.
+    (n = 64 and 128) at any density.  Each ladder rung is one symmetric
+    Legendre-Galerkin solve for the top eigenvalue of a shifted-and-inverted
+    pencil, run on one OpenBLAS thread.  A non-finite potential raises
+    ValueError.  `threads` is validated (at least 1) and has no effect: a
+    thread pool here bought at most 1.10x on 2 cores.
     """
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"margin must be finite and nonnegative, got {margin}")
@@ -146,36 +149,6 @@ def _segment_distance(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
 _OFF_TOL = 1e-3
 _MATCH_RTOL = 0.1
 _MATCH_FLOOR = 1e-3
-# Gauss-Legendre nodes beyond the basis degree: exact for every polynomial U
-_EXTRA_NODES = 24
-
-
-@lru_cache(maxsize=4)
-def _shen_tables(n: int) -> tuple[np.ndarray, ...]:
-    """n + ``_EXTRA_NODES`` Gauss-Legendre nodes and weights, [psi', psi] on
-    them for the Shen basis psi_k = (L_k - L_{k+2}) / sqrt(4k + 6), k < n - 1,
-    and the mass matrix M_jk = int psi_j psi_k as its diagonal and M_{k,k+2};
-    int psi_j' psi_k' is the identity (Shen, SIAM J. Sci. Comput. 15, 1994)."""
-    m = n + _EXTRA_NODES
-    x = roots_legendre(m)[0]
-    leg = np.empty((m + 1, m))
-    leg[0], leg[1] = 1.0, x
-    for k in range(1, m):
-        leg[k + 1] = ((2 * k + 1) * x * leg[k] - k * leg[k - 1]) / (k + 1)
-    # weights 2 / ((1 - x^2) L_m'^2): scipy's are off by up to 8e-10 relative
-    # here and integrate the Legendre Gram matrix 8 to 40 times less exactly
-    slope = m * (leg[m - 1] - x * leg[m]) / (1.0 - x * x)
-    w = 2.0 / ((1.0 - x * x) * slope**2)
-    k = np.arange(n - 1)
-    scale = np.sqrt(4.0 * k + 6.0)
-    # psi_k' = -(2k + 3) L_{k+1} / sqrt(4k + 6)
-    deriv = -((2 * k + 3) / scale)[:, None] * leg[1:n]
-    basis = np.hstack([deriv, (leg[: n - 1] - leg[2 : n + 1]) / scale[:, None]])
-    diag = (2.0 / (2 * k + 1) + 2.0 / (2 * k + 5)) / scale**2
-    upper = -2.0 / ((2 * k[:-2] + 5) * scale[:-2] * scale[2:])
-    for arr in (x, w, basis, diag, upper):
-        arr.setflags(write=False)
-    return x, w, basis, diag, upper
 
 
 def _mass_solve(diag, upper, alpha: float, rhs: np.ndarray, parity: int) -> np.ndarray:

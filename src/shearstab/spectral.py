@@ -33,6 +33,13 @@ vectors, resampled through their Chebyshev coefficients, and never from
 another shift.  A rung of the benchmark's sweeps takes about 15 solves for
 its two norms, and one of its shift maps about 16.
 
+The certificate eigenvalue is not collocated: each rung of
+``eig_floor_ladder`` is one symmetric-definite Galerkin solve on Shen's
+Legendre basis (``_certificate_rung``), whose node tables ``_shen_tables``
+it shares with the Rayleigh scan, and only the top eigenvalue of the
+shifted-and-inverted pencil is computed.  ``min_eig_selfadjoint`` keeps the
+dense collocation route as a reference.
+
 Every quantity of interest is wrapped in the one grid ladder ``_refine``,
 which doubles the degree until two consecutive rungs agree under the
 caller's rule, so callers receive a converged number plus the resolution
@@ -46,20 +53,21 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
-from scipy.linalg import eigvals, get_blas_funcs, get_lapack_funcs, svdvals
+from scipy.linalg import eigh, eigvals, get_blas_funcs, get_lapack_funcs, svdvals
 from scipy.linalg.lapack import dstemr
+from scipy.special import roots_legendre
 
 from .chebdiff import LADDER_FLOOR, N_MAX, _derivative, _derivative_t, _resample, build_grid
 from .operators import (
     AssembledOperator,
     SpectralParams,
-    assemble_certificate_operator,
     assemble_orr_sommerfeld,
     assemble_rayleigh_shifted,
     assemble_schrodinger,
+    certificate_potential,
 )
 from .profile import Profile
 from .ultraspherical import ORDERS, TauSystem, _dct_maps, node_maps, velocity_series
@@ -616,22 +624,80 @@ def resolvent_sample(
     )
 
 
-def eig_floor_ladder(profile: Profile, nu: float) -> tuple[float, int, bool]:
-    """Smallest certificate eigenvalue at velocity nu, grid-doubled to rest.
+# Gauss-Legendre nodes beyond the basis degree: exact for every polynomial U
+# in the Rayleigh pencil.  They also integrate the certificate's potential
+# U''/(U - nu), which is not a polynomial: accepted certificate rungs moved
+# within 1.3e-15 relative against 2n + 64 nodes, at the same and at the
+# doubled degree (Couette, tanh_shear(1, 8, 16), cubic(0.1), a quintic)
+_EXTRA_NODES = 24
 
-    Returns (eigenvalue, degree used, converged flag).  The ladder runs from
-    ``LADDER_FLOOR`` to ``N_MAX``; consecutive degrees agree within
-    ``_EIG_RTOL``, absolute below 1, relative above.
+
+@lru_cache(maxsize=4)
+def _shen_tables(n: int) -> tuple[np.ndarray, ...]:
+    """n + ``_EXTRA_NODES`` Gauss-Legendre nodes and weights, [psi', psi] on
+    them for the Shen basis psi_k = (L_k - L_{k+2}) / sqrt(4k + 6), k < n - 1,
+    and the mass matrix M_jk = int psi_j psi_k as its diagonal and M_{k,k+2};
+    int psi_j' psi_k' is the identity (Shen, SIAM J. Sci. Comput. 15, 1994)."""
+    m = n + _EXTRA_NODES
+    x = roots_legendre(m)[0]
+    leg = np.empty((m + 1, m))
+    leg[0], leg[1] = 1.0, x
+    for k in range(1, m):
+        leg[k + 1] = ((2 * k + 1) * x * leg[k] - k * leg[k - 1]) / (k + 1)
+    # weights 2 / ((1 - x^2) L_m'^2): scipy's are off by up to 8e-10 relative
+    # here and integrate the Legendre Gram matrix 8 to 40 times less exactly
+    slope = m * (leg[m - 1] - x * leg[m]) / (1.0 - x * x)
+    w = 2.0 / ((1.0 - x * x) * slope**2)
+    k = np.arange(n - 1)
+    scale = np.sqrt(4.0 * k + 6.0)
+    # psi_k' = -(2k + 3) L_{k+1} / sqrt(4k + 6)
+    deriv = -((2 * k + 3) / scale)[:, None] * leg[1:n]
+    basis = np.hstack([deriv, (leg[: n - 1] - leg[2 : n + 1]) / scale[:, None]])
+    diag = (2.0 / (2 * k + 1) + 2.0 / (2 * k + 5)) / scale**2
+    upper = -2.0 / ((2 * k[:-2] + 5) * scale[:-2] * scale[2:])
+    for arr in (x, w, basis, diag, upper):
+        arr.setflags(write=False)
+    return x, w, basis, diag, upper
+
+
+def _certificate_rung(profile: Profile, nu: float, n: int) -> float:
+    """Smallest eigenvalue of -d2 + q, q = U''/(U - nu), with Dirichlet walls
+    on the degree-n Shen basis: the pencil K phi = lam M phi, K = I + Q with
+    Q_jk = int q psi_j psi_k on the ``_shen_tables`` nodes.
+
+    Shifted by sigma = min q - 1 below the spectrum, A = K - sigma M is
+    positive definite (its Rayleigh quotients exceed 1), so the top
+    eigenvalue mu of M phi = mu A phi is one symmetric-definite solve
+    (LAPACK ``sygvx``, that one index), and lam = sigma + 1 / mu.  A Ritz
+    value: it lies above the operator's and falls as n grows.  A non-finite
+    potential raises ValueError.
     """
+    x, w, basis, diag, upper = _shen_tables(n)
+    psi = basis[:, len(x):]
+    q = certificate_potential(profile, nu, x)
+    sigma = float(np.min(q)) - 1.0
+    a = (psi * (w * (q - sigma))) @ psi.T
+    a[np.diag_indices_from(a)] += 1.0
+    mass = np.diag(diag) + np.diag(upper, 2) + np.diag(upper, -2)
+    mu = eigh(mass, a, eigvals_only=True, subset_by_index=[n - 2, n - 2],
+              overwrite_a=True, overwrite_b=True)[0]
+    return float(sigma + 1.0 / mu)
 
-    def evaluate(n):
-        op = assemble_certificate_operator(profile, nu, build_grid(n))
-        return min_eig_selfadjoint(op)
+
+def eig_floor_ladder(profile: Profile, nu: float) -> tuple[float, int, bool]:
+    """Smallest certificate eigenvalue at velocity nu, degree-doubled to rest.
+
+    Returns (eigenvalue, degree used, converged flag).  Each rung is one
+    Legendre-Galerkin solve (``_certificate_rung``) on the Rayleigh scan's
+    cached tables.  The ladder runs from ``LADDER_FLOOR`` to ``N_MAX``;
+    consecutive degrees agree within ``_EIG_RTOL``, absolute below 1,
+    relative above.
+    """
 
     def agree(prev, cur):
         return abs(cur - prev) <= _EIG_RTOL * max(1.0, abs(cur))
 
-    return _refine(evaluate, LADDER_FLOOR, agree)
+    return _refine(lambda n: _certificate_rung(profile, nu, n), LADDER_FLOOR, agree)
 
 
 @dataclass(frozen=True)

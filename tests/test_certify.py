@@ -315,13 +315,13 @@ def eig_calls(monkeypatch):
     from shearstab import spectral
 
     calls = []
-    solve = spectral.min_eig_selfadjoint
+    solve = spectral._certificate_rung
 
-    def counted(op):
-        calls.append(op.grid.n)
-        return solve(op)
+    def counted(profile, nu, n):
+        calls.append(n)
+        return solve(profile, nu, n)
 
-    monkeypatch.setattr(spectral, "min_eig_selfadjoint", counted)
+    monkeypatch.setattr(spectral, "_certificate_rung", counted)
     return calls
 
 

@@ -516,7 +516,7 @@ def test_certify_roots_on_adjacent_scan_nodes_exit_zero(capsys):
     code, out, err = run(capsys, "certify", config)
     assert code == 0
     assert out == (
-        "verdict=certified sigma0=2.5960512154164737 margin=1e-06 velocities=3\n"
+        "verdict=certified sigma0=2.5960512154147737 margin=1e-06 velocities=3\n"
     )
     assert err == ""
 

@@ -11,10 +11,16 @@ from scipy.linalg import eigvals, inv
 from scipy.optimize import brentq
 
 import shearstab as ss
+from shearstab import spectral
 from shearstab.chebdiff import LADDER_FLOOR, N_MAX, _derivative, _derivative_t
+from shearstab.cli import main
 from shearstab.operators import certificate_potential
+from shearstab.profile import inflection_values
 from shearstab.spectral import (
+    _EIG_RTOL,
     _MATRIX_STEP_MAX_DEGREE,
+    _certificate_rung,
+    _refine,
     _real_matmul,
     eig_floor_ladder,
     ladder_start,
@@ -92,6 +98,93 @@ def test_eig_floor_ladder_couette_value(couette):
     assert conv
     assert val == pytest.approx(2.4674011002730665, abs=1e-11)
     assert n == 128
+
+
+def _collocation_ladder(profile, nu):
+    """The certificate ladder on dense collocation rungs (min_eig_selfadjoint)."""
+
+    def evaluate(n):
+        op = ss.assemble_certificate_operator(profile, nu, ss.build_grid(n))
+        return min_eig_selfadjoint(op)
+
+    def agree(prev, cur):
+        return abs(cur - prev) <= _EIG_RTOL * max(1.0, abs(cur))
+
+    return _refine(evaluate, LADDER_FLOOR, agree)
+
+
+def _seeded_certificate_batch():
+    """tanh_shear with K in [0.5, 8], cubics and monotone quintics."""
+    rng = np.random.default_rng(2024)
+    profiles = [ss.tanh_shear(k) for k in rng.uniform(0.5, 8.0, 5)]
+    profiles += [ss.cubic(a) for a in rng.uniform(-0.3, 1.0, 4)]
+    while len(profiles) < 13:
+        box = rng.uniform([-0.15, -0.25, -0.1, -0.1], [0.15, 0.25, 0.1, 0.1])
+        try:
+            profiles.append(ss.polynomial((0.0, 1.0, *box)))
+        except ss.MonotonicityError:
+            continue
+    return profiles
+
+
+def test_galerkin_ladders_match_collocation_ladders():
+    # 15 velocities; measured to 1.0e-12 relative
+    checked = 0
+    for profile in _seeded_certificate_batch():
+        for nu in inflection_values(profile).sample():
+            got, _, conv = eig_floor_ladder(profile, nu)
+            ref, _, ref_conv = _collocation_ladder(profile, nu)
+            assert conv and ref_conv
+            assert abs(got - ref) <= 1e-11 * abs(ref), (profile.id_string(), nu)
+            checked += 1
+    assert checked >= 13
+
+
+def test_galerkin_rungs_of_steep_tanh_never_rise():
+    # Ritz values on nested bases: -62.86 at n = 16 down to -63.99994238 at 256
+    tanh8 = ss.tanh_shear(8.0)
+    vals = [_certificate_rung(tanh8, 0.0, n) for n in (16, 32, 64, 128, 256)]
+    assert all(b <= a + 1e-12 * abs(a) for a, b in zip(vals, vals[1:]))
+
+
+_QUINTIC_CLI = (0.0, 1.0, 0.0, -2.5431315104166665e-06, 0.0, 0.05)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        ss.couette(),
+        ss.tanh_shear(1.0),
+        ss.tanh_shear(8.0),
+        ss.tanh_shear(16.0),
+        ss.cubic(0.1),
+        ss.polynomial(_QUINTIC_CLI),
+    ],
+    ids=["couette", "tanh1", "tanh8", "tanh16", "cubic0.1", "quintic"],
+)
+def test_galerkin_rung_quadrature_is_resolved(monkeypatch, profile):
+    # The accepted rung on n + 24 Gauss nodes against the same degree on
+    # 2n + 64 nodes (measured to 1.3e-15 relative); Couette is pi^2 / 4.
+    nu = inflection_values(profile).sample()[0]
+    val, n, conv = eig_floor_ladder(profile, nu)
+    assert conv
+    monkeypatch.setattr(spectral, "_EXTRA_NODES", n + 64)
+    tables = spectral._shen_tables.__wrapped__(n)
+    monkeypatch.setattr(spectral, "_shen_tables", lambda _: tables)
+    ref = _certificate_rung(profile, nu, n)
+    assert abs(val - ref) <= 1e-14 * max(1.0, abs(ref))
+    if profile.family == "couette":
+        assert abs(val - math.pi**2 / 4.0) <= 1e-14
+
+
+def test_non_finite_certificate_potential_raises(monkeypatch, capsys, couette):
+    monkeypatch.setattr(
+        spectral, "certificate_potential", lambda profile, nu, x: np.full(len(x), np.nan)
+    )
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eig_floor_ladder(couette, 0.0)
+    assert main(["certify", '{"family": "couette"}']) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_ladder_start_rule():
