@@ -40,6 +40,13 @@ it shares with the Rayleigh scan, and only the top eigenvalue of the
 shifted-and-inverted pencil is computed.  ``min_eig_selfadjoint`` keeps the
 dense collocation route as a reference.
 
+Both routes judge a rung by one singular rule, for Dirichlet and clamped
+walls alike: an exactly zero pivot, or a reciprocal 1-norm condition
+estimate (LAPACK ``gecon`` on the scaled LU, ``TauSystem.rcond`` on the
+band) below ``_SINGULAR_RTOL`` = 1e3 eps, where eps / rcond reaches
+``RESOLVENT_RTOL`` and a norm could no longer be trusted to the ladder's
+tolerance.  A singular rung reports sigma_min 0 and infinite norms.
+
 Every quantity of interest is wrapped in the one grid ladder ``_refine``,
 which doubles the degree until two consecutive rungs agree under the
 caller's rule, so callers receive a converged number plus the resolution
@@ -102,8 +109,6 @@ _MATRIX_STEP_MAX_DEGREE = 192
 # 1e5 needed at most 25 steps per norm).
 _GKL_RTOL = 1e-13
 _GKL_MAX_STEPS = 60
-# solve norms beyond this are treated as a resonance hit (clamped systems)
-_SOLVE_NORM_CAP = 1e12
 # Consecutive rungs agree when their resolvent norms (or a direct-solve
 # metric) differ by at most this fraction, or their certificate eigenvalues
 # by at most _EIG_RTOL, absolute below 1 and relative above.
@@ -193,8 +198,9 @@ class ResolventSample:
 
     norm_inv is the L2 -> L2 norm of the solve; norm_d_inv additionally
     differentiates the solution, measuring data -> d(solution)/dx.
-    sigma_min is 1 / norm_inv, or 0 where the shift was judged singular
-    before any norm was taken.
+    sigma_min is 1 / norm_inv.  A singular sample (a shift on the discrete
+    spectrum, or a rung whose norms could not be measured) has sigma_min 0
+    and both norms infinite.
     """
 
     kind: str
@@ -373,23 +379,14 @@ _SINGULAR = {
 }
 
 
-def _numbers(bc: str, norm_inv: float, norm_d_inv: float) -> dict:
-    """The result of a rung from its two norms.  A non-finite norm is
-    singular; so is, for clamped operators, a solve norm above
-    ``_SOLVE_NORM_CAP``, which still reports its norms."""
-    finite = math.isfinite(norm_inv) and math.isfinite(norm_d_inv)
-    if bc == "dirichlet":
-        if not finite:
-            return dict(_SINGULAR)
-        return {
-            "sigma_min": 1.0 / norm_inv,
-            "singular": False,
-            "norm_inv": norm_inv,
-            "norm_d_inv": norm_d_inv,
-        }
+def _numbers(norm_inv: float, norm_d_inv: float) -> dict:
+    """The result of a rung from its two norms; a non-finite norm is
+    singular."""
+    if not (math.isfinite(norm_inv) and math.isfinite(norm_d_inv)):
+        return dict(_SINGULAR)
     return {
-        "sigma_min": 1.0 / norm_inv if norm_inv > 0.0 else math.inf,
-        "singular": not finite or norm_inv > _SOLVE_NORM_CAP,
+        "sigma_min": 1.0 / norm_inv,
+        "singular": False,
         "norm_inv": norm_inv,
         "norm_d_inv": norm_d_inv,
     }
@@ -407,14 +404,12 @@ def _banded_numbers(
     back to node values, and so does its derivative.  Up to
     ``_MATRIX_STEP_MAX_DEGREE`` those maps are the cached matrices of
     ``node_maps``, above it the matrix-free ``_dct_maps``; ``_rung_norms``
-    takes it from there.  A Dirichlet system is singular at an exactly
-    zero pivot or a condition estimate (``TauSystem.rcond``) below
-    ``_SINGULAR_RTOL``; a clamped one at a zero pivot or by the rule of
-    ``_numbers``.
+    takes it from there.  The system is singular at an exactly zero pivot
+    or a condition estimate (``TauSystem.rcond``) below ``_SINGULAR_RTOL``,
+    for either boundary treatment.
     """
     system = TauSystem(kind, series, params, grid.n)
-    bc = "dirichlet" if kind == "schrodinger" else "clamped"
-    if system.singular or (bc == "dirichlet" and system.rcond() < _SINGULAR_RTOL):
+    if system.singular or system.rcond() < _SINGULAR_RTOL:
         return dict(_SINGULAR)
     n, m = grid.n, system.order
     if n <= _MATRIX_STEP_MAX_DEGREE:
@@ -422,7 +417,7 @@ def _banded_numbers(
     else:
         maps = _dct_maps(m, grid)
     data_nodes = np.arange(m // 2, n + 1 - m // 2)
-    return _numbers(bc, *_rung_norms(grid, data_nodes, system.backsolve, maps, complex, start))
+    return _numbers(*_rung_norms(grid, data_nodes, system.backsolve, maps, complex, start))
 
 
 class _StartVectors:
@@ -450,20 +445,18 @@ def resolvent_numbers(
     ``_MATRIX_STEP_MAX_DEGREE`` and by DCT above it; ``_rung_norms`` takes
     it from there.  Non-finite entries raise ValueError.
 
-    A Dirichlet matrix is factored as it is (d = 1), and judged singular at
-    an exactly zero pivot or from LAPACK's 1-norm condition estimate on the
-    same LU, which tracks the 2-norm ratio sigma_min / sigma_max of the
-    weighted matrix to within a small factor.
+    A Dirichlet matrix is factored as it is (d = 1).  The bordered
+    fourth-order matrix mixes unit-scale constraint rows with differentiated
+    rows of order n^8, so its rows are equilibrated, d = 1 / max|row|, before
+    the LU; a zero row is singular.  Without that the solves carry absolute
+    noise from the huge fourth-derivative rows, and the extra
+    differentiation in norm_d_inv amplifies it by n^2 -- enough to stall
+    ladder convergence past n ~ 800.  The solution operator is unchanged, as
+    the data carry the same scaling.
 
-    The bordered fourth-order matrix mixes unit-scale constraint rows with
-    differentiated rows of order n^8, so its raw singular values say nothing
-    about resonance: a shift on the spectrum surfaces as an exactly zero
-    pivot, or a zero row, or an absurd solve norm (``_numbers``).  Its rows
-    are equilibrated, d = 1 / max|row|, before the LU.  Without that the
-    solves carry absolute noise from the huge fourth-derivative rows, and
-    the extra differentiation in norm_d_inv amplifies it by n^2 -- enough
-    to stall ladder convergence past n ~ 800.  The solution operator is
-    unchanged, as the data carry the same scaling.
+    Either matrix is singular at an exactly zero pivot or when LAPACK's
+    1-norm condition estimate of d A, on the same LU, is below
+    ``_SINGULAR_RTOL``.
     """
     if op.bc not in ("dirichlet", "clamped"):
         raise ValueError(f"unknown boundary treatment {op.bc!r}")
@@ -475,14 +468,12 @@ def resolvent_numbers(
         if not np.all(row_max):
             return dict(_SINGULAR)
         d, data_rows, sol_rows = 1.0 / row_max, ~op.bc_rows, slice(None)
+    scaled = d[:, None] * mat
     getrf, getrs, gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), (mat,))
-    lu, piv, info = getrf(d[:, None] * mat, overwrite_a=True)
-    if info > 0:
+    anorm = np.linalg.norm(scaled, 1)
+    lu, piv, info = getrf(scaled, overwrite_a=True)
+    if info > 0 or gecon(lu, anorm, norm="1")[0] < _SINGULAR_RTOL:
         return dict(_SINGULAR)
-    if op.bc == "dirichlet":
-        rcond, _ = gecon(lu, np.linalg.norm(mat, 1), norm="1")
-        if rcond < _SINGULAR_RTOL:
-            return dict(_SINGULAR)
 
     ws = np.sqrt(grid.weights)
     data_nodes = np.arange(grid.n + 1)[sol_rows][data_rows]
@@ -519,8 +510,7 @@ def resolvent_numbers(
             lambda y: derivative_t((ws * y.T).T)[sol_rows],
         ),
     )
-    norms = _rung_norms(grid, data_nodes, back, maps, lu.dtype, start)
-    return _numbers(op.bc, *norms)
+    return _numbers(*_rung_norms(grid, data_nodes, back, maps, lu.dtype, start))
 
 
 # Rungs of the banded kinds (ultraspherical.ORDERS) from this degree on take

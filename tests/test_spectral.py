@@ -362,8 +362,10 @@ SHIFT_MAP_N = 87
 
 def _explicit_numbers(op):
     """(norm_inv, norm_d_inv, singular) from an explicit inverse and full
-    SVDs, judged singular by the rules of resolvent_numbers."""
-    from shearstab.spectral import _SINGULAR_RTOL, _SOLVE_NORM_CAP
+    SVDs, judged singular by the rule of resolvent_numbers: the 1-norm
+    reciprocal condition number of d A, d the row scaling, below
+    _SINGULAR_RTOL."""
+    from shearstab.spectral import _SINGULAR_RTOL
 
     grid, mat = op.grid, op.matrix
     w = np.sqrt(grid.weights)
@@ -372,14 +374,16 @@ def _explicit_numbers(op):
         rcond = 1.0 / (np.linalg.norm(mat, 1) * np.linalg.norm(sol, 1))
         w_in, d_sol = w[1:-1], grid.d1[:, 1:-1] @ sol
         norm_inv = _weighted_top_sv(w_in, sol, w_in)
-        singular = rcond < _SINGULAR_RTOL
     else:
         keep = ~op.bc_rows
         d = 1.0 / np.max(np.abs(mat), axis=1)
-        sol = np.linalg.inv(d[:, None] * mat)[:, keep] * d[keep][None, :]
+        scaled = d[:, None] * mat
+        inv = np.linalg.inv(scaled)
+        rcond = 1.0 / (np.linalg.norm(scaled, 1) * np.linalg.norm(inv, 1))
+        sol = inv[:, keep] * d[keep][None, :]
         w_in, d_sol = w[keep], grid.d1 @ sol
         norm_inv = _weighted_top_sv(w, sol, w_in)
-        singular = norm_inv > _SOLVE_NORM_CAP
+    singular = rcond < _SINGULAR_RTOL
     return norm_inv, _weighted_top_sv(w, d_sol, w_in), singular
 
 
@@ -413,6 +417,8 @@ def test_lanczos_norms_match_explicit_inverse_near_the_spectrum(
             nums = resolvent_numbers(op)
             norm_inv, norm_d_inv, singular = _explicit_numbers(op)
             assert nums["singular"] == singular, (a, b)
+            if (a, b) == (0, 0):
+                assert singular
             if singular:
                 continue
             assert nums["norm_inv"] == pytest.approx(norm_inv, rel=rel)

@@ -161,13 +161,16 @@ def _dense(band):
     return out
 
 
+@pytest.mark.parametrize("beta", [1.0, 1e4, 1e5])
 @pytest.mark.parametrize("n", [64, 100])
 @pytest.mark.parametrize("kind, alpha", KINDS)
-def test_shift_on_the_discrete_spectrum_is_singular(kind, alpha, n):
+def test_shift_on_the_discrete_spectrum_is_singular(kind, alpha, n, beta):
     # The tau matrix is affine in the shift, B(lam) = B0 + lam C; take the
     # eigenvalue of the pencil nearest 0 and one step of two-sided Rayleigh
-    # quotient iteration, so B(lam) is singular to rounding.
-    profile, beta, grid = ss.cubic(0.1), 1.0, ss.build_grid(n)
+    # quotient iteration, so B(lam) is singular to rounding.  Clamped rungs
+    # at moderate beta keep solve norms of only 1e8 to 1e10 there, so the
+    # rule must rest on the condition estimate, not on a norm cap.
+    profile, grid = ss.cubic(0.1), ss.build_grid(n)
     series = velocity_series(profile, grid)
     b0, b1 = (
         _dense(_tau_matrix(kind, series, ss.SpectralParams(alpha, beta, lam), n))
@@ -358,24 +361,27 @@ def test_condition_estimate_matches_lapack_gbcon(kind, alpha, name, n):
 
 
 def test_condition_estimate_keeps_benchmark_shifts_on_their_side(monkeypatch):
-    # Every Dirichlet tau rung of the benchmark's Schrodinger sweep and of an
-    # 8x8 map over the outer rectangle of its shift maps: the estimate and
-    # zgbcon fall on the same side of _SINGULAR_RTOL.
+    # Every tau rung of the benchmark's Schrodinger sweep, of an os-boundary
+    # sweep and of an 8x8 map of each kind over the outer rectangle of its
+    # shift maps: the estimate and zgbcon fall on the same side of
+    # _SINGULAR_RTOL, Dirichlet and clamped rungs alike.
     seen = []
     estimate = TauSystem.rcond
 
     def both(system):
         rcond = estimate(system)
-        seen.append((rcond < _SINGULAR_RTOL, _zgbcon(system) < _SINGULAR_RTOL))
+        seen.append((system.order, rcond < _SINGULAR_RTOL, _zgbcon(system) < _SINGULAR_RTOL))
         return rcond
 
     monkeypatch.setattr(ultraspherical.TauSystem, "rcond", both)
     ss.schrodinger_sweep(ss.couette())
-    ss.pseudospectrum_grid(
-        ss.couette(), "schrodinger", 0.0, 1e4, np.linspace(-0.2, 0.2, 8), np.linspace(-1, 1, 8)
-    )
-    assert len(seen) >= 64
-    assert all(a == b for a, b in seen)
+    ss.os_boundary_sweep(ss.cubic(0.1))
+    mus, nus = np.linspace(-0.2, 0.2, 8), np.linspace(-1, 1, 8)
+    ss.pseudospectrum_grid(ss.couette(), "schrodinger", 0.0, 1e4, mus, nus)
+    ss.pseudospectrum_grid(ss.cubic(0.1), "orr_sommerfeld", 1.0, 1e4, mus, nus)
+    assert sum(order == 2 for order, _, _ in seen) >= 64
+    assert sum(order == 4 for order, _, _ in seen) >= 64
+    assert all(a == b for _, a, b in seen)
 
 
 @pytest.mark.parametrize("pivot", [1e-300, 1e-320])
