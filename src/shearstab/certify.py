@@ -190,7 +190,8 @@ class RayleighScan:
     """Inviscid spectrum versus basis degree.
 
     max_distances[i] is the largest distance from any eigenvalue at degree
-    n_list[i] to the real velocity segment; persistent_offsets collects
+    n_list[i] to the real velocity segment, and monotone says no step in n
+    raised it by more than ``_OFF_TOL``; persistent_offsets collects
     finest-grid eigenvalues that stand off the segment AND reappear at every
     coarser degree, the signature of a genuine unstable mode rather than a
     discretization artifact.
@@ -205,6 +206,7 @@ class RayleighScan:
     persistent_offsets: tuple[complex, ...]
 
 
+@_one_blas_thread()
 def rayleigh_spectrum_scan(
     profile: Profile,
     alpha: float,
@@ -215,7 +217,10 @@ def rayleigh_spectrum_scan(
 
     An eigenvalue stands off the segment beyond ``_OFF_TOL``; a finest-grid
     one persists when every coarser grid has an off-segment eigenvalue
-    within ``_MATCH_RTOL |z| + _MATCH_FLOOR`` of it.
+    within ``_MATCH_RTOL |z| + _MATCH_FLOOR`` of it.  Growth of the largest
+    distance within ``_OFF_TOL`` still counts as monotone: a converged
+    unstable mode moves by its discretization error, whose sign says
+    nothing.  Runs on one OpenBLAS thread.
     """
     alpha = _positive_wavenumber(alpha)
     n_list = tuple(map(operator.index, n_list))
@@ -227,7 +232,7 @@ def rayleigh_spectrum_scan(
     spectra = [_rayleigh_spectrum(profile, alpha, n) for n in n_list]
     dists = [_segment_distance(s, lo, hi) for s in spectra]
     max_dists = tuple(float(d.max()) for d in dists)
-    monotone = all(b <= a for a, b in zip(max_dists, max_dists[1:]))
+    monotone = all(b <= a + _OFF_TOL for a, b in zip(max_dists, max_dists[1:]))
 
     fine = spectra[-1][dists[-1] > _OFF_TOL]
     persistent = []

@@ -11,8 +11,8 @@ Subcommands map one-to-one onto the library drivers:
 Profiles are JSON, inline or in a file: {"family": "tanh_shear", "K": 2.0}.
 Unknown keys are rejected.  Exit codes: 0 success/certified, 1 violated/not
 certified, 2 inconclusive/degraded, 3 usage or invalid input.  All file
-output is written atomically and is byte-stable across reruns at a fixed
-OpenBLAS thread count.
+output is written atomically and is byte-stable across reruns; the drivers
+run on one OpenBLAS thread, so the bytes do not depend on the thread count.
 """
 
 from __future__ import annotations

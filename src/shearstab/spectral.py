@@ -11,12 +11,13 @@ Chebyshev coefficients (``ultraspherical``), factored in O(n) by LAPACK
 ``gbtrf``.  Every other rung, and every ``rayleigh_shifted`` rung, factors a
 dense collocation matrix (``resolvent_numbers``).
 
-Both routes hand their rung to ``_rung_norms``: a factored solve (LAPACK
-``getrs`` or ``gbtrs``, with its adjoint) and three maps, each with its
-adjoint, from weighted data to right-hand-side rows and from the solution
-to weighted node values and to weighted derivative values, so the norms are
-measured on the same nodes and weights on either route.  Up to the measured
-degree ``_MATRIX_STEP_MAX_DEGREE`` the maps are cached dense real matrices,
+Both routes hand their rung to ``_rung_norms``: a factored solve with its
+adjoint (two BLAS ``trsv`` sweeps on the ``getrf`` factors, ``_lu_solver``,
+or LAPACK ``gbtrs``) and three maps, each with its adjoint, from weighted
+data to right-hand-side rows and from the solution to weighted node values
+and to weighted derivative values, so the norms are measured on the same
+nodes and weights on either route.  Up to the measured degree
+``_MATRIX_STEP_MAX_DEGREE`` the maps are cached dense real matrices,
 one BLAS product each (the grid's ``d1`` on the collocation route,
 ``ultraspherical.node_maps`` on the banded one); above it they run through
 type-1 DCTs, O(n log n) per application.  Each norm is the top singular
@@ -64,7 +65,7 @@ from functools import cache, lru_cache, partial
 
 import numpy as np
 from scipy.linalg import eigh, eigvals, get_blas_funcs, get_lapack_funcs, svdvals
-from scipy.linalg.lapack import dstemr
+from scipy.linalg.lapack import dlaswp, dstemr
 from scipy.special import roots_legendre
 
 from .chebdiff import LADDER_FLOOR, N_MAX, _derivative, _derivative_t, _resample, build_grid
@@ -145,9 +146,14 @@ _BLAS_LOCK = threading.RLock()
 @contextmanager
 def _one_blas_thread():
     """Run the enclosed solves on one OpenBLAS thread, then restore the counts.
-    Serial runs of small (n <= 256) solves took 3-5x longer on two threads of
-    a shared 2-vCPU VM, and varied from process to process.  The count is
-    process-wide, so concurrent holders take turns."""
+
+    Every driver runs under it, so results do not depend on the thread
+    count.  Serial runs of small (n <= 256) solves took 3-5x longer on two
+    threads of a shared 2-vCPU VM, and varied from process to process.  One
+    call is slower on one thread: OpenBLAS ``getrs`` with a single
+    right-hand side (6.1 against 3.6 us at n = 87, 20.6 against 8.3 us at
+    n = 174), so the dense rung solves by ``trsv`` (``_lu_solver``).  The
+    count is process-wide, so concurrent holders take turns."""
     with _BLAS_LOCK:
         saved = [get() for get, _ in _openblas_counts()]
         for _, set_count in _openblas_counts():
@@ -420,6 +426,36 @@ def _banded_numbers(
     return _numbers(*_rung_norms(grid, data_nodes, system.backsolve, maps, complex, start))
 
 
+def _lu_solver(lu: np.ndarray, piv: np.ndarray):
+    """back(b, trans) on the ``getrf`` factors P A = L U: solves A x = b
+    (``trans`` 0) or A^H x = b (2); a matrix b is overwritten.
+
+    One right-hand side takes the row permutation, read once from ``laswp``
+    on 0..n-1, and two BLAS ``trsv`` sweeps; a matrix of them (the
+    explicit-SVD fallback) keeps LAPACK ``getrs``.  The matrix was checked
+    before its LU, so neither goes through ``lu_solve``'s checks and
+    dispatch on every Lanczos step.
+    """
+    (getrs,) = get_lapack_funcs(("getrs",), (lu,))
+    (trsv,) = get_blas_funcs(("trsv",), (lu,))
+    perm = dlaswp(np.arange(len(piv), dtype=float)[:, None], piv)[:, 0].astype(np.intp)
+    unperm = np.argsort(perm)
+
+    def back(b, trans):
+        if b.ndim == 1 and trans == 0:
+            y = trsv(lu, b[perm], lower=1, diag=1, overwrite_x=1)
+            return trsv(lu, y, overwrite_x=1)
+        if b.ndim == 1:
+            y = trsv(lu, b, trans=2)
+            return trsv(lu, y, lower=1, trans=2, diag=1, overwrite_x=1)[unperm]
+        x, info = getrs(lu, piv, b, trans=trans, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal getrs")
+        return x
+
+    return back
+
+
 class _StartVectors:
     """Top right singular vectors of the last rung of one ladder, one per
     norm, as node values on that rung's grid.  The next rung starts its
@@ -469,7 +505,7 @@ def resolvent_numbers(
             return dict(_SINGULAR)
         d, data_rows, sol_rows = 1.0 / row_max, ~op.bc_rows, slice(None)
     scaled = d[:, None] * mat
-    getrf, getrs, gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), (mat,))
+    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (mat,))
     anorm = np.linalg.norm(scaled, 1)
     lu, piv, info = getrf(scaled, overwrite_a=True)
     if info > 0 or gecon(lu, anorm, norm="1")[0] < _SINGULAR_RTOL:
@@ -478,14 +514,7 @@ def resolvent_numbers(
     ws = np.sqrt(grid.weights)
     data_nodes = np.arange(grid.n + 1)[sol_rows][data_rows]
     data_scale = d[data_rows] / ws[data_nodes]
-
-    # the matrix was checked above, so the solves call LAPACK directly and
-    # skip lu_solve's checks and dispatch on every Lanczos step
-    def back(b, trans):
-        x, info = getrs(lu, piv, b, trans=trans, overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal getrs")
-        return x
+    back = _lu_solver(lu, piv)
 
     def forcing(x):
         rhs = np.zeros(mat.shape[:1] + x.shape[1:], dtype=np.result_type(lu, x))
@@ -703,6 +732,7 @@ class PseudospectrumGrid:
     samples: tuple[ResolventSample, ...]
 
 
+@_one_blas_thread()
 def pseudospectrum_grid(
     profile: Profile,
     kind: str,
@@ -713,9 +743,9 @@ def pseudospectrum_grid(
 ) -> PseudospectrumGrid:
     """Map (mu, nu) -> resolvent norm at shifts lam = mu + i nu.
 
-    Each shift runs its own grid ladder, one after another: a thread pool
-    here ran 0.79x as fast as one thread on 2 cores, because the Lanczos
-    steps between solves run in Python.
+    Each shift runs its own grid ladder, one after another, on one OpenBLAS
+    thread: a thread pool here ran 0.79x as fast as one thread on 2 cores,
+    because the Lanczos steps between solves run in Python.
     """
     mu_values = np.asarray(mu_values, dtype=float)
     nu_values = np.asarray(nu_values, dtype=float)

@@ -28,6 +28,7 @@ from .operators import MAX_BETA, SpectralParams, assemble_schrodinger
 from .profile import Profile, x_of_nu
 from .spectral import (
     RESOLVENT_RTOL,
+    _one_blas_thread,
     _refine,
     ladder_start,
     resolvent_sample,
@@ -268,6 +269,7 @@ def _finish(kind, profile, rows, meta, fit_on=None, span_limit=None, **extra):
     )
 
 
+@_one_blas_thread()
 def _sample_rows(profile, kind, points, measure) -> list[SweepRow]:
     """One row per operating point from its resolvent ladder;
     measure(params, sample) -> (metric, bound_ratio)."""
@@ -278,6 +280,7 @@ def _sample_rows(profile, kind, points, measure) -> list[SweepRow]:
     return rows
 
 
+@_one_blas_thread()
 def _solve_rows(profile, betas, lam, rhs_of, metric_of, data_norm):
     """One row per beta from a direct solve of the advective operator.
 

@@ -129,7 +129,9 @@ def test_rayleigh_scan_finds_the_shooting_mode_of_steep_tanh(tanh3):
     c = _rayleigh_shooting(tanh3, 1.0, 0.4j, 0.42j)
     assert c.imag > 0.4
     scan = rayleigh_spectrum_scan(tanh3, 1.0)
-    assert not scan.monotone
+    # the converged mode's distance grows 0.41759727602 -> 0.41759729356,
+    # by its discretization error of 1.75e-8, far below _OFF_TOL
+    assert scan.monotone
     offsets = sorted(scan.persistent_offsets, key=lambda z: z.imag)
     assert len(offsets) == 2
     assert abs(offsets[0] - c.conjugate()) <= 1e-9

@@ -151,6 +151,22 @@ def test_rayleigh_scan_exit_one_on_unstable_mode(capsys):
     assert "persistent=2" in out
 
 
+def test_rayleigh_scan_exit_two_on_the_near_neutral_tanh(tmp_path, capsys):
+    # tanh_shear(1.3) at alpha = 0.5 has a near-neutral mode that no degree
+    # resolves: its largest distance grows 0 -> 0.0133 -> 0.0162, each step
+    # by more than the off-segment distance
+    out_json = tmp_path / "scan.json"
+    code, _, _ = run(
+        capsys, "rayleigh-scan", '{"family": "tanh_shear", "K": 1.3}', "--alpha", "0.5",
+        "--json", str(out_json),
+    )
+    result = json.loads(out_json.read_text())["result"]
+    assert code == 2
+    assert not result["monotone"]
+    assert result["persistent_offsets"] == []
+    assert result["max_distances"] == pytest.approx([0.0, 0.013277, 0.016238], rel=1e-4)
+
+
 def test_rayleigh_scan_rejects_bad_n_list(capsys):
     code, _, err = run(
         capsys, "rayleigh-scan", '{"family": "couette"}', "--n-list", "256,128"

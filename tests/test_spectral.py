@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+import pickle
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigvals, inv
+from scipy.linalg import eigvals, inv, lu_factor, lu_solve
 from scipy.optimize import brentq
 
 import shearstab as ss
@@ -447,6 +448,68 @@ def test_lanczos_norms_are_bit_identical_across_calls_and_threads(couette, cubic
             concurrent = [f.result(timeout=120) for f in futures]
         for other in [again, *concurrent]:
             assert other == first
+
+
+@pytest.mark.parametrize("kind", ["schrodinger", "orr_sommerfeld"])
+@pytest.mark.parametrize("n", [87, 174])
+def test_lu_solver_matches_lu_solve(cubic01, kind, n):
+    # a Dirichlet and a clamped rung (row-equilibrated as resolvent_numbers
+    # does) at a shift of the benchmark's Orr-Sommerfeld map.  One vector
+    # takes the trsv route, a block getrs.  The reference runs at the
+    # process's thread count: on one thread OpenBLAS getrs takes another
+    # kernel, and on the clamped n = 174 rung (1-norm condition about 1e6)
+    # the two differ by up to 7e-13.
+    params = ss.SpectralParams(1.0, 1e4, complex(-0.1, 0.5))
+    op = spectral._ASSEMBLERS[kind](cubic01, params, ss.build_grid(n))
+    mat = op.matrix
+    if op.bc == "clamped":
+        mat = mat / np.max(np.abs(mat), axis=1)[:, None]
+    lu, piv = lu_factor(mat)
+    back = spectral._lu_solver(lu, piv)
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal(len(piv)) + 1j * rng.standard_normal(len(piv))
+    block = rng.standard_normal((len(piv), 3)) + 1j * rng.standard_normal((len(piv), 3))
+    kept = b.copy()
+    for trans in (0, 2):
+        for rhs, got in ((b, back(b, trans)), (block, back(block.copy(), trans))):
+            ref = lu_solve((lu, piv), rhs, trans=trans)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.array_equal(b, kept)        # a vector is not overwritten
+
+
+@pytest.fixture
+def blas_counts():
+    counts = spectral._openblas_counts()
+    if not counts:
+        pytest.skip("no OpenBLAS thread-count entry points in this process")
+    saved = [get() for get, _ in counts]
+    yield counts
+    for (_, set_count), count in zip(counts, saved):
+        set_count(count)
+
+
+def test_drivers_give_the_same_bits_on_one_and_two_blas_threads(blas_counts, couette, cubic01):
+    # each driver at settings whose outputs move with the thread count when
+    # it is not held at one
+    runs = {
+        "pseudo": lambda: pseudospectrum_grid(
+            couette, "rayleigh_shifted", 1.0, 1e4, [-0.15, 0.12], [-0.7, 0.6]
+        ),
+        "os-boundary": lambda: ss.os_boundary_sweep(cubic01, betas=(1e4, 10**4.5)),
+        "schrodinger": lambda: ss.schrodinger_sweep(couette, betas=(1e3, 10**3.5)),
+        "l1-approx": lambda: ss.l1_approximation_sweep(ss.tanh_shear(1.0), betas=(1e4,)),
+        "rayleigh-scan": lambda: ss.rayleigh_spectrum_scan(ss.tanh_shear(3.0), 1.0),
+        "certify": lambda: ss.certify_profile(ss.tanh_shear(2.0)),
+    }
+    results = {name: [] for name in runs}
+    for count in (2, 1):
+        for _, set_count in blas_counts:
+            set_count(count)
+        for name, run in runs.items():
+            results[name].append(pickle.dumps(run()))
+            assert [get() for get, _ in blas_counts] == [count] * len(blas_counts), name
+    for name, (two, one) in results.items():
+        assert two == one, name
 
 
 def test_rayleigh_shifted_on_spectrum_is_singular_above_crossover(couette):
