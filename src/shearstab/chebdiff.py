@@ -276,6 +276,24 @@ def build_grid(n: int) -> ChebGrid:
     return grid
 
 
+def _ladder_cached(cache: dict, key, n: int, build):
+    """``build()`` with its arrays read-only, kept under (key, n) beside one grid ladder's
+    rungs only: entries of another key, or of a degree not n times a power of two, go
+    before a new one is built.  Racing threads at most build one twice, to the same bits."""
+    value = cache.get((key, n))
+    if value is None:
+        odd = n // (n & -n)
+        for old in list(cache):
+            if old[0] != key or old[1] // (old[1] & -old[1]) != odd:
+                cache.pop(old, None)
+        value = build()
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        cache[key, n] = value
+    return value
+
+
 def clamped_reduce(mat: np.ndarray, grid: ChebGrid) -> tuple[np.ndarray, np.ndarray]:
     """Border a full-grid operator with clamped boundary rows.
 

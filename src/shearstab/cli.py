@@ -23,6 +23,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -130,10 +131,18 @@ def _jsonable(obj):
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write through a temporary file and ``os.replace``, with the mode that
+    ``open(path, "w")`` gives: the target's own, or 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        os.umask(umask := os.umask(0o077))      # read it, then put it back
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".shearstab-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.chmod(tmp, mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import inv
 
-from .chebdiff import ChebGrid, clamped_reduce
+from .chebdiff import ChebGrid, _ladder_cached, clamped_reduce
 from .profile import DomainError, Profile, x_of_nu
 
 __all__ = [
@@ -227,17 +227,26 @@ def assemble_rayleigh(
     return AssembledOperator(matrix=mat, kind="rayleigh", bc="dirichlet", grid=grid)
 
 
+# U and U'' on the nodes of the latest ladder's dense rungs (``_node_values``)
+_NODE_VALUES: dict = {}
+
+
+def _node_values(profile: Profile, grid: ChebGrid) -> tuple[np.ndarray, np.ndarray]:
+    """U and U'' on every node: what no shift, alpha or beta changes in a dense rung."""
+    return _ladder_cached(
+        _NODE_VALUES, profile, grid.n, lambda: (profile.u(grid.nodes), profile.deriv(grid.nodes, 2))
+    )
+
+
 def assemble_schrodinger(
     profile: Profile,
     params: SpectralParams,
     grid: ChebGrid,
 ) -> AssembledOperator:
     """-d2 + i*beta*diag(U) - beta*lam on interior nodes (Dirichlet)."""
-    xi = grid.nodes[1:-1]
+    u = _node_values(profile, grid)[0][1:-1]
     mat = _minus_d2(grid, complex)
-    mat[np.diag_indices_from(mat)] += (
-        1j * params.beta * profile.u(xi) - params.beta * params.lam
-    )
+    mat[np.diag_indices_from(mat)] += 1j * params.beta * u - params.beta * params.lam
     return AssembledOperator(matrix=mat, kind="schrodinger", bc="dirichlet", grid=grid)
 
 
@@ -256,13 +265,13 @@ def assemble_orr_sommerfeld(
     """
     if not params.beta > 0.0:
         raise ValueError("fourth-order operator needs beta > 0")
-    x = grid.nodes
     a2 = params.alpha * params.alpha
-    c = 1j * params.beta * (profile.u(x) + 1j * params.lam)
+    u, u2 = _node_values(profile, grid)
+    c = 1j * params.beta * (u + 1j * params.lam)
     full = np.empty((grid.n + 1, grid.n + 1), dtype=complex)
     full.real = grid.d4 - a2 * grid.d2 - c.real[:, None] * grid.d2
     full.imag = -c.imag[:, None] * grid.d2
-    full[np.diag_indices_from(full)] += a2 * c + 1j * params.beta * profile.deriv(x, 2)
+    full[np.diag_indices_from(full)] += a2 * c + 1j * params.beta * u2
     mat, mask = clamped_reduce(full, grid)
     return AssembledOperator(
         matrix=mat, kind="orr_sommerfeld", bc="clamped", grid=grid, bc_rows=mask

@@ -31,8 +31,12 @@ its explicit solution operator, formed from the factorization.  The first
 rung of a ladder starts from a fixed ramp, so repeated runs agree bit for
 bit; each later rung starts from the previous rung's top right singular
 vectors, resampled through their Chebyshev coefficients, and never from
-another shift.  A rung of the benchmark's sweeps takes about 15 solves for
-its two norms, and one of its shift maps about 16.
+another shift.  On the shift maps' ladders (beta 1e4) the two norms take
+about 29 (Schrodinger) and 17 (Orr-Sommerfeld) solves on the cold n = 87
+rung, and 8-10 on the warm n = 174 one.  What no shift changes in a rung
+(U and U'' on the nodes, U's series, and up to ``_MATRIX_STEP_MAX_DEGREE``
+the node maps and tau U band) is built once per degree and shared by the
+shifts; each cache keeps one ladder's degrees (``chebdiff._ladder_cached``).
 
 The certificate eigenvalue is not collocated: each rung of
 ``eig_floor_ladder`` is one symmetric-definite Galerkin solve on Shen's
@@ -79,6 +83,7 @@ from .operators import (
 )
 from .profile import Profile
 from .ultraspherical import ORDERS, TauSystem, _dct_maps, node_maps, velocity_series
+from .ultraspherical import _MATRIX_STEP_MAX_DEGREE
 
 __all__ = [
     "weighted_norm",
@@ -95,15 +100,6 @@ __all__ = [
 # a reciprocal condition number below this means the shift sits on the
 # discrete spectrum and the resolvent number is noise
 _SINGULAR_RTOL = 1e3 * np.finfo(float).eps
-# Up to this degree a rung's node maps are dense real matrices, one BLAS
-# call each (the grid's d1 on the dense route, ``ultraspherical.node_maps``
-# on the banded one), and a rung whose Lanczos recurrence reaches the step
-# cap falls back to the explicit SVDs; above it, type-1 DCTs.  Measured (see
-# CHANGES.md) at n = 160-192, medians of 15 runs over 3 shifts per kind: a
-# banded rung with cached node maps, as every rung after the first of its
-# shape finds them, takes 0.50-0.61x the DCT step, and a single-use rung
-# that builds them 0.98-1.66x; dense rungs gain up to n = 300.
-_MATRIX_STEP_MAX_DEGREE = 192
 # Golub-Kahan-Lanczos for the resolvent norms: relative bound on the error
 # of the top Ritz value at which the recurrence stops, and the step cap past
 # which it gives up (the benchmark's sweeps and shift maps at beta 1e4 and
@@ -230,15 +226,34 @@ class _NoConvergence(RuntimeError):
     """``_top_singular`` reached its step cap."""
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a vector to the bit, from its own two dots."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def _orthogonalize(w: np.ndarray, basis: np.ndarray, gemv) -> np.ndarray:
     """w minus its projection on the orthonormal rows of basis, applied twice
     so the result is orthogonal to working precision.  BLAS ``gemv`` with
     trans=2 takes the inner products straight from the rows, with no
     conjugated copy of them."""
     if basis.shape[0]:
+        cols = basis.T
         for _ in range(2):
-            w = gemv(-1.0, basis.T, gemv(1.0, basis.T, w, trans=2), beta=1.0, y=w)
+            w = gemv(-1.0, cols, gemv(1.0, cols, w, trans=2), beta=1.0, y=w)
     return w
+
+
+def _ritz_pairs(off: np.ndarray):
+    """Eigenpairs n - 1 and n (LAPACK ``dstemr``, range 2; O(n) each) of the
+    zero-diagonal tridiagonal with off-diagonal off[:-1], n = len(off).
+    scipy's wrapper writes into e and reads its last entry: a copy ending in 0."""
+    n = off.shape[0]
+    e = off.copy()
+    e[-1] = 0.0
+    _, vals, vecs, info = dstemr(np.zeros(n), e, 2, 0.0, 0.0, n - 1, n)
+    if info:
+        raise _NoConvergence(f"dstemr failed (info {info})")
+    return vals, vecs
 
 
 def _top_ritz(alphas: np.ndarray, betas: np.ndarray):
@@ -246,14 +261,10 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray):
     diag(betas, 1), as in ``_top_singular``, from the top two eigenpairs of
     the Golub-Kahan tridiagonal of [[0, B], [B^T, 0]]: zero diagonal,
     off-diagonal (alpha_0, beta_0, ..., alpha_j), eigenvalues +-sigma_i and
-    top eigenvector (q_0, p_0, q_1, p_1, ...) / sqrt(2).  LAPACK ``dstemr``
-    computes just those two (range 2: eigenpairs n - 1 and n), O(j) each."""
-    n = 2 * alphas.shape[0]
-    off = np.zeros(n)                  # the last entry is dstemr's workspace
+    top eigenvector (q_0, p_0, q_1, p_1, ...) / sqrt(2) (``_ritz_pairs``)."""
+    off = np.zeros(2 * alphas.shape[0])
     off[0::2], off[1:-1:2] = alphas, betas
-    _, vals, vecs, info = dstemr(np.zeros(n), off, 2, 0.0, 0.0, n - 1, n)
-    if info:
-        raise _NoConvergence(f"dstemr failed (info {info})")
+    vals, vecs = _ritz_pairs(off)
     top = math.sqrt(2.0) * vecs[:, 1]
     return vals[1], vals[0], top[-1], top[0::2]
 
@@ -275,28 +286,30 @@ def _top_singular(apply, apply_h, v0: np.ndarray):
     """
     steps = min(_GKL_MAX_STEPS, v0.shape[0])
     vs = np.zeros((steps + 1, v0.shape[0]), dtype=v0.dtype)
-    vs[0] = v0 / np.linalg.norm(v0)
+    vs[0] = v0 / _norm(v0)
     u = apply(vs[0])
     us = np.zeros((steps, u.shape[0]), dtype=u.dtype)
     (gemv,) = get_blas_funcs(("gemv",), (vs, us))
-    alphas, betas = np.zeros(steps), np.zeros(steps)
+    off = np.zeros(2 * steps)
     theta = 0.0
     for j in range(steps):
         u = _orthogonalize(u, us[:j], gemv)
-        alphas[j] = np.linalg.norm(u)
-        if alphas[j] > _GKL_RTOL * theta:
-            us[j] = u / alphas[j]
+        alpha, beta = _norm(u), 0.0
+        if alpha > _GKL_RTOL * theta:         # else a breakdown: off[2j] stays 0
+            off[2 * j] = alpha
+            np.divide(u, alpha, out=us[j])
             p = _orthogonalize(apply_h(us[j]), vs[: j + 1], gemv)
-            betas[j] = np.linalg.norm(p)
-        else:
-            alphas[j] = 0.0
-        theta, theta_2, p_j, q = _top_ritz(alphas[: j + 1], betas[:j])
-        r = betas[j] * abs(p_j)
-        if betas[j] <= _GKL_RTOL * theta or (
+            beta = _norm(p)
+        vals, vecs = _ritz_pairs(off[: 2 * j + 2])
+        theta, theta_2 = vals.item(1), vals.item(0)
+        r = beta * abs(math.sqrt(2.0) * vecs.item(-1, 1))
+        if beta <= _GKL_RTOL * theta or (
             j and r * r <= _GKL_RTOL * theta * (theta - theta_2)
         ):
-            return float(theta), (q @ vs[: j + 1] if theta else vs[0])
-        vs[j + 1] = p / betas[j]
+            q = (math.sqrt(2.0) * vecs[:, 1])[0::2]
+            return theta, (q @ vs[: j + 1] if theta else vs[0])
+        off[2 * j + 1] = beta
+        np.divide(p, beta, out=vs[j + 1])
         u = apply(vs[j + 1])
     raise _NoConvergence(f"Golub-Kahan-Lanczos did not converge in {steps} steps")
 
@@ -311,36 +324,6 @@ def _real_matmul(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (mat @ pairs).view(np.complex128).reshape(mat.shape[:1] + x.shape[1:])
 
 
-def _lanczos_norms(n, data_nodes, ws_in, maps, dtype, start) -> tuple[float, float]:
-    """Top singular values of the two weighted solution maps ``maps``, each a
-    pair (apply, apply_h) of the map from weighted data on ``data_nodes`` and
-    its adjoint: the solve and its derivative.  A recurrence that reaches
-    ``_GKL_MAX_STEPS`` without meeting its bound raises ``_NoConvergence``.
-
-    ``start`` carries the top right singular vectors from one rung of a
-    ladder to the next, as node values; without them each recurrence starts
-    from a fixed ramp.
-    """
-    if start is not None and start.values is not None:
-        v0s = [_resample(f, n)[data_nodes] * ws_in for f in start.values]
-    else:
-        # A fixed ramp keeps repeated runs bit-identical; it has both even
-        # and odd parts, so a parity symmetry of the profile cannot make it
-        # orthogonal to the top singular vector.
-        v0s = [np.linspace(1.0, 2.0, len(ws_in))] * 2
-    found = [
-        _top_singular(apply, apply_h, v0.astype(dtype))
-        for (apply, apply_h), v0 in zip(maps, v0s)
-    ]
-    if start is not None:
-        start.values = []
-        for _, v in found:
-            f = np.zeros(n + 1, dtype=v.dtype)
-            f[data_nodes] = v / ws_in
-            start.values.append(f)
-    return found[0][0], found[1][0]
-
-
 def _rung_norms(grid, data_nodes, back, maps, dtype, start) -> tuple[float, float]:
     """Weighted norms of one rung's solution map and of its derivative, on
     either route.
@@ -352,29 +335,45 @@ def _rung_norms(grid, data_nodes, back, maps, dtype, start) -> tuple[float, floa
     weighted derivative values W u', W the square-root quadrature weights.
     Returns (||W u||, ||W u'||) over unit ||x||.
 
-    Both come from ``_lanczos_norms``.  A rung up to
-    ``_MATRIX_STEP_MAX_DEGREE`` whose recurrence reaches the step cap, as
-    on a tight cluster of top singular values, takes them instead as the
-    top singular values of the explicit solution operator, solved for every
-    data node at once; above that degree it is unmeasurable, both norms
-    infinite, and ``_numbers`` reports it singular.
+    Each is a top singular value from ``_top_singular``.  ``start`` carries
+    the top right singular vectors from one rung of a ladder to the next,
+    as node values; without them each recurrence starts from a fixed ramp.
+    A rung up to ``_MATRIX_STEP_MAX_DEGREE`` whose recurrence reaches the
+    step cap, as on a tight cluster of top singular values, takes them
+    instead as the top singular values of the explicit solution operator,
+    solved for every data node at once; above that degree it is
+    unmeasurable, both norms infinite, and ``_numbers`` reports it singular.
     """
-    ws_in = np.sqrt(grid.weights)[data_nodes]
+    n, ws_in = grid.n, np.sqrt(grid.weights)[data_nodes]
     (forcing, forcing_h), *outs = maps
-    solves = [
-        (
-            lambda x, out=out: out(back(forcing(x), 0)),
-            lambda y, out_h=out_h: forcing_h(back(out_h(y), 2)),
-        )
-        for out, out_h in outs
-    ]
+    if start is not None and start.values is not None:
+        v0s = [_resample(f, n)[data_nodes] * ws_in for f in start.values]
+    else:
+        # A fixed ramp keeps repeated runs bit-identical; it has both even
+        # and odd parts, so a parity symmetry of the profile cannot make it
+        # orthogonal to the top singular vector.
+        v0s = [np.linspace(1.0, 2.0, len(ws_in))] * 2
     try:
-        return _lanczos_norms(grid.n, data_nodes, ws_in, solves, dtype, start)
+        found = [
+            _top_singular(
+                lambda x, out=out: out(back(forcing(x), 0)),
+                lambda y, out_h=out_h: forcing_h(back(out_h(y), 2)),
+                v0.astype(dtype),
+            )
+            for (out, out_h), v0 in zip(outs, v0s)
+        ]
     except _NoConvergence:
-        if grid.n > _MATRIX_STEP_MAX_DEGREE:
+        if n > _MATRIX_STEP_MAX_DEGREE:
             return math.inf, math.inf
-    u = back(forcing(np.eye(len(ws_in), dtype=dtype)), 0)
-    return tuple(float(svdvals(out(u))[0]) for out, _ in outs)
+        u = back(forcing(np.eye(len(ws_in), dtype=dtype)), 0)
+        return tuple(float(svdvals(out(u))[0]) for out, _ in outs)
+    if start is not None:
+        start.values = []
+        for _, v in found:
+            f = np.zeros(n + 1, dtype=v.dtype)
+            f[data_nodes] = v / ws_in
+            start.values.append(f)
+    return found[0][0], found[1][0]
 
 
 _SINGULAR = {

@@ -49,6 +49,7 @@ from numpy.polynomial import chebyshev
 from scipy.linalg import lapack
 
 from .chebdiff import ChebGrid, _coef_derivative, _coef_derivative_t, _coefficients, _values
+from .chebdiff import _ladder_cached
 from .operators import SpectralParams
 from .profile import Profile
 
@@ -61,6 +62,17 @@ _CHOP_RTOL = 4e-16
 ORDERS = {"schrodinger": 2, "orr_sommerfeld": 4}
 # moduli below this have no sign in the condition estimate (LAPACK's safmin)
 _SAFE_MIN = np.finfo(float).tiny
+# Up to this degree a rung's node maps are dense real matrices, one BLAS
+# call each (the grid's d1 on the dense route, ``node_maps`` on the banded
+# one), and a rung whose Lanczos recurrence reaches the step cap falls back
+# to the explicit SVDs; above it, type-1 DCTs.  Measured (see
+# CHANGES.md) at n = 160-192, medians of 15 runs over 3 shifts per kind: a
+# banded rung with cached node maps, as every rung after the first of its
+# shape finds them, takes 0.50-0.61x the DCT step, and a single-use rung
+# that builds them 0.98-1.66x; dense rungs gain up to n = 300.  Only these
+# small tau rungs keep their U band: a large one would hold memory through
+# its Lanczos steps, and rebuilds in a small share of its time.
+_MATRIX_STEP_MAX_DEGREE = 192
 
 
 class _Band(NamedTuple):
@@ -143,17 +155,10 @@ def _multiplication(f: np.ndarray, size: int) -> _Band:
     toeplitz = 0.5 * np.concatenate((f[::-1], f[1:]))
     toeplitz[d] = f[0]
     ab = np.repeat(toeplitz[:, None], size, axis=1)
-    rows, cols, terms = _hankel(d)
-    ab[rows, cols] += 0.5 * f[terms]
-    return _Band(ab, d, d)
-
-
-@functools.lru_cache(maxsize=64)
-def _hankel(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Storage rows, columns and series terms of M[f]'s Hankel entries:
-    rows i = 1..d of the matrix, columns j with i + j <= d."""
+    # the Hankel entries: rows i = 1..d of the matrix, columns j with i + j <= d
     i, j = np.nonzero(np.add.outer(np.arange(1, d + 1), np.arange(d + 1)) <= d)
-    return d + 1 + i - j, j, i + j + 1
+    ab[d + 1 + i - j, j] += 0.5 * f[i + j + 1]
+    return _Band(ab, d, d)
 
 
 def _kept(band: _Band, rows: int) -> _Band:
@@ -162,12 +167,21 @@ def _kept(band: _Band, rows: int) -> _Band:
     return _Band(np.where(i < rows, band.ab, 0.0), band.kl, band.ku)
 
 
+# shift-free parts of the latest ladder's tau rungs, per degree
+_SERIES: dict = {}
+_U_BANDS: dict = {}
+
+
 def velocity_series(profile: Profile, grid: ChebGrid) -> np.ndarray:
-    """Chebyshev coefficients of U interpolated on the grid's nodes, without
-    the trailing ones below ``_CHOP_RTOL`` of the largest."""
-    coef = _coefficients(profile.u(grid.nodes))
-    big = np.flatnonzero(np.abs(coef) > _CHOP_RTOL * np.max(np.abs(coef)))
-    return coef[: big[-1] + 1] if big.size else coef[:1]
+    """Chebyshev coefficients of U on the grid's nodes, read-only and built
+    once per ladder rung, without the trailing ones below ``_CHOP_RTOL``."""
+
+    def build():
+        coef = _coefficients(profile.u(grid.nodes))
+        big = np.flatnonzero(np.abs(coef) > _CHOP_RTOL * np.max(np.abs(coef)))
+        return coef[: big[-1] + 1] if big.size else coef[:1]
+
+    return _ladder_cached(_SERIES, profile, grid.n, build)
 
 
 class _Structure(NamedTuple):
@@ -248,19 +262,30 @@ def _gather_t(diagonals, y: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
+def _u_band(st: _Structure, series: np.ndarray, a2: float) -> _Band:
+    """The U terms of ``_tau_matrix`` over their factor i b, which no beta or
+    shift changes: S M[U] Q (order 2) or the Orr-Sommerfeld flux times Q."""
+    pad = st.conv.ab.shape[1]
+    mu = _multiplication(series, pad)
+    if st.second is None:
+        return _matmul(_matmul(st.conv, mu), st.basis)
+    helm = _combine((a2, st.conv), (-1.0, st.second))
+    mu1 = _multiplication(chebyshev.chebder(series), pad)
+    flux = _combine((1.0, _matmul(helm, mu)), (2.0, _matmul(st.first, mu1)))
+    return _matmul(flux, st.basis)
+
+
 def _tau_matrix(kind: str, series: np.ndarray, params: SpectralParams, n: int) -> _Band:
     """The square tau matrix of ``kind`` on the basis phi, for U's Chebyshev
     ``series``, in the storage ``gbtrf`` factors: kl rows on top for the
     fill-in of pivoting."""
-    m = ORDERS[kind]
-    st = _structure(m, n)
-    pad = st.conv.ab.shape[1]
+    st = _structure(ORDERS[kind], n)
     b, a2, shift = params.beta, params.alpha * params.alpha, params.beta * params.lam
-    mu = _multiplication(series, pad)
-    if m == 2:
+    build, key = functools.partial(_u_band, st, series, a2), (kind, series.tobytes(), a2)
+    u_q = build() if n > _MATRIX_STEP_MAX_DEGREE else _ladder_cached(_U_BANDS, key, n, build)
+    if kind == "schrodinger":
         # -D_2 Q - b lam S Q + i b S M[U] Q in C^(2), S = S_1 S_0
         top_q, conv_q = st.on_basis
-        u_q = _matmul(_matmul(st.conv, mu), st.basis)
         terms = ((-1.0, top_q), (-shift, conv_q), (1j * b, u_q))
     else:
         # U u'' - U'' u = (U u)'' - 2 (U' u)' turns the operator into
@@ -268,10 +293,6 @@ def _tau_matrix(kind: str, series: np.ndarray, params: SpectralParams, n: int) -
         #  + i b [(a^2 S - S_3 S_2 D_2) M[U] + 2 S_3 S_2 S_1 D_1 M[U']]) Q
         # in C^(4), S = S_3 S_2 S_1 S_0
         top_q, conv_q, second_q = st.on_basis
-        helm = _combine((a2, st.conv), (-1.0, st.second))
-        mu1 = _multiplication(chebyshev.chebder(series), pad)
-        flux = _combine((1.0, _matmul(helm, mu)), (2.0, _matmul(st.first, mu1)))
-        u_q = _matmul(flux, st.basis)
         terms = ((1.0, top_q), (shift - a2, second_q), (-a2 * shift, conv_q), (1j * b, u_q))
     ab, kl, ku = _combine(*terms, fill=True)
     return _Band(ab[:, : st.size], kl, ku)
@@ -305,9 +326,9 @@ class TauSystem:
         that overflows reads as 0."""
         size = self._lu.shape[1]
 
-        def norm_1(x):
-            y = self.backsolve(x.astype(complex))
-            return float(np.sum(np.abs(y))), y
+        def norm_1(x):                      # x complex: the solve overwrites it
+            y = self.backsolve(x)
+            return float(np.abs(y).sum()), y
 
         def gradient(y):
             # |A^-H sign(y)|: its largest entry picks the next unit vector
@@ -316,18 +337,20 @@ class TauSystem:
             return np.abs(self.backsolve(sign, 2))
 
         with np.errstate(all="ignore"):     # overflow leaves est inf or nan
-            est, y = norm_1(np.full(size, 1.0 / size))
+            est, y = norm_1(np.full(size, 1.0 / size, dtype=complex))
             z = gradient(y)
-            j = int(np.argmax(z))
+            j = int(z.argmax())
             for _ in range(4):
-                old, (est, y) = est, norm_1(np.eye(1, size, j)[0])
+                old, (est, y) = est, norm_1(np.eye(1, size, j, dtype=complex)[0])
                 if est <= old:
                     break
                 z = gradient(y)
-                last, j = j, int(np.argmax(z))
+                last, j = j, int(z.argmax())
                 if z[last] == z[j]:
                     break
-            alt = (1.0 + np.arange(size) / max(size - 1, 1)) * (-1.0) ** np.arange(size)
+            alt = np.zeros(size, dtype=complex)
+            alt.real = 1.0 + np.arange(size) / max(size - 1, 1)
+            alt.real[1::2] *= -1.0          # times (-1)^k
             temp = 2.0 * norm_1(alt)[0] / (3 * size)
             est = est if temp <= est else temp      # a nan carries through
         if not (est < math.inf and self._anorm):
@@ -345,10 +368,7 @@ class TauSystem:
         return x
 
 
-# the node maps of the latest (order, degree): the ladders of a shift map
-# share one shape per kind, and holding one set, dropped before the next is
-# built, keeps peak memory down.  Threads that race here at most build a
-# shape twice, to the same bits.
+# the node maps of the latest ladder's tau rungs, per (order, degree)
 _NODE_MAPS: dict = {}
 
 
@@ -361,18 +381,13 @@ def node_maps(m: int, grid: ChebGrid) -> tuple[np.ndarray, np.ndarray, np.ndarra
     to the kept rows of S a, a the Chebyshev coefficients of f; ``values``
     takes basis coefficients c to W sum c_k phi_k on every node, and
     ``slopes`` to W (sum c_k phi_k)'.  Each is the map of ``_dct_maps``
-    applied to the identity, read-only.  Only the latest shape is kept, and
-    it is dropped before another is built.
+    applied to the identity, read-only, and kept for the rungs of one
+    ladder only.
     """
-    maps = _NODE_MAPS.get((m, grid.n))
-    if maps is None:
-        _NODE_MAPS.clear()
-        eye = np.eye(grid.n + 1 - m)
-        maps = tuple(apply(eye) for apply, _ in _dct_maps(m, grid))
-        for mat in maps:
-            mat.setflags(write=False)
-        _NODE_MAPS[m, grid.n] = maps
-    return maps
+    size = grid.n + 1 - m
+    return _ladder_cached(
+        _NODE_MAPS, m, grid.n, lambda: tuple(apply(np.eye(size)) for apply, _ in _dct_maps(m, grid))
+    )
 
 
 def _dct_maps(m: int, grid: ChebGrid):

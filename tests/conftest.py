@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import shearstab as ss
+from shearstab import operators, ultraspherical
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +35,18 @@ def grid32():
 @pytest.fixture(scope="session")
 def grid64():
     return ss.build_grid(64)
+
+
+@pytest.fixture
+def rung_caches():
+    """Every cache of shift-free rung parts; a test clears them for a rung
+    that must build its own."""
+    return (
+        ultraspherical._SERIES,
+        ultraspherical._U_BANDS,
+        ultraspherical._NODE_MAPS,
+        operators._NODE_VALUES,
+    )
 
 
 def assert_close(actual, expected, tol, label=""):

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 
@@ -479,17 +480,18 @@ def test_json_is_byte_identical_across_thread_counts(tmp_path, capsys, argv):
     [("schrodinger", "0", "5e4"), ("orr_sommerfeld", "1", "7e4")],
 )
 def test_pseudo_output_is_byte_identical_across_the_matrix_step_cap(
-    tmp_path, capsys, kind, alpha, beta
+    tmp_path, capsys, rung_caches, kind, alpha, beta
 ):
     # rungs at or below _MATRIX_STEP_MAX_DEGREE take the matrix step, with
-    # the node maps built cold on the first run and cached on the second;
-    # the rungs above it take the DCT step
-    from shearstab import ultraspherical
+    # the node maps and the other shift-free rung parts built cold on the
+    # first run and cached on the second; the rungs above it take the DCT
+    # step
     from shearstab.spectral import _MATRIX_STEP_MAX_DEGREE, ladder_start
 
     start = ladder_start(float(beta))
     assert start <= _MATRIX_STEP_MAX_DEGREE < 2 * start
-    ultraspherical._NODE_MAPS.clear()
+    for cache in rung_caches:
+        cache.clear()
     outputs = []
     for tag in ("cold", "warm"):
         paths = [tmp_path / f"{tag}.{suffix}" for suffix in ("json", "csv")]
@@ -503,6 +505,28 @@ def test_pseudo_output_is_byte_identical_across_the_matrix_step_cap(
     assert outputs[0] == outputs[1]
     used = {s["n_used"] for s in json.loads(outputs[0][0])["result"]["samples"]}
     assert used == {2 * start}
+
+
+def test_outputs_get_the_mode_open_would_give(tmp_path, capsys):
+    # a new file takes 0o666 less the umask, and a rewritten one keeps its
+    # mode, as open(path, "w") would do; the temporary file behind the
+    # atomic write is made 0o600
+    old = os.umask(0o022)
+    try:
+        new, kept = tmp_path / "new.json", tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        kept.chmod(0o640)
+        code, _, err = run(
+            capsys, "pseudo", _COUETTE, "--mu-range", "-0.3", "-0.3", "1",
+            "--nu-range", "0.1", "0.1", "1", "--json", str(new), "--csv", str(kept),
+        )
+    finally:
+        os.umask(old)
+    assert code == 0, err
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    assert kept.read_text().startswith("mu,nu,")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "new.json"]
 
 
 def test_thread_environment_variable_is_ignored(monkeypatch, capsys):

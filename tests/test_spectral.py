@@ -720,6 +720,133 @@ def test_tridiagonal_ritz_step_matches_the_bidiagonal_svd(breakdown):
         assert np.max(np.abs(sign * q - right_h[0])) <= tol
 
 
+def _reference_top_singular(apply, apply_h, v0):
+    """``_top_singular`` as one loop that keeps alphas and betas apart and
+    calls ``_top_ritz(alphas[: j + 1], betas[:j])`` at every step, with
+    ``np.linalg.norm``: the bits the running tridiagonal must keep."""
+    from shearstab.spectral import _GKL_RTOL, _orthogonalize, _top_ritz
+    from scipy.linalg import get_blas_funcs
+
+    steps = min(spectral._GKL_MAX_STEPS, v0.shape[0])
+    vs = np.zeros((steps + 1, v0.shape[0]), dtype=v0.dtype)
+    vs[0] = v0 / np.linalg.norm(v0)
+    u = apply(vs[0])
+    us = np.zeros((steps, u.shape[0]), dtype=u.dtype)
+    (gemv,) = get_blas_funcs(("gemv",), (vs, us))
+    alphas, betas = np.zeros(steps), np.zeros(steps)
+    theta = 0.0
+    for j in range(steps):
+        u = _orthogonalize(u, us[:j], gemv)
+        alphas[j] = np.linalg.norm(u)
+        if alphas[j] > _GKL_RTOL * theta:
+            us[j] = u / alphas[j]
+            p = _orthogonalize(apply_h(us[j]), vs[: j + 1], gemv)
+            betas[j] = np.linalg.norm(p)
+        else:
+            alphas[j] = 0.0
+        head, tail = alphas[: j + 1].copy(), betas[:j].copy()
+        theta, theta_2, p_j, q = _top_ritz(alphas[: j + 1], betas[:j])
+        assert np.array_equal(alphas[: j + 1], head) and np.array_equal(betas[:j], tail)
+        r = betas[j] * abs(p_j)
+        if betas[j] <= _GKL_RTOL * theta or (j and r * r <= _GKL_RTOL * theta * (theta - theta_2)):
+            return float(theta), (q @ vs[: j + 1] if theta else vs[0])
+        vs[j + 1] = p / betas[j]
+        u = apply(vs[j + 1])
+    raise AssertionError("no convergence")
+
+
+@pytest.mark.parametrize(
+    "values, start",
+    [
+        (CLUSTER, "ramp"),
+        (CLUSTER, "split"),
+        ([3.0, 2.0, 1.0], "ramp"),
+        ([3.0, 2.0, 1.0], "split"),
+        (list(np.linspace(2.0, 0.1, 30)), "ramp"),
+        ([0.0], "ramp"),
+    ],
+)
+def test_top_singular_keeps_the_bits_of_a_ritz_step_per_iteration(values, start):
+    # The running Golub-Kahan tridiagonal, the inline norms and the late top
+    # Ritz vector give the same bits as a fresh _top_ritz call on the
+    # alphas and betas at every step, on the synthetic operators (cluster,
+    # breakdown of alpha and of beta, a spread spectrum, zero)
+    from shearstab.spectral import _top_singular
+
+    a, q2 = _synthetic(values)
+    v0 = RAMP if start == "ramp" else (q2[:, :3] @ np.array([1.0, 2.0, 1.0])).astype(complex)
+    ops = (lambda x: a @ x, lambda y: a.conj().T @ y, v0)
+    theta, v = _top_singular(*ops)
+    ref_theta, ref_v = _reference_top_singular(*ops)
+    assert (type(theta), theta.hex()) == (float, ref_theta.hex())
+    assert v.tobytes() == ref_v.tobytes()
+
+
+def test_ritz_pairs_ignore_the_entry_past_the_tridiagonal():
+    # scipy's dstemr reads the last entry of e, and writes into e: a caller's
+    # running array keeps its values, and a nonzero entry past the
+    # tridiagonal leaves the eigenpairs unchanged
+    from shearstab.spectral import _ritz_pairs
+
+    rng = np.random.default_rng(10)
+    off = np.zeros(10)
+    off[:-1] = rng.uniform(0.5, 2.0, 9)
+    kept = off.copy()
+    vals, vecs = _ritz_pairs(off)
+    assert np.array_equal(off, kept)
+    off[-1] = 3.0
+    again = _ritz_pairs(off)
+    assert np.array_equal(again[0][:2], vals[:2]) and np.array_equal(again[1], vecs)
+    ref = np.linalg.eigvalsh(np.diag(kept[:-1], 1) + np.diag(kept[:-1], -1))
+    assert vals[:2] == pytest.approx(ref[-2:], rel=1e-13)
+
+
+def _bits(sample):
+    return [repr(v) for v in dataclasses.astuple(sample)]
+
+
+@pytest.mark.parametrize("beta", [1e4, 5e4])
+@pytest.mark.parametrize(
+    "kind, profile, alpha",
+    [("schrodinger", ss.couette(), 0.0), ("orr_sommerfeld", ss.cubic(0.1), 1.0)],
+)
+def test_a_map_sample_does_not_depend_on_the_map(rung_caches, kind, profile, alpha, beta):
+    # The shifts of a map share each rung's shift-free parts.  Every sample
+    # of a 3x3 map equals, field for field and bit for bit, the same shift
+    # sampled alone with every such part built cold: ladders 87 -> 174 at
+    # beta 1e4, and 148 -> 296 at 5e4, from the dense rungs across
+    # _BANDED_MIN_DEGREE = 160 and _MATRIX_STEP_MAX_DEGREE = 192
+    mus, nus = np.linspace(-0.2, 0.2, 3), np.linspace(-1.0, 1.0, 3)
+    for cache in rung_caches:
+        cache.clear()
+    samples = pseudospectrum_grid(profile, kind, alpha, beta, mus, nus).samples
+    assert {s.n_start for s in samples} == {ladder_start(beta)}
+    assert 2 * ladder_start(beta) in {s.n_used for s in samples}
+    for sample in samples:
+        for cache in rung_caches:
+            cache.clear()
+        with spectral._one_blas_thread():      # as pseudospectrum_grid runs
+            alone = resolvent_sample(profile, ss.SpectralParams(alpha, beta, sample.lam), kind)
+        assert _bits(alone) == _bits(sample)
+
+
+def test_rung_caches_hold_one_ladder_after_a_sweep(rung_caches, cubic01):
+    # each cache keeps the rungs of the latest ladder that used it: one key,
+    # degrees one doubling chain.  The last ladder of the default os-boundary
+    # sweep (beta 1e7) is 862 -> 1724 on the banded route.  U bands are kept
+    # up to _MATRIX_STEP_MAX_DEGREE only, and U's series differs in its last
+    # bits from rung to rung, so one band stays: beta 1e5's rung 186.
+    from shearstab import ultraspherical
+
+    ss.os_boundary_sweep(cubic01)
+    for cache in rung_caches:
+        assert cache
+        assert len({key for key, _ in cache}) == 1
+        assert len({n // (n & -n) for _, n in cache}) == 1
+    assert sorted(n for _, n in ultraspherical._SERIES) == [862, 1724]
+    assert [n for _, n in ultraspherical._U_BANDS] == [186]
+
+
 @pytest.mark.parametrize(
     "kind, profile, alpha",
     [("schrodinger", ss.couette(), 0.0), ("orr_sommerfeld", ss.cubic(0.1), 1.0)],

@@ -342,6 +342,41 @@ def test_small_banded_rung_lanczos_norms_equal_its_explicit_svds(monkeypatch, ki
         assert explicit[key] == pytest.approx(lanczos[key], rel=1e-12, abs=0.0), key
 
 
+def _hager_higham(system):
+    """The condition estimate as ``TauSystem.rcond`` first wrote it, with a
+    new array for every unit vector, sign vector and right-hand side: the
+    reference its trimmed form must match."""
+    size = system._lu.shape[1]
+
+    def norm_1(x):
+        y = system.backsolve(x.astype(complex))
+        return float(np.sum(np.abs(y))), y
+
+    def gradient(y):
+        a = np.abs(y)
+        sign = np.divide(y, a, out=np.ones_like(y), where=a > ultraspherical._SAFE_MIN)
+        return np.abs(system.backsolve(sign, 2))
+
+    with np.errstate(all="ignore"):
+        est, y = norm_1(np.full(size, 1.0 / size))
+        z = gradient(y)
+        j = int(np.argmax(z))
+        for _ in range(4):
+            old, (est, y) = est, norm_1(np.eye(1, size, j)[0])
+            if est <= old:
+                break
+            z = gradient(y)
+            last, j = j, int(np.argmax(z))
+            if z[last] == z[j]:
+                break
+        alt = (1.0 + np.arange(size) / max(size - 1, 1)) * (-1.0) ** np.arange(size)
+        temp = 2.0 * norm_1(alt)[0] / (3 * size)
+        est = est if temp <= est else temp
+    if not (est < math.inf and system._anorm):
+        return 0.0
+    return (1.0 / est) / system._anorm
+
+
 def _zgbcon(system):
     rcond, info = lapack.zgbcon(system._kl, system._ku, system._lu, system._piv, system._anorm)
     assert info == 0
@@ -358,6 +393,7 @@ def test_condition_estimate_matches_lapack_gbcon(kind, alpha, name, n):
     for beta, lam in ((1e4, 0.0), (1e4, -0.3 + 0.5j), (1e7, 0.2 - 0.8j)):
         system = TauSystem(kind, series, ss.SpectralParams(alpha, beta, lam), n)
         assert system.rcond() == pytest.approx(_zgbcon(system), rel=0.1)
+        assert system.rcond() == pytest.approx(_hager_higham(system), rel=1e-14, abs=0.0)
 
 
 def test_condition_estimate_keeps_benchmark_shifts_on_their_side(monkeypatch):
@@ -392,3 +428,4 @@ def test_condition_estimate_survives_a_tiny_pivot(pivot):
     system = TauSystem("schrodinger", np.array([0.0, 1.0]), ss.SpectralParams(0.0, 1.0, 0.0), 64)
     system._lu[system._kl + system._ku, -1] = pivot
     assert system.rcond() == pytest.approx(_zgbcon(system), rel=1e-12, abs=0.0)
+    assert system.rcond() == pytest.approx(_hager_higham(system), rel=1e-14, abs=0.0)
