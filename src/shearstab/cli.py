@@ -223,7 +223,8 @@ def _build_parser() -> _Parser:
         type=int,
         default=None,
         help="accepted for compatibility and checked to be at least 1; it has "
-        "no effect, as every command runs serially",
+        "no effect: pseudo and sweep run one worker process per CPU of the "
+        "affinity mask (limit them with taskset), the rest runs serially",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

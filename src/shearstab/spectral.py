@@ -62,6 +62,9 @@ from __future__ import annotations
 
 import ctypes
 import math
+import os
+import pickle
+import signal
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -114,8 +117,9 @@ _EIG_RTOL = 1e-9
 
 
 def _check_threads(threads: int | None) -> None:
-    """Reject a thread count below 1.  The package runs serially, so a valid
-    count has no effect; the parameter stays for callers that pass it."""
+    """Reject a thread count below 1.  Worker processes follow the affinity
+    mask, so a valid count has no effect; the parameter stays for callers
+    that pass it."""
     if threads is not None and threads < 1:
         raise ValueError(f"thread count must be positive, got {threads}")
 
@@ -149,16 +153,84 @@ def _one_blas_thread():
     call is slower on one thread: OpenBLAS ``getrs`` with a single
     right-hand side (6.1 against 3.6 us at n = 87, 20.6 against 8.3 us at
     n = 174), so the dense rung solves by ``trsv`` (``_lu_solver``).  The
-    count is process-wide, so concurrent holders take turns."""
+    count is process-wide, so concurrent holders take turns.  A count
+    already at 1 is not set: after a fork, OpenBLAS restarts its pool at the
+    next set, and the new threads spin for about 0.1 s (``_forked_map``)."""
     with _BLAS_LOCK:
-        saved = [get() for get, _ in _openblas_counts()]
-        for _, set_count in _openblas_counts():
+        saved = [(set_count, get()) for get, set_count in _openblas_counts()]
+        saved = [(set_count, count) for set_count, count in saved if count != 1]
+        for set_count, _ in saved:
             set_count(1)
         try:
             yield
         finally:
-            for (_, set_count), count in zip(_openblas_counts(), saved):
+            for set_count, count in saved:
                 set_count(count)
+
+
+def _share(fn, items) -> tuple[list, Exception | None]:
+    """fn over items in order up to the first failure: (results, exception
+    or None)."""
+    results = []
+    try:
+        for x in items:
+            results.append(fn(x))
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
+def _forked_map(fn, items) -> list:
+    """[fn(x) for x in items], the items dealt round-robin over k processes,
+    one per CPU of the affinity mask: the caller and k - 1 ``os.fork``
+    children, each sending its results back as one pickle over a pipe.
+    Serial when k < 2, off Linux, or beside another Python thread, whose
+    locks a child could inherit held.  A failure raises the earliest
+    failing item's exception; a child that ends without results raises
+    RuntimeError.  Every child is reaped before this returns or raises.
+    A child's memory is copy-on-write: its ``ru_maxrss`` read 52-57 MB on
+    the benchmark's maps and sweeps, mostly pages shared with the caller."""
+    items = list(items)
+    k = min(len(os.sched_getaffinity(0)), len(items)) if hasattr(os, "sched_getaffinity") else 1
+    if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(x) for x in items]
+    pids, pipes, done = [], [], False
+    try:
+        for w in range(1, k):
+            pipes += os.pipe()                # its read end, then its write end
+            pid = os.fork()
+            if pid == 0:                      # the child: never returns
+                status = 1
+                try:
+                    os.close(pipes[-2])
+                    with open(pipes[-1], "wb") as fh:
+                        pickle.dump(_share(fn, items[w::k]), fh)
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+            os.close(pipes.pop())
+        shares = [_share(fn, items[::k])]
+        for r in pipes:
+            with open(r, "rb", closefd=False) as fh:
+                shares.append(fh.read())
+        done = True
+    finally:
+        for fd in pipes:
+            os.close(fd)
+        statuses = []
+        for pid in pids:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for pid, status in zip(pids, statuses):
+        if status:
+            raise RuntimeError(f"worker process {pid} exited with status {status}")
+    shares[1:] = map(pickle.loads, shares[1:])
+    failed = [(w + k * len(out), exc) for w, (out, exc) in enumerate(shares) if exc]
+    if failed:
+        raise min(failed)[1]
+    return [shares[i % k][0][i // k] for i in range(len(items))]
 
 
 def weighted_norm(grid, values) -> float:
@@ -595,6 +667,7 @@ def _refine(evaluate, n0: int, agree):
         n *= 2
 
 
+@_one_blas_thread()
 def resolvent_sample(
     profile: Profile, params: SpectralParams, kind: str
 ) -> ResolventSample:
@@ -607,7 +680,8 @@ def resolvent_sample(
     ``schrodinger`` and ``orr_sommerfeld`` from ``_BANDED_MIN_DEGREE`` on
     solve banded tau systems, unless U's series is too long for the degree
     (``_BANDED_DEGREE_PER_TERM``); the others assemble a collocation matrix.
-    Each rung starts at its ``build_grid`` call.
+    Each rung starts at its ``build_grid`` call.  It runs on one OpenBLAS
+    thread, so a direct call equals the same shift inside a map to the bit.
     """
     if kind not in _ASSEMBLERS:
         raise ValueError(f"unknown operator kind {kind!r}")
@@ -742,17 +816,19 @@ def pseudospectrum_grid(
 ) -> PseudospectrumGrid:
     """Map (mu, nu) -> resolvent norm at shifts lam = mu + i nu.
 
-    Each shift runs its own grid ladder, one after another, on one OpenBLAS
-    thread: a thread pool here ran 0.79x as fast as one thread on 2 cores,
-    because the Lanczos steps between solves run in Python.
+    Each shift runs its own grid ladder on one OpenBLAS thread, and the
+    shifts are dealt over one process per CPU of the affinity mask
+    (``_forked_map``; serial on one CPU, off Linux, or beside another
+    Python thread), so the samples do not depend on the worker count.  A
+    thread pool ran 0.79x as fast as one thread, as the Lanczos steps hold
+    the interpreter lock; processes do not share it.
     """
     mu_values = np.asarray(mu_values, dtype=float)
     nu_values = np.asarray(nu_values, dtype=float)
-    samples = [
-        resolvent_sample(profile, SpectralParams(alpha, beta, complex(mu, nu)), kind)
-        for nu in nu_values
-        for mu in mu_values
-    ]
+    samples = _forked_map(
+        lambda lam: resolvent_sample(profile, SpectralParams(alpha, beta, lam), kind),
+        [complex(mu, nu) for nu in nu_values for mu in mu_values],
+    )
     norms = np.array([s.norm_inv for s in samples]).reshape(
         len(nu_values), len(mu_values)
     )

@@ -28,6 +28,7 @@ from .operators import MAX_BETA, SpectralParams, assemble_schrodinger
 from .profile import Profile, x_of_nu
 from .spectral import (
     RESOLVENT_RTOL,
+    _forked_map,
     _one_blas_thread,
     _refine,
     ladder_start,
@@ -272,12 +273,14 @@ def _finish(kind, profile, rows, meta, fit_on=None, span_limit=None, **extra):
 @_one_blas_thread()
 def _sample_rows(profile, kind, points, measure) -> list[SweepRow]:
     """One row per operating point from its resolvent ladder;
-    measure(params, sample) -> (metric, bound_ratio)."""
-    rows = []
-    for params in points:
+    measure(params, sample) -> (metric, bound_ratio).  The points are dealt
+    over one worker process per CPU (``spectral._forked_map``)."""
+
+    def row(params):
         s = resolvent_sample(profile, params, kind)
-        rows.append(_row(params, s.n_used, s.converged, *measure(params, s)))
-    return rows
+        return _row(params, s.n_used, s.converged, *measure(params, s))
+
+    return _forked_map(row, points)
 
 
 @_one_blas_thread()
@@ -288,13 +291,14 @@ def _solve_rows(profile, betas, lam, rhs_of, metric_of, data_norm):
     until metric_of(grid, w, beta) settles to RESOLVENT_RTOL, with w
     zero-extended to the full grid.  The bound ratio is metric * beta /
     data_norm(grid) on the accepted grid.  Returns the rows and those norms.
+    The betas are dealt over one worker process per CPU
+    (``spectral._forked_map``).
     """
 
     def agree(prev, cur):
         return abs(cur[0] - prev[0]) <= RESOLVENT_RTOL * max(prev[0], 1e-300)
 
-    rows, norms = [], []
-    for beta in betas:
+    def row(beta):
         params = SpectralParams(0.0, beta, lam)
 
         def evaluate(n):
@@ -307,10 +311,11 @@ def _solve_rows(profile, betas, lam, rhs_of, metric_of, data_norm):
 
         start = ladder_start(params.beta)
         (metric, grid), n_used, converged = _refine(evaluate, start, agree)
-        norms.append(data_norm(grid))
-        ratio = metric * params.beta / norms[-1]
-        rows.append(_row(params, n_used, converged, metric, ratio))
-    return rows, norms
+        norm = data_norm(grid)
+        return _row(params, n_used, converged, metric, metric * params.beta / norm), norm
+
+    rows = _forked_map(row, betas)
+    return [r for r, _ in rows], [norm for _, norm in rows]
 
 
 _DEFAULT_SCHRODINGER_BETAS = tuple(np.logspace(3.0, 7.0, 9))

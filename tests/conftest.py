@@ -1,5 +1,7 @@
 """Shared fixtures for the shearstab test suite."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -54,3 +56,24 @@ def assert_close(actual, expected, tol, label=""):
     expected = np.asarray(expected, dtype=float)
     err = float(np.max(np.abs(actual - expected)))
     assert err <= tol, f"{label}: |{actual} - {expected}| = {err:.3e} > {tol:.1e}"
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(count) pretends the affinity mask holds ``count`` CPUs, so a
+    map or sweep deals its items over that many processes, and returns the
+    list of child pids that ``os.fork`` makes from then on."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def pretend(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        return forks
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pretend

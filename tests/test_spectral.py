@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import os
 import pickle
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,7 +14,7 @@ from scipy.linalg import eigvals, inv, lu_factor, lu_solve
 from scipy.optimize import brentq
 
 import shearstab as ss
-from shearstab import spectral
+from shearstab import airy, operators, profile, spectral
 from shearstab.chebdiff import LADDER_FLOOR, N_MAX, _derivative, _derivative_t
 from shearstab.cli import main
 from shearstab.operators import certificate_potential
@@ -830,14 +832,16 @@ def test_a_map_sample_does_not_depend_on_the_map(rung_caches, kind, profile, alp
         assert _bits(alone) == _bits(sample)
 
 
-def test_rung_caches_hold_one_ladder_after_a_sweep(rung_caches, cubic01):
+def test_rung_caches_hold_one_ladder_after_a_sweep(rung_caches, cpus, cubic01):
     # each cache keeps the rungs of the latest ladder that used it: one key,
     # degrees one doubling chain.  The last ladder of the default os-boundary
     # sweep (beta 1e7) is 862 -> 1724 on the banded route.  U bands are kept
     # up to _MATRIX_STEP_MAX_DEGREE only, and U's series differs in its last
-    # bits from rung to rung, so one band stays: beta 1e5's rung 186.
+    # bits from rung to rung, so one band stays: beta 1e5's rung 186.  On
+    # one CPU, so every ladder runs in this process.
     from shearstab import ultraspherical
 
+    cpus(1)
     ss.os_boundary_sweep(cubic01)
     for cache in rung_caches:
         assert cache
@@ -920,3 +924,125 @@ def test_rayleigh_without_parity_takes_the_general_route():
     np.testing.assert_array_equal(
         ss.eigenvalues(op), np.sort_complex(eigvals(op.matrix))
     )
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_map_deals_items_round_robin_and_keeps_their_order(cpus):
+    forks = cpus(3)
+    ran = spectral._forked_map(lambda x: (x, os.getpid()), range(7))
+    assert [x for x, _ in ran] == list(range(7))
+    assert [pid for _, pid in ran] == [os.getpid(), *forks] * 2 + [os.getpid()]
+    assert len(forks) == 2
+    assert spectral._forked_map(lambda x: x, []) == []
+    assert spectral._forked_map(lambda x: -x, [5]) == [-5]
+    assert len(forks) == 2
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "kind, profile, alpha",
+    [("schrodinger", ss.couette(), 0.0), ("orr_sommerfeld", ss.cubic(0.1), 1.0)],
+)
+def test_forked_map_equals_the_serial_map(cpus, kind, profile, alpha):
+    # an 8x8 map over the outer rectangle of the benchmark's shift maps
+    mus, nus = np.linspace(-0.2, 0.2, 8), np.linspace(-1.0, 1.0, 8)
+    maps = []
+    for count in (2, 1):
+        forks = cpus(count)
+        grid = pseudospectrum_grid(profile, kind, alpha, 1e4, mus, nus)
+        assert len(forks) == 1
+        maps.append(([_bits(s) for s in grid.samples], grid.norms))
+    assert maps[0][0] == maps[1][0]
+    np.testing.assert_array_equal(maps[0][1], maps[1][1])
+    _no_child_left()
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize(
+    "failures",
+    [
+        # item 3 is the child's, item 6 the caller's, and the reverse
+        {3: profile.DomainError("at 3"), 6: operators.InflectionError("at 6")},
+        {2: profile.MonotonicityError("at 2"), 5: airy.NormalizationError("at 5")},
+    ],
+)
+def test_a_failing_map_raises_the_earliest_failure(monkeypatch, cpus, couette, count, failures):
+    mus, nus = np.linspace(-0.2, 0.2, 3), np.linspace(-1.0, 1.0, 3)
+    lams = [complex(mu, nu) for nu in nus for mu in mus]
+
+    def sample(profile, params, kind):
+        item = lams.index(params.lam)
+        if item in failures:
+            raise failures[item]
+        return spectral.ResolventSample(kind, 0.0, 1e4, params.lam, 8, 8, True, False, 1, 1, 1)
+
+    monkeypatch.setattr(spectral, "resolvent_sample", sample)
+    forks = cpus(count)
+    first = failures[min(failures)]
+    with pytest.raises(type(first), match=f"^{first}$"):
+        pseudospectrum_grid(couette, "schrodinger", 0.0, 1e4, mus, nus)
+    assert len(forks) == count - 1
+    _no_child_left()
+
+
+def test_a_worker_that_ends_without_results_raises(cpus):
+    forks = cpus(2)
+    with pytest.raises(RuntimeError, match="exited with status 3"):
+        spectral._forked_map(lambda x: os._exit(3) if x == 1 else x, range(4))
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_forked_map_stays_serial_beside_another_thread(cpus, couette):
+    # a child could inherit a lock that the other thread holds
+    forks = cpus(2)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        grid = pseudospectrum_grid(couette, "schrodinger", 0.0, 1e4, [-0.1, 0.1], [0.5])
+    finally:
+        stop.set()
+        other.join()
+    assert len(grid.samples) == 2
+    assert forks == []
+
+
+def test_resolvent_sample_runs_on_one_blas_thread(blas_counts, couette):
+    # a 3x3 Couette map at beta 5e4, where most direct calls on two OpenBLAS
+    # threads differed from the map's samples in their last digits
+    for _, set_count in blas_counts:
+        set_count(2)
+    mus, nus = np.linspace(-0.2, 0.2, 3), np.linspace(-1.0, 1.0, 3)
+    grid = pseudospectrum_grid(couette, "schrodinger", 0.0, 5e4, mus, nus)
+    for sample in grid.samples:
+        alone = resolvent_sample(couette, ss.SpectralParams(0.0, 5e4, sample.lam), "schrodinger")
+        assert _bits(alone) == _bits(sample)
+    assert [get() for get, _ in blas_counts] == [2] * len(blas_counts)
+
+
+def test_one_blas_thread_sets_only_counts_above_one(monkeypatch):
+    # a set after a fork restarts OpenBLAS's pool, so a count already at one
+    # is left alone, and so is every count inside a nested guard
+    counts, sets = [1, 2], []
+
+    def setter(i):
+        def set_count(count):
+            sets.append((i, count))
+            counts[i] = count
+
+        return set_count
+
+    fake = tuple((lambda i=i: counts[i], setter(i)) for i in range(2))
+    monkeypatch.setattr(spectral, "_openblas_counts", lambda: fake)
+    with spectral._one_blas_thread():
+        assert counts == [1, 1]
+        with spectral._one_blas_thread():
+            pass
+        assert sets == [(1, 1)]
+    assert sets == [(1, 1), (1, 2)]
+    assert counts == [1, 2]

@@ -1,6 +1,7 @@
 """Scaling sweeps: slope fits, bound ratios, and their validation."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -206,3 +207,21 @@ def test_sweeps_refuse_beta_above_ceiling_before_any_row(couette, monkeypatch, s
     monkeypatch.setattr(sweeps, "_refine", no_rows)
     with pytest.raises(ValueError, match="beta 1e\\+300 exceeds 1e\\+12"):
         sweep(couette, [1e4, 1e5, 1e6, 1e300])
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [lambda: os_boundary_sweep(ss.cubic(0.1)), lambda: l1_approximation_sweep(ss.couette())],
+    ids=["os-boundary", "l1-approx"],
+)
+def test_forked_rows_equal_serial_rows(cpus, sweep):
+    # resolvent rows and direct-solve rows, dealt over two worker processes
+    # and run in this one; every field's repr agrees
+    results = []
+    for count in (2, 1):
+        forks = cpus(count)
+        results.append(repr(sweep()))
+        assert len(forks) == 1
+    assert results[0] == results[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

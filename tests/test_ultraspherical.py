@@ -396,11 +396,13 @@ def test_condition_estimate_matches_lapack_gbcon(kind, alpha, name, n):
         assert system.rcond() == pytest.approx(_hager_higham(system), rel=1e-14, abs=0.0)
 
 
-def test_condition_estimate_keeps_benchmark_shifts_on_their_side(monkeypatch):
+def test_condition_estimate_keeps_benchmark_shifts_on_their_side(monkeypatch, cpus):
     # Every tau rung of the benchmark's Schrodinger sweep, of an os-boundary
     # sweep and of an 8x8 map of each kind over the outer rectangle of its
     # shift maps: the estimate and zgbcon fall on the same side of
-    # _SINGULAR_RTOL, Dirichlet and clamped rungs alike.
+    # _SINGULAR_RTOL, Dirichlet and clamped rungs alike.  On one CPU, so
+    # every rung runs in this process, where the spy sees it.
+    cpus(1)
     seen = []
     estimate = TauSystem.rcond
 
