@@ -1,4 +1,4 @@
-"""Airy special functions, a rotated tail integral, and boundary-layer modes.
+"""Airy special functions, a rotated tail integral, and its zeros.
 
 The advective resolvent near a wall linearizes to an Airy equation, so this
 module carries everything Airy-flavoured:
@@ -11,9 +11,6 @@ module carries everything Airy-flavoured:
   rectangle in the right half plane and reports the smallest real part.
   That margin limits how far a spectral shift may approach the imaginary
   axis before wall modes stop decaying.
-* `quasimode` / `quasimode_residual`: approximate boundary modes of the
-  advective operator -d2 + i*beta*(U + i*lam), built from scaled Airy
-  ratios, plus an exactness check against their closed-form image.
 
 Zero hunting runs two independent evaluation routes that share no Airy
 kernel.  The search evaluates F(z) = A0(iz) by batched radial quadrature:
@@ -43,12 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .chebdiff import ChebGrid, _derivative
-from .operators import SpectralParams
-from .profile import Profile
-
 __all__ = [
-    "NormalizationError",
     "airy_ai",
     "airy_ai_prime",
     "airy_zeros",
@@ -56,11 +48,6 @@ __all__ = [
     "airy_tail_integral",
     "TailZeroResult",
     "tail_zero_margin",
-    "smooth_step",
-    "Quasimode",
-    "quasimode",
-    "QuasimodeResidual",
-    "quasimode_residual",
 ]
 
 _ROT6 = cmath.exp(1j * math.pi / 6.0)      # e^{i pi/6}
@@ -74,10 +61,6 @@ TAIL_AT_ZERO = 1.0 / 3.0
 # panels of length at most _MAX_PANEL
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _MAX_PANEL = 4.0
-
-
-class NormalizationError(RuntimeError):
-    """Wall normalization of a boundary mode would overflow or underflow."""
 
 
 def _amos_airy(z):
@@ -417,162 +400,3 @@ def tail_zero_margin(
     )
     _TAIL_CACHE[rect] = result
     return result
-
-
-# ---------------------------------------------------------------------------
-# boundary-layer quasimodes
-
-
-def _bump(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    pos = s > 0.0
-    with np.errstate(divide="ignore"):
-        return np.where(pos, np.exp(-1.0 / np.where(pos, s, 1.0)), 0.0)
-
-
-def smooth_step(t) -> np.ndarray:
-    """C-infinity transition: 1 for t <= 1/2, 0 for t >= 1, monotone between."""
-    t = np.asarray(t, dtype=float)
-    up = _bump(1.0 - t)
-    down = _bump(t - 0.5)
-    return up / (up + down)
-
-
-def _scaled_ai_ratio(z: np.ndarray, z0: complex) -> np.ndarray:
-    """Ai(z)/Ai(z0) through the exponentially scaled kernel.
-
-    Raises NormalizationError when the wall value underflows to an
-    unrepresentable magnitude or the ratio itself would overflow.
-    """
-    ez = special.airye(z)[0]
-    ez0 = complex(special.airye(complex(z0))[0])
-    zeta = 2.0 / 3.0 * z * np.sqrt(z)
-    zeta0 = 2.0 / 3.0 * z0 * cmath.sqrt(z0)
-    if ez0 == 0.0 or math.log(abs(ez0)) - zeta0.real < math.log(1e-280):
-        raise NormalizationError(
-            f"wall Airy value near 1e-280 underflow at z0={z0:.4g}"
-        )
-    expo = zeta0 - zeta
-    if float(np.max(expo.real)) > 700.0:
-        raise NormalizationError("mode ratio overflows double precision")
-    return ez / ez0 * np.exp(expo)
-
-
-@dataclass(frozen=True)
-class Quasimode:
-    """Approximate boundary mode of -d2 + i*beta*(U + i*lam).
-
-    `samples` holds values on the grid nodes, normalized to 1 at the owning
-    wall before any cutoff.  `lam_side` is the shift seen from that wall,
-    lam_side = Re(lam) - i*(U(wall) - Im(lam)), and `slope` is U'(wall).
-    """
-
-    side: str
-    lam_side: complex
-    slope: float
-    samples: np.ndarray
-    cutoff_applied: bool
-    grid: ChebGrid
-
-    def __repr__(self) -> str:
-        return (
-            f"Quasimode(side={self.side!r}, lam_side={self.lam_side:.6g}, "
-            f"n={self.grid.n}, cutoff={self.cutoff_applied})"
-        )
-
-
-def quasimode(
-    profile: Profile,
-    params: SpectralParams,
-    side: str,
-    grid: ChebGrid,
-    cutoff: bool = True,
-) -> Quasimode:
-    """Airy-profile wall mode concentrated at the lower or upper wall.
-
-    Lower mode: Ai(c[(1+x) + i*lam_side/J]) / (wall value), with
-    c = (J beta)^(1/3) e^{i pi/6} and J = U'(-1).  The upper mode is the
-    conjugate construction in the mirrored coordinate 1-x.  With
-    cutoff=True the mode is multiplied by a smooth window supported on its
-    own half of the channel (identically 1 within distance 1/2 of the wall).
-    """
-    if side not in ("lower", "upper"):
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    if not params.beta > 0.0:
-        raise ValueError("boundary modes need beta > 0")
-    x = grid.nodes
-    wall = -1.0 if side == "lower" else 1.0
-    j = profile.deriv(wall, 1)
-    if not j > 0.0:
-        raise ValueError(f"wall slope must be positive, got {j}")
-    lam_side = params.mu - 1j * (profile.u(wall) - params.nu)
-    lam_arg = lam_side if side == "lower" else lam_side.conjugate()
-    s = 1.0 + x if side == "lower" else 1.0 - x
-    c = (j * params.beta) ** (1.0 / 3.0) * _ROT6
-    z = c * (s + 1j * lam_arg / j)
-    z0 = c * (1j * lam_arg / j)
-    vals = _scaled_ai_ratio(z.astype(complex), complex(z0))
-    if side == "upper":
-        vals = np.conj(vals)
-    # pin the wall sample to exactly 1: the scaled ratio leaves an eps-sized
-    # phase there because scalar and array exponents round differently
-    vals = vals / vals[-1 if side == "lower" else 0]
-    if cutoff:
-        window = smooth_step(1.0 + x) if side == "lower" else smooth_step(1.0 - x)
-        vals = vals * window
-    vals.setflags(write=False)
-    return Quasimode(
-        side=side,
-        lam_side=lam_side,
-        slope=j,
-        samples=vals,
-        cutoff_applied=cutoff,
-        grid=grid,
-    )
-
-
-@dataclass(frozen=True)
-class QuasimodeResidual:
-    """Agreement between the discretized operator image of a wall mode and
-    its closed-form image i*beta*[U - U(wall) - J*(x - wall)] * mode.
-
-    Comparison is restricted to the wall's half of the channel (|x - wall|
-    <= 1/2), where the windowed construction is untouched by the cutoff.
-    `backward_relative` rescales by beta * max|(U + i*lam) * mode| over that
-    region, the size of the data the mode responds to; `forward_relative`
-    rescales by the closed-form image itself and is inf when that image
-    vanishes identically (linear profiles).
-    """
-
-    side: str
-    n: int
-    max_discrepancy: float
-    backward_relative: float
-    forward_relative: float
-
-
-def quasimode_residual(
-    profile: Profile,
-    params: SpectralParams,
-    side: str,
-    grid: ChebGrid,
-) -> QuasimodeResidual:
-    qm = quasimode(profile, params, side, grid, cutoff=False)
-    psi = qm.samples
-    x = grid.nodes
-    u = profile.u(x)
-    d2_psi = _derivative(_derivative(psi))
-    applied = -d2_psi + 1j * params.beta * (u + 1j * params.lam) * psi
-    wall = -1.0 if side == "lower" else 1.0
-    closed = 1j * params.beta * (u - profile.u(wall) - qm.slope * (x - wall)) * psi
-    mask = x <= -0.5 if side == "lower" else x >= 0.5
-    disc = float(np.max(np.abs((applied - closed)[mask])))
-    data_scale = params.beta * float(np.max(np.abs(((u + 1j * params.lam) * psi)[mask])))
-    closed_scale = float(np.max(np.abs(closed[mask])))
-    return QuasimodeResidual(
-        side=side,
-        n=grid.n,
-        max_discrepancy=disc,
-        backward_relative=disc / data_scale if data_scale > 0.0 else math.inf,
-        forward_relative=disc / closed_scale if closed_scale > 0.0 else math.inf,
-    )

@@ -99,6 +99,8 @@ def certify_profile(
         raise ValueError(f"margin must be finite and nonnegative, got {margin}")
     _check_threads(threads)
     infset = inflection_values(profile)
+    # sampled first, so a density is refused alike with or without inflections
+    nus = infset.sample(interval_density=interval_density)
     if infset.is_empty():
         return CertificateResult(
             profile_id=profile.id_string(),
@@ -109,7 +111,6 @@ def certify_profile(
             vacuous=True,
             interval_density=interval_density,
         )
-    nus = infset.sample(interval_density=interval_density)
     if infset.intervals:
         ladders = [eig_floor_ladder(profile, nus[0])] * len(nus)
     else:

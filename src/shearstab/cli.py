@@ -56,6 +56,8 @@ from .sweeps import (
 
 __all__ = ["main", "profile_from_config"]
 
+MAX_SHIFT_COUNT = 1000   # most shifts on one axis of a ``pseudo`` map
+
 
 class _CliError(Exception):
     pass
@@ -430,6 +432,8 @@ def _shift_axis(flag: str, lo: float, hi: float, count: float) -> np.ndarray:
         raise ValueError(f"{flag} bounds must be finite, got {lo!r} {hi!r}")
     if not (count >= 1 and float(count).is_integer()):
         raise ValueError(f"{flag} COUNT must be a whole number >= 1, got {count!r}")
+    if count > MAX_SHIFT_COUNT:
+        raise ValueError(f"{flag} COUNT must be at most {MAX_SHIFT_COUNT}, got {count!r}")
     return np.linspace(lo, hi, int(count))
 
 

@@ -93,12 +93,6 @@ class SpectralParams:
     def nu(self) -> float:
         return self.lam.imag
 
-    @property
-    def reynolds(self) -> float:
-        if self.alpha == 0.0:
-            raise ValueError("Reynolds number undefined at zero wavenumber")
-        return self.beta / self.alpha
-
 
 @dataclass(frozen=True)
 class AssembledOperator:

@@ -42,6 +42,7 @@ MAX_POLY_DEGREE = 12
 MAX_COEFF = 1e6          # largest cubic a, tanh_shear K and polynomial |c_k|,
                          # and 1 / MAX_COEFF the smallest tanh_shear K
 MIN_POLY_SLOPE = 1e-6    # smallest U' of a polynomial on [-1, 1]
+MAX_INTERVAL_DENSITY = 100_000   # most samples of one flat curvature interval
 # scan cells of the monotonicity check and of the inflection search, and the
 # largest |U''| at a polished root, relative to max(1, max |U''|), that still
 # counts as an inflection (a degenerate one when |U'''| is that small too)
@@ -295,8 +296,11 @@ class InflectionSet:
 
     def sample(self, interval_density: int = 33) -> np.ndarray:
         """All isolated values plus an inclusive uniform sample of each interval."""
-        if interval_density < 2:
-            raise ValueError("interval density must be at least 2")
+        if not 2 <= interval_density <= MAX_INTERVAL_DENSITY:
+            raise ValueError(
+                f"interval density must be in [2, {MAX_INTERVAL_DENSITY}], "
+                f"got {interval_density}"
+            )
         vals = [p.nu for p in self.points]
         for lo, hi in self.intervals:
             vals.extend(np.linspace(lo, hi, interval_density))

@@ -25,14 +25,15 @@ from shearstab import (
     airy_ai_prime,
     airy_tail_integral,
     airy_zeros,
+    assemble_schrodinger,
     build_grid,
     certify_profile,
     couette,
     cubic,
+    eigenvalues,
     l1_approximation_sweep,
     os_boundary_sweep,
     os_large_lambda_check,
-    quasimode_residual,
     rayleigh_spectrum_scan,
     rotation_identity_residual,
     schrodinger_sweep,
@@ -127,20 +128,23 @@ def test_03_airy_kernel(report):
             assert rotation_identity_residual(z) <= 1e-11
 
 
-def test_04_quasimode_residual(report):
-    with report(4, "quasimode-residual"):
-        shifts = [("lower", complex(0.02, -0.95)), ("upper", complex(0.02, 0.95))]
-        for profile, tol in ((couette(), 1e-8), (cubic(0.1), 1e-6)):
-            for beta in (1e4, 1e6):
-                grid = build_grid(2 * ladder_start(beta))
-                for side, lam in shifts:
-                    params = SpectralParams(alpha=1.0, beta=beta, lam=lam)
-                    res = quasimode_residual(profile, params, side, grid)
-                    assert res.backward_relative <= tol
-                    if profile.id_string() == "couette":
-                        assert math.isinf(res.forward_relative)
-                    else:
-                        assert math.isfinite(res.forward_relative)
+def test_04_couette_wall_modes(report):
+    # For U = x the Schrodinger operator -d2 + i*beta*x near each wall is the
+    # half-line Airy operator, so the two leftmost eigenvalues over beta are
+    # -+i + beta^(-1/3)|a1| e^(+-i pi/3), exact up to terms exponentially
+    # small in beta^(1/3).  Measured error: at most 1.8e-13 of the layer
+    # width beta^(-1/3)|a1| at both betas; the bound leaves a factor 50.
+    with report(4, "couette-wall-modes"):
+        with mpmath.workdps(30):
+            a1 = abs(float(mpmath.airyaizero(1)))
+        for beta in (1e4, 1e5):
+            grid = build_grid(2 * ladder_start(beta))
+            op = assemble_schrodinger(couette(), SpectralParams(0.0, beta, 0.0), grid)
+            lower, upper = sorted(eigenvalues(op)[:2] / beta, key=lambda z: z.imag)
+            layer = beta ** (-1.0 / 3.0) * a1
+            turn = complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))
+            assert abs(lower - (-1j + layer * turn)) <= 1e-11 * layer
+            assert abs(upper - (1j + layer * turn.conjugate())) <= 1e-11 * layer
 
 
 def test_05_schrodinger_scaling(report):

@@ -25,7 +25,6 @@ from shearstab.airy import (
     airy_tail_integral,
     airy_zeros,
     rotation_identity_residual,
-    smooth_step,
     tail_zero_margin,
 )
 
@@ -322,21 +321,6 @@ def test_tail_zeros_verified_by_quadrature_route():
         val = airy_tail_integral(1j * z)
         slope = abs(_f_prime(z))
         assert abs(val) / slope < 1e-10
-
-
-def test_smooth_step_plateaus_and_monotone():
-    t = np.linspace(0.0, 1.2, 121)
-    vals = smooth_step(t)
-    assert np.all(vals[t <= 0.5] == 1.0)
-    assert np.all(vals[t >= 1.0] == 0.0)
-    mid = vals[(t > 0.5) & (t < 1.0)]
-    assert np.all(np.diff(mid) <= 1e-12)
-    assert np.all((mid >= 0.0) & (mid <= 1.0))
-
-
-def test_smooth_step_scalar_input():
-    assert smooth_step(0.25) == 1.0
-    assert smooth_step(2.0) == 0.0
 
 
 def test_winding_counts_past_a_corner_where_f_is_small():

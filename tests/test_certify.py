@@ -61,6 +61,8 @@ def test_convex_profile_is_vacuously_certified():
     assert res.vacuous
     assert res.entries == ()
     assert math.isinf(res.sigma0)
+    with pytest.raises(ValueError, match="interval density"):
+        certify_profile(prof, interval_density=1)
 
 
 def test_certify_is_deterministic(tanh1):

@@ -18,20 +18,26 @@ list or a malformed literal.  Some cases also give one flag the kind does
 not read, with a value that is valid where it is read.  A case with a
 hostile or an unread flag must exit 3 with one stderr line; any other case
 exits 0-2.
+
+A ``certify --interval-density`` or ``pseudo`` COUNT beyond its fixed bound
+must exit 3 before anything of its size is allocated.
 """
 
 import contextlib
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearstab.cli import _SWEEP_FLAGS, _SWEEPS, main
+from shearstab.cli import MAX_SHIFT_COUNT, _SWEEP_FLAGS, _SWEEPS, _shift_axis, main
+from shearstab.profile import MAX_INTERVAL_DENSITY
 
 _KEYS = {
     "couette": (),
@@ -290,3 +296,45 @@ def test_each_unread_sweep_flag_exits_three():
             if (code, out.getvalue()) != (3, "") or f"--{flag}" not in err.getvalue():
                 missed.append(argv)
     assert missed == []
+
+
+# --- counts: refused before anything is allocated ------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["certify", '{"family": "couette"}', "--interval-density", "1000000000000"],
+         "interval density"),
+        (["certify", '{"family": "tanh_shear", "K": 1}', "--interval-density",
+          str(MAX_INTERVAL_DENSITY + 1)], "interval density"),
+        (["pseudo", '{"family": "couette"}', "--mu-range", "0", "1", "1e12",
+          "--nu-range", "0", "1", "1"], "--mu-range COUNT"),
+        (["pseudo", '{"family": "couette"}', "--mu-range", "0", "1", "1",
+          "--nu-range", "0", "1", "1001"], "--nu-range COUNT"),
+    ],
+)
+def test_a_hostile_count_exits_three_before_allocating(argv, flag):
+    # a linspace of 1e12 points would ask for 7.28 TiB; the refusal comes
+    # from a fixed bound, so the run's traced peak stays small
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out.getvalue() == ""
+    message = err.getvalue()
+    assert message.startswith(f"shearstab: error: {flag} must be") and message.count("\n") == 1
+    assert peak < 1 << 20
+
+
+def test_shift_counts_up_to_the_bound_are_taken():
+    # the benchmark's 8-point axes and the bound itself stay valid
+    assert _shift_axis("--mu-range", 0.0, 1.0, 8.0).size == 8
+    axis = _shift_axis("--nu-range", -1.0, 1.0, float(MAX_SHIFT_COUNT))
+    assert axis.size == MAX_SHIFT_COUNT and (axis[0], axis[-1]) == (-1.0, 1.0)
+    with pytest.raises(ValueError, match=f"at most {MAX_SHIFT_COUNT}"):
+        _shift_axis("--nu-range", -1.0, 1.0, float(MAX_SHIFT_COUNT + 1))

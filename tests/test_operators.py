@@ -1,5 +1,6 @@
 """Operator assembly: certificate potential, advective and fourth-order forms."""
 
+import functools
 import math
 
 import mpmath
@@ -10,6 +11,7 @@ from scipy.optimize import linear_sum_assignment
 import shearstab as ss
 from shearstab.chebdiff import clamped_reduce
 from shearstab.operators import InflectionError, certificate_potential
+from shearstab.spectral import ladder_start
 
 
 def test_certificate_potential_cubic_closed_form(cubic01):
@@ -88,6 +90,31 @@ def test_schrodinger_zero_beta_reduces_to_laplacian(couette, grid32):
     np.testing.assert_allclose(op.matrix, -grid32.d2[1:-1, 1:-1], atol=0)
 
 
+@functools.cache
+def _couette_spectrum_over_beta(beta):
+    grid = ss.build_grid(2 * ladder_start(beta))
+    op = ss.assemble_schrodinger(ss.couette(), ss.SpectralParams(0.0, beta, 0.0), grid)
+    return ss.eigenvalues(op) / beta
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("beta", [1e3, 1e4, 1e5, 1e6])
+def test_couette_wall_modes_match_airy_zeros(beta, k):
+    # Near each wall -d2 + i*beta*x is the half-line Airy operator, so the
+    # k-th pair of leftmost eigenvalues over beta is
+    # -+i + beta^(-1/3)|a_k| e^(+-i pi/3), exact up to terms exponentially
+    # small in beta^(1/3).  Measured error for k <= 3: at most 1.6e-12 of the
+    # layer width beta^(-1/3)|a_k|; the bound leaves a factor 60.
+    with mpmath.workdps(30):
+        a_k = abs(float(mpmath.airyaizero(k)))
+    pair = _couette_spectrum_over_beta(beta)[2 * k - 2 : 2 * k]
+    lower, upper = sorted(pair, key=lambda z: z.imag)
+    layer = beta ** (-1.0 / 3.0) * a_k
+    turn = complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))
+    assert abs(lower - (-1j + layer * turn)) <= 1e-10 * layer
+    assert abs(upper - (1j + layer * turn.conjugate())) <= 1e-10 * layer
+
+
 def test_schrodinger_termwise(cubic01, grid32):
     beta, lam = 250.0, 0.3 - 0.2j
     op = ss.assemble_schrodinger(cubic01, ss.SpectralParams(0.0, beta, lam), grid32)
@@ -153,7 +180,6 @@ def test_spectral_params_validation():
     p = ss.SpectralParams(1.0, 10.0, 0.25 - 0.5j)
     assert p.mu == 0.25
     assert p.nu == -0.5
-    assert p.reynolds == 10.0
 
 
 def test_orr_sommerfeld_requires_positive_beta(couette, grid32):

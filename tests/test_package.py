@@ -1,6 +1,7 @@
 """The package's public names: one list per module, gathered once, and what a
 cold import loads."""
 
+import ast
 import json
 import os
 import pathlib
@@ -12,27 +13,27 @@ import shearstab as ss
 PUBLIC = [
     "AssembledOperator", "CertificateEntry", "CertificateResult", "ChebGrid",
     "DomainError", "InflectionError", "InflectionPoint", "InflectionSet",
-    "MonotonicityError", "NormalizationError", "Profile", "PseudospectrumGrid",
-    "Quasimode", "QuasimodeResidual", "RayleighScan", "ResolventSample", "SlopeFit",
-    "SmoothData", "SpectralParams", "SweepResult", "SweepRow", "TailZeroResult",
-    "__version__", "airy_ai", "airy_ai_prime", "airy_tail_integral", "airy_zeros",
-    "assemble_certificate_operator", "assemble_orr_sommerfeld", "assemble_rayleigh",
-    "assemble_rayleigh_shifted", "assemble_schrodinger", "build_grid",
-    "certificate_potential", "certify_profile", "clamped_reduce", "couette",
-    "cubic", "data_preset", "eig_floor_ladder", "eigenvalues",
-    "fit_slope", "inflection_values", "l1_approximation_sweep", "margin_constant",
-    "min_eig_selfadjoint", "os_boundary_sweep", "os_large_alpha_sweep",
-    "os_large_lambda_check", "polynomial", "pseudospectrum_grid", "quasimode",
-    "quasimode_residual", "rayleigh_spectrum_scan", "resolvent_numbers",
+    "MonotonicityError", "Profile", "PseudospectrumGrid", "RayleighScan",
+    "ResolventSample", "SlopeFit", "SmoothData", "SpectralParams",
+    "SweepResult", "SweepRow", "TailZeroResult", "__version__", "airy_ai",
+    "airy_ai_prime", "airy_tail_integral", "airy_zeros",
+    "assemble_certificate_operator", "assemble_orr_sommerfeld",
+    "assemble_rayleigh", "assemble_rayleigh_shifted", "assemble_schrodinger",
+    "build_grid", "certificate_potential", "certify_profile", "clamped_reduce",
+    "couette", "cubic", "data_preset", "eig_floor_ladder", "eigenvalues",
+    "fit_slope", "inflection_values", "l1_approximation_sweep",
+    "margin_constant", "min_eig_selfadjoint", "os_boundary_sweep",
+    "os_large_alpha_sweep", "os_large_lambda_check", "polynomial",
+    "pseudospectrum_grid", "rayleigh_spectrum_scan", "resolvent_numbers",
     "resolvent_sample", "rotation_identity_residual", "schrodinger_sweep",
-    "smooth_step", "tail_zero_margin", "tanh_shear", "weighted_data_sweep",
-    "weighted_norm", "x_of_nu",
+    "tail_zero_margin", "tanh_shear", "weighted_data_sweep", "weighted_norm",
+    "x_of_nu",
 ]
 
 
 def test_public_names_are_pinned_unique_and_resolve():
     assert sorted(ss.__all__) == PUBLIC
-    assert len(ss.__all__) == len(set(ss.__all__)) == 64
+    assert len(ss.__all__) == len(set(ss.__all__)) == 58
     for name in ss.__all__:
         assert getattr(ss, name) is not None
 
@@ -43,6 +44,19 @@ def test_names_left_out_of_all_stay_importable():
 
     assert (N_MIN, N_MAX) == (8, 2048)
     assert callable(monotonicity_margin)
+
+
+def test_airy_is_a_leaf_module():
+    # special functions and the tail-zero search only: no package import
+    source = pathlib.Path(ss.__file__).with_name("airy.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported
+    assert not [m for m in imported if m.startswith((".", "shearstab"))]
 
 
 _FOOTPRINT = r"""

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import shearstab as ss
 from shearstab.profile import (
+    MAX_INTERVAL_DENSITY,
     DomainError,
     MonotonicityError,
     inflection_values,
@@ -238,6 +239,9 @@ def test_sample_density_validation(couette):
     info = inflection_values(couette)
     with pytest.raises(ValueError):
         info.sample(interval_density=1)
+    with pytest.raises(ValueError, match=f"got {MAX_INTERVAL_DENSITY + 1}$"):
+        info.sample(interval_density=MAX_INTERVAL_DENSITY + 1)
+    assert info.sample(interval_density=MAX_INTERVAL_DENSITY).size == MAX_INTERVAL_DENSITY
 
 
 def test_id_string_and_params(cubic01, tanh1):
