@@ -25,9 +25,8 @@ value found by Golub-Kahan-Lanczos bidiagonalization (``_top_singular``)
 on the solves and their adjoints, fully reorthogonalized with BLAS
 ``gemv``.  The recurrence stops once the gap bound
 r^2 / (theta_1 - theta_2) on its top Ritz value is at most 1e-13 theta_1,
-r = beta_k |e_k^T p| the residual; a rung up to ``_MATRIX_STEP_MAX_DEGREE``
-whose recurrence reaches the step cap is measured instead by dense SVDs of
-its explicit solution operator, formed from the factorization.  The first
+r = beta_k |e_k^T p| the residual, or at a breakdown, and at the latest
+when its Krylov space fills, after one step per data node.  The first
 rung of a ladder starts from a fixed ramp, so repeated runs agree bit for
 bit; each later rung starts from the previous rung's top right singular
 vectors, resampled through their Chebyshev coefficients, and never from
@@ -71,7 +70,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 
 import numpy as np
-from scipy.linalg import eigh, eigvals, get_blas_funcs, get_lapack_funcs, svdvals
+from scipy.linalg import eigh, eigvals, get_blas_funcs, get_lapack_funcs
 from scipy.linalg.lapack import dlaswp, dstemr
 from scipy.special import roots_legendre
 
@@ -104,11 +103,11 @@ __all__ = [
 # discrete spectrum and the resolvent number is noise
 _SINGULAR_RTOL = 1e3 * np.finfo(float).eps
 # Golub-Kahan-Lanczos for the resolvent norms: relative bound on the error
-# of the top Ritz value at which the recurrence stops, and the step cap past
-# which it gives up (the benchmark's sweeps and shift maps at beta 1e4 and
-# 1e5 needed at most 25 steps per norm).
+# of the top Ritz value at which the recurrence stops, and the rows its
+# bases start with, doubled when full (the benchmark's sweeps and shift maps
+# at beta 1e4 and 1e5 needed at most 25 steps per norm).
 _GKL_RTOL = 1e-13
-_GKL_MAX_STEPS = 60
+_GKL_START_ROWS = 60
 # Consecutive rungs agree when their resolvent norms (or a direct-solve
 # metric) differ by at most this fraction, or their certificate eigenvalues
 # by at most _EIG_RTOL, absolute below 1 and relative above.
@@ -150,7 +149,7 @@ def _one_blas_thread():
     Every driver runs under it, so results do not depend on the thread
     count.  Serial runs of small (n <= 256) solves took 3-5x longer on two
     threads of a shared 2-vCPU VM, and varied from process to process.  One
-    call is slower on one thread: OpenBLAS ``getrs`` with a single
+    call is slower on one thread: OpenBLAS's LU solve of a single
     right-hand side (6.1 against 3.6 us at n = 87, 20.6 against 8.3 us at
     n = 174), so the dense rung solves by ``trsv`` (``_lu_solver``).  The
     count is process-wide, so concurrent holders take turns.  A count
@@ -273,8 +272,7 @@ class ResolventSample:
     norm_inv is the L2 -> L2 norm of the solve; norm_d_inv additionally
     differentiates the solution, measuring data -> d(solution)/dx.
     sigma_min is 1 / norm_inv.  A singular sample (a shift on the discrete
-    spectrum, or a rung whose norms could not be measured) has sigma_min 0
-    and both norms infinite.
+    spectrum) has sigma_min 0 and both norms infinite.
     """
 
     kind: str
@@ -292,10 +290,6 @@ class ResolventSample:
     @property
     def combined(self) -> float:
         return self.norm_inv + self.norm_d_inv
-
-
-class _NoConvergence(RuntimeError):
-    """``_top_singular`` reached its step cap."""
 
 
 def _norm(x: np.ndarray) -> float:
@@ -324,21 +318,8 @@ def _ritz_pairs(off: np.ndarray):
     e[-1] = 0.0
     _, vals, vecs, info = dstemr(np.zeros(n), e, 2, 0.0, 0.0, n - 1, n)
     if info:
-        raise _NoConvergence(f"dstemr failed (info {info})")
+        raise RuntimeError(f"dstemr failed (info {info})")
     return vals, vecs
-
-
-def _top_ritz(alphas: np.ndarray, betas: np.ndarray):
-    """theta_1, theta_2 (for j >= 1), p_j and q of B = diag(alphas) +
-    diag(betas, 1), as in ``_top_singular``, from the top two eigenpairs of
-    the Golub-Kahan tridiagonal of [[0, B], [B^T, 0]]: zero diagonal,
-    off-diagonal (alpha_0, beta_0, ..., alpha_j), eigenvalues +-sigma_i and
-    top eigenvector (q_0, p_0, q_1, p_1, ...) / sqrt(2) (``_ritz_pairs``)."""
-    off = np.zeros(2 * alphas.shape[0])
-    off[0::2], off[1:-1:2] = alphas, betas
-    vals, vecs = _ritz_pairs(off)
-    top = math.sqrt(2.0) * vecs[:, 1]
-    return vals[1], vals[0], top[-1], top[0::2]
 
 
 def _top_singular(apply, apply_h, v0: np.ndarray):
@@ -352,19 +333,26 @@ def _top_singular(apply, apply_h, v0: np.ndarray):
     r^2 / (theta_1 - theta_2) of a singular value of A (Larsen, PROPACK,
     1998); the loop stops once that bound is at most ``_GKL_RTOL`` theta_1.
     An alpha or beta that small is a breakdown: the Krylov space is
-    invariant to that accuracy, and the Ritz value is final.  If A v0 = 0
+    invariant to that accuracy, and the Ritz value is final.  The space
+    fills by step ``len(v0)``, which ends the loop in any case; the bases
+    start with ``_GKL_START_ROWS`` rows and double when full.  If A v0 = 0
     exactly, theta is 0 and every vector is a top right singular vector;
     the normalized start is returned, never the zero vector.
     """
-    steps = min(_GKL_MAX_STEPS, v0.shape[0])
-    vs = np.zeros((steps + 1, v0.shape[0]), dtype=v0.dtype)
+    size = v0.shape[0]
+    rows = min(_GKL_START_ROWS, size)
+    vs = np.zeros((rows + 1, size), dtype=v0.dtype)
     vs[0] = v0 / _norm(v0)
     u = apply(vs[0])
-    us = np.zeros((steps, u.shape[0]), dtype=u.dtype)
+    us = np.zeros((rows, u.shape[0]), dtype=u.dtype)
     (gemv,) = get_blas_funcs(("gemv",), (vs, us))
-    off = np.zeros(2 * steps)
+    off = np.zeros(2 * rows)
     theta = 0.0
-    for j in range(steps):
+    for j in range(size):
+        if j == us.shape[0]:                  # full bases: double their rows
+            more = min(j, size - j)
+            vs, us = (np.pad(a, ((0, more), (0, 0))) for a in (vs, us))
+            off = np.pad(off, (0, 2 * more))
         u = _orthogonalize(u, us[:j], gemv)
         alpha, beta = _norm(u), 0.0
         if alpha > _GKL_RTOL * theta:         # else a breakdown: off[2j] stays 0
@@ -375,7 +363,7 @@ def _top_singular(apply, apply_h, v0: np.ndarray):
         vals, vecs = _ritz_pairs(off[: 2 * j + 2])
         theta, theta_2 = vals.item(1), vals.item(0)
         r = beta * abs(math.sqrt(2.0) * vecs.item(-1, 1))
-        if beta <= _GKL_RTOL * theta or (
+        if j + 1 == size or beta <= _GKL_RTOL * theta or (
             j and r * r <= _GKL_RTOL * theta * (theta - theta_2)
         ):
             q = (math.sqrt(2.0) * vecs[:, 1])[0::2]
@@ -383,7 +371,6 @@ def _top_singular(apply, apply_h, v0: np.ndarray):
         off[2 * j + 1] = beta
         np.divide(p, beta, out=vs[j + 1])
         u = apply(vs[j + 1])
-    raise _NoConvergence(f"Golub-Kahan-Lanczos did not converge in {steps} steps")
 
 
 def _real_matmul(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -401,20 +388,17 @@ def _rung_norms(grid, data_nodes, back, maps, dtype, start) -> tuple[float, floa
     either route.
 
     ``back(rhs, trans)`` solves the rung's factored system (``trans`` 0) or
-    its adjoint (2).  ``maps`` holds three (apply, adjoint) pairs acting
-    along axis 0: weighted data x = W f on ``data_nodes`` to right-hand-side
+    its adjoint (2).  ``maps`` holds three (apply, adjoint) pairs on
+    vectors: weighted data x = W f on ``data_nodes`` to right-hand-side
     rows, the solution to weighted node values W u, and the solution to
     weighted derivative values W u', W the square-root quadrature weights.
     Returns (||W u||, ||W u'||) over unit ||x||.
 
-    Each is a top singular value from ``_top_singular``.  ``start`` carries
-    the top right singular vectors from one rung of a ladder to the next,
-    as node values; without them each recurrence starts from a fixed ramp.
-    A rung up to ``_MATRIX_STEP_MAX_DEGREE`` whose recurrence reaches the
-    step cap, as on a tight cluster of top singular values, takes them
-    instead as the top singular values of the explicit solution operator,
-    solved for every data node at once; above that degree it is
-    unmeasurable, both norms infinite, and ``_numbers`` reports it singular.
+    Each is a top singular value from ``_top_singular``, also on a tight
+    cluster of top singular values, where the recurrence runs on until its
+    gap bound holds or its Krylov space fills.  ``start`` carries the top
+    right singular vectors from one rung of a ladder to the next, as node
+    values; without them each recurrence starts from a fixed ramp.
     """
     n, ws_in = grid.n, np.sqrt(grid.weights)[data_nodes]
     (forcing, forcing_h), *outs = maps
@@ -425,20 +409,14 @@ def _rung_norms(grid, data_nodes, back, maps, dtype, start) -> tuple[float, floa
         # and odd parts, so a parity symmetry of the profile cannot make it
         # orthogonal to the top singular vector.
         v0s = [np.linspace(1.0, 2.0, len(ws_in))] * 2
-    try:
-        found = [
-            _top_singular(
-                lambda x, out=out: out(back(forcing(x), 0)),
-                lambda y, out_h=out_h: forcing_h(back(out_h(y), 2)),
-                v0.astype(dtype),
-            )
-            for (out, out_h), v0 in zip(outs, v0s)
-        ]
-    except _NoConvergence:
-        if n > _MATRIX_STEP_MAX_DEGREE:
-            return math.inf, math.inf
-        u = back(forcing(np.eye(len(ws_in), dtype=dtype)), 0)
-        return tuple(float(svdvals(out(u))[0]) for out, _ in outs)
+    found = [
+        _top_singular(
+            lambda x, out=out: out(back(forcing(x), 0)),
+            lambda y, out_h=out_h: forcing_h(back(out_h(y), 2)),
+            v0.astype(dtype),
+        )
+        for (out, out_h), v0 in zip(outs, v0s)
+    ]
     if start is not None:
         start.values = []
         for _, v in found:
@@ -499,30 +477,23 @@ def _banded_numbers(
 
 def _lu_solver(lu: np.ndarray, piv: np.ndarray):
     """back(b, trans) on the ``getrf`` factors P A = L U: solves A x = b
-    (``trans`` 0) or A^H x = b (2); a matrix b is overwritten.
+    (``trans`` 0) or A^H x = b (2) for one vector b, which is kept.
 
-    One right-hand side takes the row permutation, read once from ``laswp``
-    on 0..n-1, and two BLAS ``trsv`` sweeps; a matrix of them (the
-    explicit-SVD fallback) keeps LAPACK ``getrs``.  The matrix was checked
-    before its LU, so neither goes through ``lu_solve``'s checks and
-    dispatch on every Lanczos step.
+    The row permutation is read once from ``laswp`` on 0..n-1; each solve
+    is two BLAS ``trsv`` sweeps.  The matrix was checked before its LU, so
+    no solve goes through ``lu_solve``'s checks and dispatch on every
+    Lanczos step.
     """
-    (getrs,) = get_lapack_funcs(("getrs",), (lu,))
     (trsv,) = get_blas_funcs(("trsv",), (lu,))
     perm = dlaswp(np.arange(len(piv), dtype=float)[:, None], piv)[:, 0].astype(np.intp)
     unperm = np.argsort(perm)
 
     def back(b, trans):
-        if b.ndim == 1 and trans == 0:
+        if trans == 0:
             y = trsv(lu, b[perm], lower=1, diag=1, overwrite_x=1)
             return trsv(lu, y, overwrite_x=1)
-        if b.ndim == 1:
-            y = trsv(lu, b, trans=2)
-            return trsv(lu, y, lower=1, trans=2, diag=1, overwrite_x=1)[unperm]
-        x, info = getrs(lu, piv, b, trans=trans, overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal getrs")
-        return x
+        y = trsv(lu, b, trans=2)
+        return trsv(lu, y, lower=1, trans=2, diag=1, overwrite_x=1)[unperm]
 
     return back
 
@@ -588,12 +559,12 @@ def resolvent_numbers(
     back = _lu_solver(lu, piv)
 
     def forcing(x):
-        rhs = np.zeros(mat.shape[:1] + x.shape[1:], dtype=np.result_type(lu, x))
-        rhs[data_rows] = (data_scale * x.T).T
+        rhs = np.zeros(mat.shape[0], dtype=np.result_type(lu, x))
+        rhs[data_rows] = data_scale * x
         return rhs
 
     def on_nodes(u):
-        out = np.zeros((grid.n + 1,) + u.shape[1:], dtype=u.dtype)
+        out = np.zeros(grid.n + 1, dtype=u.dtype)
         out[sol_rows] = u
         return out
 
@@ -603,12 +574,9 @@ def resolvent_numbers(
     else:
         derivative, derivative_t = _derivative, _derivative_t
     maps = (
-        (forcing, lambda z: (data_scale * z[data_rows].T).T),
-        (lambda u: (ws * on_nodes(u).T).T, lambda y: (ws * y.T).T[sol_rows]),
-        (
-            lambda u: (ws * derivative(on_nodes(u)).T).T,
-            lambda y: derivative_t((ws * y.T).T)[sol_rows],
-        ),
+        (forcing, lambda z: data_scale * z[data_rows]),
+        (lambda u: ws * on_nodes(u), lambda y: (ws * y)[sol_rows]),
+        (lambda u: ws * derivative(on_nodes(u)), lambda y: derivative_t(ws * y)[sol_rows]),
     )
     return _numbers(*_rung_norms(grid, data_nodes, back, maps, lu.dtype, start))
 

@@ -80,7 +80,7 @@ def fit_slope(xs, ys) -> SlopeFit:
         np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))
     ):
         raise ValueError("samples must be finite and positive")
-    if np.max(xs) / np.min(xs) < 10.0:
+    if np.max(xs) < 10.0 * np.min(xs):
         raise ValueError("abscissa spread is under one decade")
     design = np.vstack([np.log10(xs), np.ones_like(xs)]).T
     target = np.log10(ys)

@@ -64,8 +64,7 @@ ORDERS = {"schrodinger": 2, "orr_sommerfeld": 4}
 _SAFE_MIN = np.finfo(float).tiny
 # Up to this degree a rung's node maps are dense real matrices, one BLAS
 # call each (the grid's d1 on the dense route, ``node_maps`` on the banded
-# one), and a rung whose Lanczos recurrence reaches the step cap falls back
-# to the explicit SVDs; above it, type-1 DCTs.  Measured (see
+# one); above it, type-1 DCTs.  Measured (see
 # CHANGES.md) at n = 160-192, medians of 15 runs over 3 shifts per kind: a
 # banded rung with cached node maps, as every rung after the first of its
 # shape finds them, takes 0.50-0.61x the DCT step, and a single-use rung

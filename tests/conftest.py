@@ -51,6 +51,22 @@ def rung_caches():
     )
 
 
+@pytest.fixture(scope="session")
+def explicit_tau_norms():
+    """explicit_tau_norms(kind, series, params, grid) is (norm_inv,
+    norm_d_inv) of a tau rung from full SVDs of its explicit weighted
+    solution operators: ``TauSystem.backsolve`` on the ``node_maps``
+    forcing of every data node, mapped to weighted values and slopes."""
+
+    def norms(kind, series, params, grid):
+        system = ultraspherical.TauSystem(kind, series, params, grid.n)
+        forcing, values, slopes = ultraspherical.node_maps(system.order, grid)
+        sol = system.backsolve(forcing.astype(complex))
+        return tuple(np.linalg.svd(out @ sol, compute_uv=False)[0] for out in (values, slopes))
+
+    return norms
+
+
 def assert_close(actual, expected, tol, label=""):
     actual = np.asarray(actual, dtype=float)
     expected = np.asarray(expected, dtype=float)

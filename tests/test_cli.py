@@ -7,6 +7,7 @@ import pathlib
 import stat
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -381,6 +382,17 @@ def test_sweep_that_tests_nothing_is_inconclusive(capsys, argv, check):
     assert f"('{check}', False)" in out
 
 
+def test_sweep_at_a_subnormal_beta_fits_without_a_warning(capsys):
+    # the slope fit's decade test must not divide by a subnormal beta: the
+    # quotient overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(
+            capsys, "sweep", "schrodinger", _COUETTE, "--betas", "5e-324,1,10,100"
+        )
+    assert (code, err) == (1, "")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -648,8 +660,9 @@ def test_beta_and_shift_above_ceiling_exit_three(capsys, argv, message):
 
 
 def test_pseudo_point_with_clustered_singular_values_exits_zero(capsys):
-    # Lanczos cannot split the top singular values at this shift, so its
-    # small rungs are measured explicitly; the norm is about 1/1002.5
+    # the top singular values cluster at this shift, and the Lanczos
+    # recurrence runs past its first 60 steps until its gap bound holds;
+    # the norm is about 1/1002.5
     code, out, err = run(
         capsys, "pseudo", _COUETTE, "--kind", "schrodinger", "--beta", "1",
         "--mu-range", "-1000", "-1000", "1", "--nu-range", "0", "0", "1",

@@ -456,11 +456,10 @@ def test_lanczos_norms_are_bit_identical_across_calls_and_threads(couette, cubic
 @pytest.mark.parametrize("n", [87, 174])
 def test_lu_solver_matches_lu_solve(cubic01, kind, n):
     # a Dirichlet and a clamped rung (row-equilibrated as resolvent_numbers
-    # does) at a shift of the benchmark's Orr-Sommerfeld map.  One vector
-    # takes the trsv route, a block getrs.  The reference runs at the
-    # process's thread count: on one thread OpenBLAS getrs takes another
-    # kernel, and on the clamped n = 174 rung (1-norm condition about 1e6)
-    # the two differ by up to 7e-13.
+    # does) at a shift of the benchmark's Orr-Sommerfeld map.  The reference
+    # runs at the process's thread count: on one thread OpenBLAS getrs takes
+    # another kernel, and on the clamped n = 174 rung (1-norm condition
+    # about 1e6) the two differ by up to 7e-13.
     params = ss.SpectralParams(1.0, 1e4, complex(-0.1, 0.5))
     op = spectral._ASSEMBLERS[kind](cubic01, params, ss.build_grid(n))
     mat = op.matrix
@@ -470,12 +469,10 @@ def test_lu_solver_matches_lu_solve(cubic01, kind, n):
     back = spectral._lu_solver(lu, piv)
     rng = np.random.default_rng(n)
     b = rng.standard_normal(len(piv)) + 1j * rng.standard_normal(len(piv))
-    block = rng.standard_normal((len(piv), 3)) + 1j * rng.standard_normal((len(piv), 3))
     kept = b.copy()
     for trans in (0, 2):
-        for rhs, got in ((b, back(b, trans)), (block, back(block.copy(), trans))):
-            ref = lu_solve((lu, piv), rhs, trans=trans)
-            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        got, ref = back(b, trans), lu_solve((lu, piv), b, trans=trans)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
         assert np.array_equal(b, kept)        # a vector is not overwritten
 
 
@@ -634,77 +631,78 @@ def test_top_singular_of_a_zero_operator_returns_the_unit_start():
     assert (theta, v.tolist()) == (0.0, (RAMP / np.linalg.norm(RAMP)).tolist())
 
 
-def test_a_clustered_rung_at_the_step_cap_takes_the_explicit_tier(couette, monkeypatch):
+def test_a_clustered_rung_matches_its_explicit_svds(couette):
     # A dominant real shift clusters the top singular values of the solve
-    # (1/1002.5, 1/1009.9, ...), and 60 Lanczos steps cannot meet the gap
-    # bound from n = 128 on.  A rung up to _MATRIX_STEP_MAX_DEGREE measures
-    # itself explicitly instead, so the ladder converges at 128.
-    from shearstab import spectral
-
+    # (1/1002.5, 1/1009.9, ...): the recurrence runs past its first 60
+    # steps until its gap bound holds, and the ladder converges at 128.
     params = ss.SpectralParams(0.0, 1.0, -1000.0)
     sample = resolvent_sample(couette, params, "schrodinger")
     assert (sample.n_used, sample.converged, sample.singular) == (128, True, False)
     assert sample.norm_inv == pytest.approx(9.9754e-4, rel=1e-4)
     op = ss.assemble_schrodinger(couette, params, ss.build_grid(128))
-    capped = resolvent_numbers(op)
-    monkeypatch.setattr(spectral, "_GKL_MAX_STEPS", 0)
-    assert capped == resolvent_numbers(op)
-
-
-def test_small_rungs_take_lanczos_without_explicit_svds(couette, monkeypatch):
-    # the beta = 1e3 ladder starts at LADDER_FLOOR; Lanczos measures every
-    # rung, and the explicit SVDs wait for a capped recurrence
-    from shearstab import spectral
-
-    calls = []
-    svdvals = spectral.svdvals
-
-    def counted(a):
-        calls.append(a.shape)
-        return svdvals(a)
-
-    monkeypatch.setattr(spectral, "svdvals", counted)
-    sample = resolvent_sample(couette, ss.SpectralParams(0.0, 1e3, 0.0), "schrodinger")
-    assert sample.n_start == LADDER_FLOOR
-    assert sample.converged
-    assert calls == []
+    nums = resolvent_numbers(op)
+    norm_inv, norm_d_inv, singular = _explicit_numbers(op)
+    assert nums["singular"] is False and not singular
+    assert nums["norm_inv"] == pytest.approx(norm_inv, rel=1e-12, abs=0.0)
+    assert nums["norm_d_inv"] == pytest.approx(norm_d_inv, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("route", ["dense", "banded"])
-@pytest.mark.parametrize("n", [_MATRIX_STEP_MAX_DEGREE, _MATRIX_STEP_MAX_DEGREE + 1])
-def test_lanczos_at_the_step_cap_above_the_matrix_steps_is_unmeasurable(monkeypatch, route, n):
-    # past _MATRIX_STEP_MAX_DEGREE a capped recurrence leaves both norms
-    # infinite and the rung singular; at it, the explicit tier answers
-    from shearstab import spectral
-    from shearstab.ultraspherical import velocity_series
+def test_a_clustered_rung_past_the_matrix_steps_is_measured(
+    couette, explicit_tau_norms, monkeypatch, route
+):
+    # Couette at beta 1e4, lam -100: the top singular values of the solve
+    # cluster so tightly that the first recurrence fills its Krylov space,
+    # 192 steps on the 192 data nodes of n = 193.  The rung is measured, not
+    # singular, and its norms equal the SVDs of its explicit solution
+    # operator.
+    params, grid = ss.SpectralParams(0.0, 1e4, -100.0), ss.build_grid(_MATRIX_STEP_MAX_DEGREE + 1)
+    steps, top_singular = [], spectral._top_singular
 
-    monkeypatch.setattr(spectral, "_GKL_MAX_STEPS", 2)
-    profile, params, grid = ss.cubic(0.1), ss.SpectralParams(0.0, 1e4, 0.2j), ss.build_grid(n)
+    def counted(apply, apply_h, v0):
+        steps.append(0)
+
+        def step(x):
+            steps[-1] += 1
+            return apply(x)
+
+        return top_singular(step, apply_h, v0)
+
+    monkeypatch.setattr(spectral, "_top_singular", counted)
     if route == "banded":
-        series = velocity_series(profile, grid)
+        from shearstab.ultraspherical import velocity_series
+
+        series = velocity_series(couette, grid)
         nums = spectral._banded_numbers(series, params, "schrodinger", grid, None)
+        norm_inv, norm_d_inv = explicit_tau_norms("schrodinger", series, params, grid)
     else:
-        nums = resolvent_numbers(ss.assemble_schrodinger(profile, params, grid))
-    measured = n <= _MATRIX_STEP_MAX_DEGREE
-    assert nums["singular"] is not measured
-    assert math.isfinite(nums["norm_inv"]) is math.isfinite(nums["norm_d_inv"]) is measured
+        op = ss.assemble_schrodinger(couette, params, grid)
+        nums = resolvent_numbers(op)
+        norm_inv, norm_d_inv, singular = _explicit_numbers(op)
+        assert not singular
+    assert steps[0] == 192
+    assert nums["singular"] is False
+    assert nums["norm_inv"] == pytest.approx(norm_inv, rel=1e-12, abs=0.0)
+    assert nums["norm_d_inv"] == pytest.approx(norm_d_inv, rel=1e-12, abs=0.0)
 
 
-def test_top_singular_raises_at_the_step_cap(monkeypatch):
-    from shearstab import spectral
-
-    monkeypatch.setattr(spectral, "_GKL_MAX_STEPS", 3)
-    a, _ = _synthetic(CLUSTER)
-    with pytest.raises(RuntimeError, match="did not converge in 3 steps"):
-        spectral._top_singular(lambda x: a @ x, lambda y: a.conj().T @ y, RAMP)
+def _top_ritz(alphas: np.ndarray, betas: np.ndarray):
+    """theta_1, theta_2 (for j >= 1), p_j and q of B = diag(alphas) +
+    diag(betas, 1), as in ``_top_singular``, from the top two eigenpairs of
+    the Golub-Kahan tridiagonal of [[0, B], [B^T, 0]]: zero diagonal,
+    off-diagonal (alpha_0, beta_0, ..., alpha_j), eigenvalues +-sigma_i and
+    top eigenvector (q_0, p_0, q_1, p_1, ...) / sqrt(2) (``_ritz_pairs``)."""
+    off = np.zeros(2 * alphas.shape[0])
+    off[0::2], off[1:-1:2] = alphas, betas
+    vals, vecs = spectral._ritz_pairs(off)
+    top = math.sqrt(2.0) * vecs[:, 1]
+    return vals[1], vals[0], top[-1], top[0::2]
 
 
 @pytest.mark.parametrize("breakdown", [False, True])
 def test_tridiagonal_ritz_step_matches_the_bidiagonal_svd(breakdown):
     # The Golub-Kahan tridiagonal gives theta_1, theta_2, the last entry of
     # the top left vector and the top right vector of the bidiagonal B.
-    from shearstab.spectral import _top_ritz
-
     rng = np.random.default_rng(23)
     for k in [1, 2, 3, *rng.integers(4, 62, size=20)]:
         alphas, betas = rng.uniform(0.0, 2.0, k), rng.uniform(0.0, 2.0, k - 1)
@@ -725,11 +723,12 @@ def test_tridiagonal_ritz_step_matches_the_bidiagonal_svd(breakdown):
 def _reference_top_singular(apply, apply_h, v0):
     """``_top_singular`` as one loop that keeps alphas and betas apart and
     calls ``_top_ritz(alphas[: j + 1], betas[:j])`` at every step, with
-    ``np.linalg.norm``: the bits the running tridiagonal must keep."""
-    from shearstab.spectral import _GKL_RTOL, _orthogonalize, _top_ritz
+    ``np.linalg.norm`` and bases of ``len(v0)`` rows from the start: the
+    bits the running tridiagonal and the doubling bases must keep."""
+    from shearstab.spectral import _GKL_RTOL, _orthogonalize
     from scipy.linalg import get_blas_funcs
 
-    steps = min(spectral._GKL_MAX_STEPS, v0.shape[0])
+    steps = v0.shape[0]
     vs = np.zeros((steps + 1, v0.shape[0]), dtype=v0.dtype)
     vs[0] = v0 / np.linalg.norm(v0)
     u = apply(vs[0])
@@ -750,11 +749,12 @@ def _reference_top_singular(apply, apply_h, v0):
         theta, theta_2, p_j, q = _top_ritz(alphas[: j + 1], betas[:j])
         assert np.array_equal(alphas[: j + 1], head) and np.array_equal(betas[:j], tail)
         r = betas[j] * abs(p_j)
-        if betas[j] <= _GKL_RTOL * theta or (j and r * r <= _GKL_RTOL * theta * (theta - theta_2)):
+        if j + 1 == steps or betas[j] <= _GKL_RTOL * theta or (
+            j and r * r <= _GKL_RTOL * theta * (theta - theta_2)
+        ):
             return float(theta), (q @ vs[: j + 1] if theta else vs[0])
         vs[j + 1] = p / betas[j]
         u = apply(vs[j + 1])
-    raise AssertionError("no convergence")
 
 
 @pytest.mark.parametrize(
@@ -768,13 +768,18 @@ def _reference_top_singular(apply, apply_h, v0):
         ([0.0], "ramp"),
     ],
 )
-def test_top_singular_keeps_the_bits_of_a_ritz_step_per_iteration(values, start):
+@pytest.mark.parametrize("start_rows", [spectral._GKL_START_ROWS, 1])
+def test_top_singular_keeps_the_bits_of_a_ritz_step_per_iteration(
+    monkeypatch, values, start, start_rows
+):
     # The running Golub-Kahan tridiagonal, the inline norms and the late top
     # Ritz vector give the same bits as a fresh _top_ritz call on the
     # alphas and betas at every step, on the synthetic operators (cluster,
-    # breakdown of alpha and of beta, a spread spectrum, zero)
+    # breakdown of alpha and of beta, a spread spectrum, zero), also when
+    # bases that start with one row double whenever they are full.
     from shearstab.spectral import _top_singular
 
+    monkeypatch.setattr(spectral, "_GKL_START_ROWS", start_rows)
     a, q2 = _synthetic(values)
     v0 = RAMP if start == "ramp" else (q2[:, :3] @ np.array([1.0, 2.0, 1.0])).astype(complex)
     ops = (lambda x: a @ x, lambda y: a.conj().T @ y, v0)

@@ -328,18 +328,16 @@ def test_matrix_step_rungs_match_the_dct_step(monkeypatch, kind, alpha, route, n
 
 
 @pytest.mark.parametrize("kind, alpha", KINDS)
-def test_small_banded_rung_lanczos_norms_equal_its_explicit_svds(monkeypatch, kind, alpha):
+def test_small_banded_rung_lanczos_norms_equal_its_explicit_svds(explicit_tau_norms, kind, alpha):
     # a small banded rung is measured by Lanczos, as a collocation rung is;
-    # the SVDs of its explicit solution operator, forced by a step cap of
-    # 0, agree
+    # the SVDs of its explicit solution operator agree
     grid, params = ss.build_grid(64), ss.SpectralParams(alpha, 1e4, -0.1 + 0.5j)
     series = velocity_series(ss.cubic(0.1), grid)
     lanczos = _banded_numbers(series, params, kind, grid, None)
-    monkeypatch.setattr(spectral, "_GKL_MAX_STEPS", 0)
-    explicit = _banded_numbers(series, params, kind, grid, None)
-    assert explicit["singular"] is lanczos["singular"] is False
-    for key in ("norm_inv", "norm_d_inv"):
-        assert explicit[key] == pytest.approx(lanczos[key], rel=1e-12, abs=0.0), key
+    explicit = explicit_tau_norms(kind, series, params, grid)
+    assert lanczos["singular"] is False
+    for key, value in zip(("norm_inv", "norm_d_inv"), explicit):
+        assert value == pytest.approx(lanczos[key], rel=1e-12, abs=0.0), key
 
 
 def _hager_higham(system):
