@@ -11,6 +11,7 @@ from scipy.linalg import eig
 import shearstab as ss
 from shearstab.chebdiff import (
     _chebdif,
+    _clencurt,
     _derivative,
     _derivative_t,
     _resample,
@@ -73,6 +74,46 @@ def test_weights_integrate_exponential(grid64):
     x = grid64.nodes
     exact = math.e - 1.0 / math.e
     assert abs(np.sum(grid64.weights * np.exp(x)) - exact) < 1e-13
+
+
+def _reference_clencurt(n_deg):
+    """Clenshaw-Curtis weights as an O(n^2) sum of cosines, one per even
+    Chebyshev moment."""
+    th_i = np.pi * np.arange(1, n_deg) / n_deg
+    w = np.zeros(n_deg + 1)
+    v = np.ones(n_deg - 1)
+    for kk in range(1, (n_deg + 1) // 2):
+        v -= 2.0 * np.cos(2 * kk * th_i) / (4 * kk**2 - 1)
+    if n_deg % 2 == 0:
+        w[0] = w[-1] = 1.0 / (n_deg**2 - 1)
+        v -= np.cos(n_deg * th_i) / (n_deg**2 - 1)
+    else:
+        w[0] = w[-1] = 1.0 / n_deg**2
+    w[1:-1] = 2.0 * v / n_deg
+    return w
+
+
+@pytest.mark.parametrize("n", [8, 9, 87, 127, 862, 1723, 1724, 2048])
+def test_weights_match_the_cosine_sum(n):
+    want = _reference_clencurt(n)
+    np.testing.assert_allclose(_clencurt(n), want, rtol=3e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [9, 127, 1724])
+def test_weights_integrate_every_chebyshev_polynomial_up_to_the_degree(n):
+    # T_k(x_j) = cos(pi k j / n); the integral of T_k is 2 / (1 - k^2) for
+    # even k and 0 for odd k
+    k = np.arange(n + 1)
+    t_k = np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n)
+    exact = np.zeros(n + 1)
+    exact[::2] = 2.0 / (1.0 - k[::2] ** 2)
+    assert np.max(np.abs(t_k @ _clencurt(n) - exact)) < 1e-13
+
+
+@pytest.mark.parametrize("n, end", [(1724, 1.0 / (1724**2 - 1)), (127, 1.0 / 127**2)])
+def test_end_weights_take_the_closed_form(n, end):
+    w = _clencurt(n)
+    assert w[0] == end and w[-1] == end
 
 
 def test_dirichlet_laplacian_eigenvalues(grid64):
