@@ -8,8 +8,8 @@ The package answers two questions about a monotone velocity profile U on
    set, which rules out inviscid neutral limits.
 2. Do the resolvent norms of the associated advective and fourth-order
    operators obey their predicted power laws in the rescaled Reynolds
-   number?  The `sweeps` module measures them on banded ultraspherical
-   systems, and on dense collocation below a measured degree.
+   number?  The `sweeps` module measures them on banded Legendre-Galerkin
+   systems.
 """
 
 from . import airy, certify, chebdiff, operators, profile, spectral, sweeps

@@ -1,41 +1,39 @@
 """Spectral computations: eigenvalues, resolvent norms, grid ladders.
 
-Norms are the continuum L2 norms realized through Clenshaw-Curtis quadrature:
-a matrix M acting between node-value spaces is measured as
-``diag(sqrt(w_out)) M diag(1/sqrt(w_in))`` in the spectral norm, so reported
-operator norms converge to their integral counterparts as the grid grows.
+Norms are continuum L2 norms.  On a collocation grid they are realized
+through Clenshaw-Curtis quadrature: a matrix M acting between node-value
+spaces is measured as ``diag(sqrt(w_out)) M diag(1/sqrt(w_in))`` in the
+spectral norm, so reported operator norms converge to their integral
+counterparts as the grid grows.
 
-A resolvent rung of the kinds ``schrodinger`` and ``orr_sommerfeld`` from
-degree ``_BANDED_MIN_DEGREE`` on solves a banded ultraspherical tau system in
-Chebyshev coefficients (``ultraspherical``), factored in O(n) by LAPACK
-``gbtrf``.  Every other rung, and every ``rayleigh_shifted`` rung, factors a
-dense collocation matrix (``resolvent_numbers``).
+A resolvent rung of the kinds ``schrodinger`` and ``orr_sommerfeld`` solves
+a banded Legendre-Galerkin system (``galerkin``), factored in O(n) by LAPACK
+``gbtrf``, at every degree.  A ``rayleigh_shifted`` rung factors a dense
+collocation matrix (``resolvent_numbers``).
 
 Both routes hand their rung to ``_rung_norms``: a factored solve with its
 adjoint (two BLAS ``trsv`` sweeps on the ``getrf`` factors, ``_lu_solver``,
-or LAPACK ``gbtrs``) and three maps, each with its adjoint, from weighted
-data to right-hand-side rows and from the solution to weighted node values
-and to weighted derivative values, so the norms are measured on the same
-nodes and weights on either route.  Up to the measured degree
-``_MATRIX_STEP_MAX_DEGREE`` the maps are cached dense real matrices,
-one BLAS product each (the grid's ``d1`` on the collocation route,
-``ultraspherical.node_maps`` on the banded one); above it they run through
-type-1 DCTs, O(n log n) per application.  Each norm is the top singular
-value found by Golub-Kahan-Lanczos bidiagonalization (``_top_singular``)
-on the solves and their adjoints, fully reorthogonalized with BLAS
-``gemv``.  The recurrence stops once the gap bound
-r^2 / (theta_1 - theta_2) on its top Ritz value is at most 1e-13 theta_1,
-r = beta_k |e_k^T p| the residual, or at a breakdown, and at the latest
-when its Krylov space fills, after one step per data node.  The first
-rung of a ladder starts from a fixed ramp, so repeated runs agree bit for
-bit; each later rung starts from the previous rung's top right singular
-vectors, resampled through their Chebyshev coefficients, and never from
-another shift.  On the shift maps' ladders (beta 1e4) the two norms take
-about 29 (Schrodinger) and 17 (Orr-Sommerfeld) solves on the cold n = 87
-rung, and 8-10 on the warm n = 174 one.  What no shift changes in a rung
-(U and U'' on the nodes, U's series, and up to ``_MATRIX_STEP_MAX_DEGREE``
-the node maps and tau U band) is built once per degree and shared by the
-shifts; each cache keeps one ladder's degrees (``chebdiff._ladder_cached``).
+or LAPACK ``gbtrs``) and three maps, each with its adjoint, from the data to
+right-hand-side rows and from the solution to coordinates whose Euclidean
+norms are ||u|| and ||u'||.  A Galerkin rung's data are the orthonormal
+Legendre coefficients of a polynomial of degree n, and its maps are bands
+of one to three diagonals, O(n) per application.  A collocation rung's data
+are weighted node values; up to the measured degree
+``_MATRIX_STEP_MAX_DEGREE`` its derivative is the grid's dense ``d1``, one
+BLAS product, and above it a type-1 DCT, O(n log n).  Each norm is the top
+singular value found by Golub-Kahan-Lanczos bidiagonalization
+(``_top_singular``) on the solves and their adjoints, fully
+reorthogonalized with BLAS ``gemv``.  The recurrence stops once the gap
+bound r^2 / (theta_1 - theta_2) on its top Ritz value is at most
+1e-13 theta_1, r = beta_k |e_k^T p| the residual, or at a breakdown, and at
+the latest when its Krylov space fills, after one step per datum.  The
+first rung of a ladder starts from a fixed ramp, so repeated runs agree bit
+for bit; each later rung starts from the previous rung's top right singular
+vectors, zero-padded in Legendre coefficients or resampled through their
+Chebyshev coefficients, and never from another shift.  What no shift
+changes in a rung (the Galerkin bands and maps, U and U'' on a collocation
+grid's nodes) is built once per degree and shared by the shifts; each cache
+keeps one ladder's degrees (``chebdiff._ladder_cached``).
 
 The certificate eigenvalue is not collocated: each rung of
 ``eig_floor_ladder`` is one symmetric-definite Galerkin solve on Shen's
@@ -46,8 +44,8 @@ dense collocation route as a reference.
 
 Both routes judge a rung by one singular rule, for Dirichlet and clamped
 walls alike: an exactly zero pivot, or a reciprocal 1-norm condition
-estimate (LAPACK ``gecon`` on the scaled LU, ``TauSystem.rcond`` on the
-band) below ``_SINGULAR_RTOL`` = 1e3 eps, where eps / rcond reaches
+estimate (LAPACK ``gecon`` on the scaled LU, ``GalerkinSystem.rcond`` on
+the band) below ``_SINGULAR_RTOL`` = 1e3 eps, where eps / rcond reaches
 ``RESOLVENT_RTOL`` and a norm could no longer be trusted to the ladder's
 tolerance.  A singular rung reports sigma_min 0 and infinite norms.
 
@@ -83,9 +81,8 @@ from .operators import (
     assemble_schrodinger,
     certificate_potential,
 )
+from .galerkin import KINDS, GalerkinSystem, norm_maps, rung_parts
 from .profile import Profile
-from .ultraspherical import ORDERS, TauSystem, _dct_maps, node_maps, velocity_series
-from .ultraspherical import _MATRIX_STEP_MAX_DEGREE
 
 __all__ = [
     "weighted_norm",
@@ -113,6 +110,10 @@ _GKL_START_ROWS = 60
 # by at most _EIG_RTOL, absolute below 1 and relative above.
 RESOLVENT_RTOL = 1e-3
 _EIG_RTOL = 1e-9
+# Up to this degree a collocation rung differentiates with the grid's dense
+# d1, one BLAS product; above it through type-1 DCTs, O(n log n), which were
+# no slower on ``rayleigh_shifted`` rungs at n = 800 and 1600 (CHANGES.md).
+_MATRIX_STEP_MAX_DEGREE = 192
 
 
 def _check_threads(threads: int | None) -> None:
@@ -383,32 +384,34 @@ def _real_matmul(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (mat @ pairs).view(np.complex128).reshape(mat.shape[:1] + x.shape[1:])
 
 
-def _rung_norms(grid, data_nodes, back, maps, dtype, start) -> tuple[float, float]:
-    """Weighted norms of one rung's solution map and of its derivative, on
-    either route.
+def _rung_norms(back, maps, dtype, size, start, carry) -> tuple[float, float]:
+    """Norms of one rung's solution map and of its derivative, on either
+    route.
 
     ``back(rhs, trans)`` solves the rung's factored system (``trans`` 0) or
     its adjoint (2).  ``maps`` holds three (apply, adjoint) pairs on
-    vectors: weighted data x = W f on ``data_nodes`` to right-hand-side
-    rows, the solution to weighted node values W u, and the solution to
-    weighted derivative values W u', W the square-root quadrature weights.
-    Returns (||W u||, ||W u'||) over unit ||x||.
+    vectors: data x, ``size`` coordinates in which ||x|| is the L2 norm of
+    the data, to right-hand-side rows, and the solution to coordinates
+    whose Euclidean norms are ||u|| and ||u'||.  Returns (||u||, ||u'||)
+    over unit ||x||.
 
     Each is a top singular value from ``_top_singular``, also on a tight
     cluster of top singular values, where the recurrence runs on until its
     gap bound holds or its Krylov space fills.  ``start`` carries the top
-    right singular vectors from one rung of a ladder to the next, as node
-    values; without them each recurrence starts from a fixed ramp.
+    right singular vectors from one rung of a ladder to the next, and
+    ``carry`` = (resume, keep) maps them from the form ``start`` holds to
+    this rung's data and back; without them each recurrence starts from a
+    fixed ramp.
     """
-    n, ws_in = grid.n, np.sqrt(grid.weights)[data_nodes]
+    resume, keep = carry
     (forcing, forcing_h), *outs = maps
     if start is not None and start.values is not None:
-        v0s = [_resample(f, n)[data_nodes] * ws_in for f in start.values]
+        v0s = [resume(f) for f in start.values]
     else:
         # A fixed ramp keeps repeated runs bit-identical; it has both even
         # and odd parts, so a parity symmetry of the profile cannot make it
         # orthogonal to the top singular vector.
-        v0s = [np.linspace(1.0, 2.0, len(ws_in))] * 2
+        v0s = [np.linspace(1.0, 2.0, size)] * 2
     found = [
         _top_singular(
             lambda x, out=out: out(back(forcing(x), 0)),
@@ -418,11 +421,7 @@ def _rung_norms(grid, data_nodes, back, maps, dtype, start) -> tuple[float, floa
         for (out, out_h), v0 in zip(outs, v0s)
     ]
     if start is not None:
-        start.values = []
-        for _, v in found:
-            f = np.zeros(n + 1, dtype=v.dtype)
-            f[data_nodes] = v / ws_in
-            start.values.append(f)
+        start.values = [keep(v) for _, v in found]
     return found[0][0], found[1][0]
 
 
@@ -447,32 +446,24 @@ def _numbers(norm_inv: float, norm_d_inv: float) -> dict:
     }
 
 
-def _banded_numbers(
-    series: np.ndarray, params: SpectralParams, kind: str, grid, start
-) -> dict:
-    """Resolvent numbers of one rung of a banded kind, from its tau system
-    for U's Chebyshev ``series``.
+def _galerkin_numbers(profile: Profile, params: SpectralParams, kind: str, grid, start) -> dict:
+    """Resolvent numbers of one degree-``grid.n`` rung of a banded kind, from
+    its Legendre-Galerkin system (``galerkin``).
 
-    Norms are measured as on the collocation route: weighted data x = W f
-    on the same nodes (the interior for Dirichlet, nodes 2..n-2 for clamped
-    walls), f zero on the others, goes to the kept rows; the solution comes
-    back to node values, and so does its derivative.  Up to
-    ``_MATRIX_STEP_MAX_DEGREE`` those maps are the cached matrices of
-    ``node_maps``, above it the matrix-free ``_dct_maps``; ``_rung_norms``
-    takes it from there.  The system is singular at an exactly zero pivot
-    or a condition estimate (``TauSystem.rcond``) below ``_SINGULAR_RTOL``,
-    for either boundary treatment.
+    The data are the n + 1 orthonormal Legendre coefficients of a
+    polynomial f of degree n; ``galerkin.norm_maps`` loads them and measures
+    the solution and its derivative, and ``_rung_norms`` takes it from
+    there.  A warm start zero-pads the previous rung's vectors.  The system
+    is singular at an exactly zero pivot or a condition estimate
+    (``GalerkinSystem.rcond``) below ``_SINGULAR_RTOL``.
     """
-    system = TauSystem(kind, series, params, grid.n)
+    parts = rung_parts(kind, profile, grid)
+    system = GalerkinSystem(parts, params)
     if system.singular or system.rcond() < _SINGULAR_RTOL:
         return dict(_SINGULAR)
-    n, m = grid.n, system.order
-    if n <= _MATRIX_STEP_MAX_DEGREE:
-        maps = [(partial(_real_matmul, a), partial(_real_matmul, a.T)) for a in node_maps(m, grid)]
-    else:
-        maps = _dct_maps(m, grid)
-    data_nodes = np.arange(m // 2, n + 1 - m // 2)
-    return _numbers(*_rung_norms(grid, data_nodes, system.backsolve, maps, complex, start))
+    size = grid.n + 1
+    carry = (lambda x: np.pad(x[:size], (0, max(0, size - len(x)))), lambda x: x)
+    return _numbers(*_rung_norms(system.backsolve, norm_maps(parts), complex, size, start, carry))
 
 
 def _lu_solver(lu: np.ndarray, piv: np.ndarray):
@@ -555,7 +546,8 @@ def resolvent_numbers(
 
     ws = np.sqrt(grid.weights)
     data_nodes = np.arange(grid.n + 1)[sol_rows][data_rows]
-    data_scale = d[data_rows] / ws[data_nodes]
+    ws_in = ws[data_nodes]
+    data_scale = d[data_rows] / ws_in
     back = _lu_solver(lu, piv)
 
     def forcing(x):
@@ -578,26 +570,15 @@ def resolvent_numbers(
         (lambda u: ws * on_nodes(u), lambda y: (ws * y)[sol_rows]),
         (lambda u: ws * derivative(on_nodes(u)), lambda y: derivative_t(ws * y)[sol_rows]),
     )
-    return _numbers(*_rung_norms(grid, data_nodes, back, maps, lu.dtype, start))
 
+    def keep(v):
+        f = np.zeros(grid.n + 1, dtype=v.dtype)
+        f[data_nodes] = v / ws_in
+        return f
 
-# Rungs of the banded kinds (ultraspherical.ORDERS) from this degree on take
-# the banded tau route.  Measured with both routes on the matrix step (see
-# CHANGES.md): medians of 9 runs over 3 shifts per kind put a banded rung at
-# 0.83-1.04x the dense time at n = 87-100 and 0.43-0.87x from n = 120 on
-# when its node maps are cached, and at 0.93-1.35x up to n = 120 and
-# 0.65-0.99x from n = 140 on when it builds them.  The degree stays: the
-# tau route at n = 87 moves n_used on a few shift-map ladders (CHANGES.md).
-_BANDED_MIN_DEGREE = 160
-# ... and only while U's chopped Chebyshev series has degree d <= n / 16: the
-# tau matrix has about 2d + 3m diagonals, so ``gbtrf`` costs O(d^2 n) and
-# each ``gbtrs`` O(dn).  Measured (see CHANGES.md) on tanh_shear profiles,
-# the banded rung takes 0.33-0.56x the dense time at n/d = 13-16, 0.55-0.92x
-# at n/d = 7-8 and 0.9-1.3x at n/d = 3.7.  The rule stays although dropping
-# it would cost at most about 1.3x: without it the Schrodinger ladders of
-# tanh_shear(5) and tanh_shear(10) at beta 1e6, lam -0.05 + 0.3i, end at
-# n = 1600 instead of 800.
-_BANDED_DEGREE_PER_TERM = 16
+    carry = (lambda f: _resample(f, grid.n)[data_nodes] * ws_in, keep)
+    return _numbers(*_rung_norms(back, maps, lu.dtype, len(data_nodes), start, carry))
+
 
 _ASSEMBLERS = {
     "schrodinger": assemble_schrodinger,
@@ -645,10 +626,9 @@ def resolvent_sample(
     2n must agree on norm_inv + norm_d_inv within ``RESOLVENT_RTOL``; the
     accepted value is the finer one.  Hitting ``N_MAX`` without agreement
     returns the last value flagged unconverged.  Rungs of the kinds
-    ``schrodinger`` and ``orr_sommerfeld`` from ``_BANDED_MIN_DEGREE`` on
-    solve banded tau systems, unless U's series is too long for the degree
-    (``_BANDED_DEGREE_PER_TERM``); the others assemble a collocation matrix.
-    Each rung starts at its ``build_grid`` call.  It runs on one OpenBLAS
+    ``schrodinger`` and ``orr_sommerfeld`` solve banded Legendre-Galerkin
+    systems, and ``rayleigh_shifted`` rungs a collocation matrix.  Each rung
+    starts at its ``build_grid`` call.  It runs on one OpenBLAS
     thread, so a direct call equals the same shift inside a map to the bit.
     """
     if kind not in _ASSEMBLERS:
@@ -658,12 +638,9 @@ def resolvent_sample(
 
     def evaluate(n):
         grid = build_grid(n)
-        if kind in ORDERS and n >= _BANDED_MIN_DEGREE:
-            series = velocity_series(profile, grid)
-            if n >= _BANDED_DEGREE_PER_TERM * (len(series) - 1):
-                return _banded_numbers(series, params, kind, grid, start)
-        op = _ASSEMBLERS[kind](profile, params, grid)
-        return resolvent_numbers(op, start=start)
+        if kind in KINDS:
+            return _galerkin_numbers(profile, params, kind, grid, start)
+        return resolvent_numbers(_ASSEMBLERS[kind](profile, params, grid), start=start)
 
     def agree(prev, cur):
         ref = prev["norm_inv"] + prev["norm_d_inv"]

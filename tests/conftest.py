@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import shearstab as ss
-from shearstab import operators, ultraspherical
+from shearstab import galerkin, operators
 
 
 @pytest.fixture(scope="session")
@@ -43,25 +43,34 @@ def grid64():
 def rung_caches():
     """Every cache of shift-free rung parts; a test clears them for a rung
     that must build its own."""
-    return (
-        ultraspherical._SERIES,
-        ultraspherical._U_BANDS,
-        ultraspherical._NODE_MAPS,
-        operators._NODE_VALUES,
-    )
+    return (galerkin._PARTS, operators._NODE_VALUES)
+
+
+def _band_matrix(ab, rows, kl, ku):
+    """The rows x ab.shape[1] matrix held in LAPACK band storage."""
+    out = np.zeros((rows, ab.shape[1]), dtype=ab.dtype)
+    for r in range(ab.shape[0]):
+        j = np.arange(ab.shape[1])
+        i = j + r - ku
+        keep = (i >= 0) & (i < rows)
+        out[i[keep], j[keep]] = ab[r, keep]
+    return out
 
 
 @pytest.fixture(scope="session")
-def explicit_tau_norms():
-    """explicit_tau_norms(kind, series, params, grid) is (norm_inv,
-    norm_d_inv) of a tau rung from full SVDs of its explicit weighted
-    solution operators: ``TauSystem.backsolve`` on the ``node_maps``
-    forcing of every data node, mapped to weighted values and slopes."""
+def explicit_galerkin_norms():
+    """explicit_galerkin_norms(kind, profile, params, grid) is (norm_inv,
+    norm_d_inv) of a Galerkin rung from full SVDs of its explicit solution
+    operators: ``GalerkinSystem.backsolve`` on the load V^T of every data
+    coefficient, mapped by V and V_1."""
 
-    def norms(kind, series, params, grid):
-        system = ultraspherical.TauSystem(kind, series, params, grid.n)
-        forcing, values, slopes = ultraspherical.node_maps(system.order, grid)
-        sol = system.backsolve(forcing.astype(complex))
+    def norms(kind, profile, params, grid):
+        parts = galerkin.rung_parts(kind, profile, grid)
+        system = galerkin.GalerkinSystem(parts, params)
+        values, slopes = (
+            _band_matrix(ab, grid.n + 1, ab.shape[0] - 1, 0) for ab in (parts.values, parts.slopes)
+        )
+        sol = system.backsolve(np.array(values.T))
         return tuple(np.linalg.svd(out @ sol, compute_uv=False)[0] for out in (values, slopes))
 
     return norms

@@ -488,20 +488,17 @@ def test_json_is_byte_identical_across_thread_counts(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "kind, alpha, beta",
-    # ladders from 148 (dense) to 296, and from 165 (banded) to 330
+    # ladders from 148 to 296, and from 165 to 330
     [("schrodinger", "0", "5e4"), ("orr_sommerfeld", "1", "7e4")],
 )
-def test_pseudo_output_is_byte_identical_across_the_matrix_step_cap(
+def test_pseudo_output_is_byte_identical_with_cold_and_warm_rung_parts(
     tmp_path, capsys, rung_caches, kind, alpha, beta
 ):
-    # rungs at or below _MATRIX_STEP_MAX_DEGREE take the matrix step, with
-    # the node maps and the other shift-free rung parts built cold on the
-    # first run and cached on the second; the rungs above it take the DCT
-    # step
-    from shearstab.spectral import _MATRIX_STEP_MAX_DEGREE, ladder_start
+    # the shift-free rung parts are built cold on the first run and found
+    # in their caches on the second
+    from shearstab.spectral import ladder_start
 
     start = ladder_start(float(beta))
-    assert start <= _MATRIX_STEP_MAX_DEGREE < 2 * start
     for cache in rung_caches:
         cache.clear()
     outputs = []

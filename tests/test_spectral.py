@@ -647,15 +647,16 @@ def test_a_clustered_rung_matches_its_explicit_svds(couette):
     assert nums["norm_d_inv"] == pytest.approx(norm_d_inv, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("route", ["dense", "banded"])
+@pytest.mark.parametrize("route, size", [("dense", 192), ("galerkin", 194)])
 def test_a_clustered_rung_past_the_matrix_steps_is_measured(
-    couette, explicit_tau_norms, monkeypatch, route
+    couette, explicit_galerkin_norms, monkeypatch, route, size
 ):
     # Couette at beta 1e4, lam -100: the top singular values of the solve
     # cluster so tightly that the first recurrence fills its Krylov space,
-    # 192 steps on the 192 data nodes of n = 193.  The rung is measured, not
-    # singular, and its norms equal the SVDs of its explicit solution
-    # operator.
+    # one step per datum of n = 193: its 192 interior nodes on the dense
+    # route, its 194 Legendre coefficients on the Galerkin one.  The rung is
+    # measured, not singular, and its norms equal the SVDs of its explicit
+    # solution operator.
     params, grid = ss.SpectralParams(0.0, 1e4, -100.0), ss.build_grid(_MATRIX_STEP_MAX_DEGREE + 1)
     steps, top_singular = [], spectral._top_singular
 
@@ -669,21 +670,40 @@ def test_a_clustered_rung_past_the_matrix_steps_is_measured(
         return top_singular(step, apply_h, v0)
 
     monkeypatch.setattr(spectral, "_top_singular", counted)
-    if route == "banded":
-        from shearstab.ultraspherical import velocity_series
-
-        series = velocity_series(couette, grid)
-        nums = spectral._banded_numbers(series, params, "schrodinger", grid, None)
-        norm_inv, norm_d_inv = explicit_tau_norms("schrodinger", series, params, grid)
+    if route == "galerkin":
+        nums = spectral._galerkin_numbers(couette, params, "schrodinger", grid, None)
+        norm_inv, norm_d_inv = explicit_galerkin_norms("schrodinger", couette, params, grid)
     else:
         op = ss.assemble_schrodinger(couette, params, grid)
         nums = resolvent_numbers(op)
         norm_inv, norm_d_inv, singular = _explicit_numbers(op)
         assert not singular
-    assert steps[0] == 192
+    assert steps[0] == size
     assert nums["singular"] is False
     assert nums["norm_inv"] == pytest.approx(norm_inv, rel=1e-12, abs=0.0)
     assert nums["norm_d_inv"] == pytest.approx(norm_d_inv, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("beta, lam", [(1e4, -100.0), (1e5, -10.0)])
+def test_a_far_left_shift_reaches_the_supremum_of_its_derivative_norm(couette, beta, lam):
+    # Couette Schrodinger with Dirichlet walls and lam real, far left: from
+    # ||u'||^2 + b |lam| ||u||^2 = Re (f, u), ||u'|| <= ||f|| / (2 sqrt(b |lam|)),
+    # and the ladder converges to that bound
+    sample = resolvent_sample(couette, ss.SpectralParams(0.0, beta, lam), "schrodinger")
+    assert sample.converged and not sample.singular
+    assert sample.norm_d_inv == pytest.approx(1.0 / (2.0 * math.sqrt(beta * abs(lam))), rel=1e-3)
+
+
+@pytest.mark.parametrize("lam", [-0.2 + 0.5j, -0.2 - 0.5j])
+def test_a_marginal_rung_measures_its_derivative_norm(couette, lam):
+    # Couette Schrodinger at beta 5e4 on the ladder's first rung, n = 148,
+    # against collocation's 5.0000e-3 at the same degree; a discretization
+    # that measures its data by node values but solves for their
+    # interpolant read 5.6057e-3 here
+    params = ss.SpectralParams(0.0, 5e4, lam)
+    assert ladder_start(params.beta) == 148
+    nums = spectral._galerkin_numbers(couette, params, "schrodinger", ss.build_grid(148), None)
+    assert nums["norm_d_inv"] == pytest.approx(5.0000e-3, rel=1e-6)
 
 
 def _top_ritz(alphas: np.ndarray, betas: np.ndarray):
@@ -821,8 +841,7 @@ def test_a_map_sample_does_not_depend_on_the_map(rung_caches, kind, profile, alp
     # The shifts of a map share each rung's shift-free parts.  Every sample
     # of a 3x3 map equals, field for field and bit for bit, the same shift
     # sampled alone with every such part built cold: ladders 87 -> 174 at
-    # beta 1e4, and 148 -> 296 at 5e4, from the dense rungs across
-    # _BANDED_MIN_DEGREE = 160 and _MATRIX_STEP_MAX_DEGREE = 192
+    # beta 1e4, and 148 -> 296 at 5e4
     mus, nus = np.linspace(-0.2, 0.2, 3), np.linspace(-1.0, 1.0, 3)
     for cache in rung_caches:
         cache.clear()
@@ -838,22 +857,20 @@ def test_a_map_sample_does_not_depend_on_the_map(rung_caches, kind, profile, alp
 
 
 def test_rung_caches_hold_one_ladder_after_a_sweep(rung_caches, cpus, cubic01):
-    # each cache keeps the rungs of the latest ladder that used it: one key,
-    # degrees one doubling chain.  The last ladder of the default os-boundary
-    # sweep (beta 1e7) is 862 -> 1724 on the banded route.  U bands are kept
-    # up to _MATRIX_STEP_MAX_DEGREE only, and U's series differs in its last
-    # bits from rung to rung, so one band stays: beta 1e5's rung 186.  On
-    # one CPU, so every ladder runs in this process.
-    from shearstab import ultraspherical
+    # the Galerkin parts cache keeps the rungs of the latest ladder that
+    # used it: one key, degrees one doubling chain.  The last ladder of the
+    # default os-boundary sweep (beta 1e7) is 862 -> 1724, and no rung of
+    # the sweep builds collocation node values.  On one CPU, so every
+    # ladder runs in this process.
+    from shearstab import galerkin
 
     cpus(1)
-    ss.os_boundary_sweep(cubic01)
     for cache in rung_caches:
-        assert cache
-        assert len({key for key, _ in cache}) == 1
-        assert len({n // (n & -n) for _, n in cache}) == 1
-    assert sorted(n for _, n in ultraspherical._SERIES) == [862, 1724]
-    assert [n for _, n in ultraspherical._U_BANDS] == [186]
+        cache.clear()
+    ss.os_boundary_sweep(cubic01)
+    assert {key for key, _ in galerkin._PARTS} == {("orr_sommerfeld", cubic01)}
+    assert sorted(n for _, n in galerkin._PARTS) == [862, 1724]
+    assert not operators._NODE_VALUES
 
 
 @pytest.mark.parametrize(
@@ -861,22 +878,20 @@ def test_rung_caches_hold_one_ladder_after_a_sweep(rung_caches, cpus, cubic01):
     [("schrodinger", ss.couette(), 0.0), ("orr_sommerfeld", ss.cubic(0.1), 1.0)],
 )
 def test_warm_start_matches_cold_start_on_the_top_rung(kind, profile, alpha):
-    # The 862 -> 1724 rung pair of a beta = 1e7 ladder, both on the banded
-    # route.
-    from shearstab.spectral import _BANDED_MIN_DEGREE, _StartVectors, _banded_numbers
-    from shearstab.ultraspherical import velocity_series
+    # The 862 -> 1724 rung pair of a beta = 1e7 ladder: the warm start
+    # zero-pads the 863 Legendre coefficients of the lower rung's vectors
+    from shearstab.spectral import _galerkin_numbers, _StartVectors
 
     beta = 1e7
-    assert _BANDED_MIN_DEGREE <= ladder_start(beta) == 862
+    assert ladder_start(beta) == 862
     lam = 0.0 if kind == "schrodinger" else ss.margin_constant() * beta ** (-1.0 / 3.0)
     params = ss.SpectralParams(alpha, beta, lam)
     lower, top = ss.build_grid(862), ss.build_grid(1724)
-    series = velocity_series(profile, top)
     start = _StartVectors()
-    _banded_numbers(velocity_series(profile, lower), params, kind, lower, start)
+    _galerkin_numbers(profile, params, kind, lower, start)
     assert [f.shape for f in start.values] == [(863,), (863,)]
-    warm = _banded_numbers(series, params, kind, top, start)
-    cold = _banded_numbers(series, params, kind, top, None)
+    warm = _galerkin_numbers(profile, params, kind, top, start)
+    cold = _galerkin_numbers(profile, params, kind, top, None)
     assert set(warm) == set(cold)
     assert warm["singular"] == cold["singular"] is False
     for key in ("norm_inv", "norm_d_inv"):
